@@ -42,13 +42,8 @@ from .spatial import (
     count_in_radii,
     count_in_radii_brute,
     fps,
-    fps_brute,
     knn_group,
-    knn_group_brute,
     mean_nn_distance,
-    mean_nn_distance_brute,
-    read_counts,
-    write_counts,
 )
 from .nie import NieParams, RadiiSchedule, embed, embed_dim, global_density, local_density, radii_schedule
 from .hsp import (

@@ -479,7 +479,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=0.5,
                    help="appearance blend weight (default 0.5, used with --appearance)")
     p.add_argument("--threads", type=int, default=_threads_default(),
-                   help="worker threads (default $CELLCLOUD_THREADS or 1)")
+                   help="worker threads for the embedding only; the attention pass "
+                        "runs on one thread (default $CELLCLOUD_THREADS or 1)")
     add_common(p)
     p.set_defaults(func=_cmd_forward)
 

@@ -214,6 +214,63 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# binary container reader
+# ---------------------------------------------------------------------------
+
+
+class _Container:
+    """Bounds-checked cursor over one little-endian binary container file.
+
+    Every binary reader (``CC5B``, ``CCEM``, ``CCWT``) goes through this
+    class and nothing else unpacks their bytes. Opening checks the 4-byte
+    magic and the u32 version; each later fixed-size read raises
+    ``ValueError`` (``truncated``) before it would run past the end, so a
+    hostile count never reaches an allocation. Used as a context manager,
+    a clean exit rejects any bytes left unread (``trailing bytes``).
+    """
+
+    def __init__(self, path: Union[str, Path], magic: bytes, version: int, kind: str) -> None:
+        self.path = path
+        self.kind = kind
+        self.tag = magic.decode()
+        self.raw = Path(path).read_bytes()
+        self.off = 4
+        if self.raw[:4] != magic:
+            raise ValueError(f"{path}: not a {kind}")
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise ValueError(f"{path}: unsupported {self.tag} version {found}")
+
+    def __enter__(self) -> "_Container":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None and self.off != len(self.raw):
+            raise ValueError(f"{self.path}: trailing bytes in {self.kind}")
+
+    @property
+    def remaining(self) -> int:
+        return len(self.raw) - self.off
+
+    def _take(self, nbytes: int) -> int:
+        """Advance past ``nbytes`` and return where they start."""
+        if nbytes > self.remaining:
+            raise ValueError(f"{self.path}: truncated {self.tag} payload")
+        start = self.off
+        self.off += nbytes
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """Read-only view of the next ``count`` items of ``dtype``."""
+        dtype = np.dtype(dtype)
+        start = self._take(count * dtype.itemsize)
+        return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
+
+
+# ---------------------------------------------------------------------------
 # canonical cell file formats
 # ---------------------------------------------------------------------------
 
@@ -242,17 +299,9 @@ def write_cloud(path: Union[str, Path], cloud: CellCloud) -> None:
 
 def read_cloud(path: Union[str, Path], slide_id: str = "") -> CellCloud:
     """Read a ``CC5B`` cache back into a :class:`CellCloud`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != _CC5B_MAGIC:
-        raise ValueError(f"{path}: not a CC5B cell cache")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CC5B_VERSION:
-        raise ValueError(f"{path}: unsupported CC5B version {version}")
-    (count,) = struct.unpack_from("<Q", raw, 8)
-    body = raw[16:]
-    if len(body) != count * _CC5B_RECORD.itemsize:
-        raise ValueError(f"{path}: truncated CC5B payload")
-    rec = np.frombuffer(body, dtype=_CC5B_RECORD, count=count)
+    with _Container(path, _CC5B_MAGIC, _CC5B_VERSION, "CC5B cell cache") as box:
+        (count,) = box.unpack("<Q")
+        rec = box.array(_CC5B_RECORD, count)
     xy = np.empty((count, 2), dtype=np.float64)
     xy[:, 0] = rec["x"]
     xy[:, 1] = rec["y"]
@@ -280,15 +329,6 @@ def write_features(path: Union[str, Path], features: np.ndarray) -> None:
 
 
 def read_features(path: Union[str, Path]) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != _CCEM_MAGIC:
-        raise ValueError(f"{path}: not a CCEM feature cache")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CCEM_VERSION:
-        raise ValueError(f"{path}: unsupported CCEM version {version}")
-    (rows,) = struct.unpack_from("<Q", raw, 8)
-    (dim,) = struct.unpack_from("<I", raw, 16)
-    body = raw[20:]
-    if len(body) != rows * dim * 4:
-        raise ValueError(f"{path}: truncated CCEM payload")
-    return np.frombuffer(body, dtype="<f4", count=rows * dim).reshape(rows, dim).copy()
+    with _Container(path, _CCEM_MAGIC, _CCEM_VERSION, "CCEM feature cache") as box:
+        rows, dim = box.unpack("<QI")
+        return box.array("<f4", rows * dim).reshape(rows, dim).copy()

@@ -26,6 +26,7 @@ the final descriptor is returned as float32.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DimMismatch, EmptyGroup, TooFewPoints
+from .core import DimMismatch, EmptyGroup, TooFewPoints, _Container
 from .spatial import fps, knn_group, _nn_mean_xy
 
 __all__ = [
@@ -170,19 +171,19 @@ class HspWeights:
         )
 
 
-def _tensor_shapes(config: HspConfig, input_dim: int) -> list[tuple[int, ...]]:
+def _tensor_shapes(config: HspConfig, input_dim: int) -> Iterator[tuple[int, ...]]:
     """Shapes in canonical order; fan_in of each tensor is its last axis
-    (biases inherit their matrix's fan_in, encoded by pairing below)."""
-    shapes: list[tuple[int, ...]] = [(config.encode_dim, input_dim), (config.encode_dim,)]
+    (biases inherit their matrix's fan_in, encoded by pairing below).
+    Yielded lazily, so a loader stops computing at the first mismatch."""
+    yield from [(config.encode_dim, input_dim), (config.encode_dim,)]
     for lvl in range(config.levels):
         d = config.level_dim(lvl)
         for _ in range(config.updates_per_level):
             for _ in ("q", "k", "v"):
-                shapes += [(d, d), (d,)]
-            shapes += [(d, 2), (d,)]          # position lift
-            shapes += [(d, d), (d,), (d, d), (d,)]  # two-layer perceptron
-        shapes += [(d * config.dim_multiplier, d), (d * config.dim_multiplier,)]
-    return shapes
+                yield from [(d, d), (d,)]
+            yield from [(d, 2), (d,)]          # position lift
+            yield from [(d, d), (d,), (d, d), (d,)]  # two-layer perceptron
+        yield from [(d * config.dim_multiplier, d), (d * config.dim_multiplier,)]
 
 
 def init_weights(config: HspConfig, input_dim: int, seed: int) -> HspWeights:
@@ -496,40 +497,32 @@ def save_weights(path: Union[str, Path], weights: HspWeights) -> None:
 
 
 def load_weights(path: Union[str, Path]) -> HspWeights:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != _CCWT_MAGIC:
-        raise ValueError(f"{path}: not a CCWT weight file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CCWT_VERSION:
-        raise ValueError(f"{path}: unsupported CCWT version {version}")
-    levels, anchors, n_basic, updates, enc_dim, mult = struct.unpack_from("<IIIIII", raw, 8)
-    (lambda_sim,) = struct.unpack_from("<d", raw, 32)
-    input_dim, n_tensors = struct.unpack_from("<II", raw, 40)
-    cfg = HspConfig(
-        levels=levels,
-        initial_anchors=anchors,
-        n_basic=n_basic,
-        lambda_sim=lambda_sim,
-        updates_per_level=updates,
-        encode_dim=enc_dim,
-        dim_multiplier=mult,
-    )
-    expect = _tensor_shapes(cfg, input_dim)
-    if n_tensors != len(expect):
-        raise ValueError(f"{path}: expected {len(expect)} tensors, file has {n_tensors}")
-    off = 48
-    flat: list[np.ndarray] = []
-    for shape in expect:
-        (rank,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        if tuple(dims) != shape:
-            raise ValueError(f"{path}: tensor shape {dims} does not match {shape}")
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=size, offset=off).reshape(dims).copy()
-        off += 4 * size
-        flat.append(arr)
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes in weight file")
+    with _Container(path, _CCWT_MAGIC, _CCWT_VERSION, "CCWT weight file") as box:
+        levels, anchors, n_basic, updates, enc_dim, mult = box.unpack("<IIIIII")
+        (lambda_sim,) = box.unpack("<d")
+        input_dim, n_tensors = box.unpack("<II")
+        # Bound the header before anything is sized by it: the config fixes
+        # the tensor count, and every tensor record (rank, dims, float32
+        # data) takes at least 12 bytes.
+        expect = 2 + levels * (12 * updates + 2)
+        if n_tensors != expect:
+            raise ValueError(f"{path}: expected {expect} tensors, file has {n_tensors}")
+        if 12 * n_tensors > box.remaining:
+            raise ValueError(f"{path}: truncated CCWT payload ({n_tensors} tensors)")
+        cfg = HspConfig(
+            levels=levels,
+            initial_anchors=anchors,
+            n_basic=n_basic,
+            lambda_sim=lambda_sim,
+            updates_per_level=updates,
+            encode_dim=enc_dim,
+            dim_multiplier=mult,
+        )
+        flat: list[np.ndarray] = []
+        for shape in _tensor_shapes(cfg, input_dim):
+            (rank,) = box.unpack("<I")
+            dims = box.unpack(f"<{rank}I")
+            if dims != shape:
+                raise ValueError(f"{path}: tensor shape {dims} does not match {shape}")
+            flat.append(box.array("<f4", math.prod(shape)).reshape(shape).copy())
     return _assemble(cfg, input_dim, flat)

@@ -2,8 +2,10 @@
 
 Everything here is exact: all comparisons happen on squared distances
 computed as ``dx*dx + dy*dy`` in float64, and the optimized paths evaluate
-that same expression per candidate pair, so they agree bit-for-bit with the
-O(N^2) reference twins shipped alongside them (``*_brute``).
+that same expression per candidate pair, so they agree bit-for-bit with
+O(N^2) pair scans. Those oracles live in the test suite
+(``tests/hsp_reference.py``); the one kept here is
+:func:`count_in_radii_brute`, which ``cellcloud bench --brute-cells`` times.
 
 The workhorse is a uniform grid index. With ``bin_size`` equal to the
 largest query radius, a radius query only ever touches the 3x3 ring of
@@ -13,11 +15,9 @@ neighbor-count pass that dominates the pipeline.
 
 from __future__ import annotations
 
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,17 +31,9 @@ __all__ = [
     "count_in_radii",
     "count_in_radii_brute",
     "mean_nn_distance",
-    "mean_nn_distance_brute",
     "fps",
-    "fps_brute",
     "knn_group",
-    "knn_group_brute",
-    "read_counts",
-    "write_counts",
 ]
-
-_CCNC_MAGIC = b"CCNC"
-_CCNC_VERSION = 1
 
 # Queries are chunked: keeps peak memory bounded and gives the thread pool
 # units of work whose results land in disjoint output slices.
@@ -80,35 +72,6 @@ class NeighborCounts:
     @property
     def n_radii(self) -> int:
         return self.radii.size
-
-
-def write_counts(path: Union[str, Path], nc: NeighborCounts) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CCNC_MAGIC)
-        fh.write(struct.pack("<I", _CCNC_VERSION))
-        fh.write(struct.pack("<Q", nc.n_cells))
-        fh.write(struct.pack("<B", nc.n_radii))
-        fh.write(struct.pack("<B", N_TYPES))
-        fh.write(nc.radii.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(nc.counts, dtype="<u4").tobytes())
-
-
-def read_counts(path: Union[str, Path]) -> NeighborCounts:
-    raw = Path(path).read_bytes()
-    if len(raw) < 18 or raw[:4] != _CCNC_MAGIC:
-        raise ValueError(f"{path}: not a CCNC cache")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CCNC_VERSION:
-        raise ValueError(f"{path}: unsupported CCNC version {version}")
-    (n_cells,) = struct.unpack_from("<Q", raw, 8)
-    n_d, n_t = struct.unpack_from("<BB", raw, 16)
-    if n_t != N_TYPES:
-        raise ValueError(f"{path}: type count {n_t} unsupported")
-    off = 18
-    radii = np.frombuffer(raw, dtype="<f8", count=n_d, offset=off).copy()
-    off += 8 * n_d
-    counts = np.frombuffer(raw, dtype="<u4", count=n_cells * n_d * n_t, offset=off)
-    return NeighborCounts(radii=radii, counts=counts.reshape(n_cells, n_d, n_t).copy())
 
 
 @dataclass(frozen=True)
@@ -317,22 +280,6 @@ def mean_nn_distance(cloud: CellCloud) -> float:
     return _nn_mean_xy(cloud.xy)
 
 
-def mean_nn_distance_brute(cloud: CellCloud) -> float:
-    if cloud.n_total < 2:
-        raise TooFewCells("mean nearest-neighbor distance needs at least 2 cells")
-    n = cloud.n_total
-    nn = np.empty(n, dtype=np.float64)
-    step = max(1, int(2e7) // n)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        dx = cloud.xy[s:e, 0][:, None] - cloud.xy[None, :, 0]
-        dy = cloud.xy[s:e, 1][:, None] - cloud.xy[None, :, 1]
-        d2 = dx * dx + dy * dy
-        d2[np.arange(s, e) - s, np.arange(s, e)] = np.inf
-        nn[s:e] = np.sqrt(d2.min(axis=1))
-    return float(np.mean(nn))
-
-
 def _augmented_d2(
     xy: np.ndarray, labels: Optional[np.ndarray], j: int, penalty: float
 ) -> np.ndarray:
@@ -340,7 +287,7 @@ def _augmented_d2(
 
     With labels, differing tags add ``2*gamma**2`` (the squared distance
     between two scaled one-hot corners). Written with the same scalar
-    expression the brute twin uses so both routes round identically.
+    expression the test oracle uses so both routes round identically.
     """
     dx = xy[:, 0] - xy[j, 0]
     dy = xy[:, 1] - xy[j, 1]
@@ -391,47 +338,6 @@ def fps(
     return out
 
 
-def fps_brute(
-    points: np.ndarray,
-    labels: Optional[np.ndarray],
-    n: int,
-    gamma: float = 0.0,
-) -> np.ndarray:
-    """Straight-line O(N*n) twin of :func:`fps` (python loops, no reuse)."""
-    xy = np.ascontiguousarray(points, dtype=np.float64)
-    m = xy.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    lab = None if labels is None else np.ascontiguousarray(labels)
-    rows = []
-    for i in range(m):
-        key = (xy[i, 0], xy[i, 1]) if lab is None else (xy[i, 0], xy[i, 1], lab[i])
-        rows.append((key, i))
-    start = min(rows)[1]
-    penalty = 2.0 * gamma * gamma
-    selected = [start]
-    chosen = {start}
-    while len(selected) < n:
-        best_i, best_d = -1, -np.inf
-        for i in range(m):
-            if i in chosen:
-                continue
-            dmin = np.inf
-            for j in selected:
-                dx = xy[i, 0] - xy[j, 0]
-                dy = xy[i, 1] - xy[j, 1]
-                d2 = dx * dx + dy * dy
-                if lab is not None and penalty != 0.0 and lab[i] != lab[j]:
-                    d2 = d2 + penalty
-                if d2 < dmin:
-                    dmin = d2
-            if dmin > best_d:
-                best_d, best_i = dmin, i
-        selected.append(best_i)
-        chosen.add(best_i)
-    return np.asarray(selected, dtype=np.int64)
-
-
 def knn_group(
     anchor_coords: np.ndarray, point_coords: np.ndarray, k: int
 ) -> np.ndarray:
@@ -464,22 +370,3 @@ def knn_group(
             sel = cand[np.argsort(d2[row, cand], kind="stable")[:k]]
             out[s + row] = sel
     return out
-
-
-def knn_group_brute(
-    anchor_coords: np.ndarray, point_coords: np.ndarray, k: int
-) -> np.ndarray:
-    """Per-anchor full sort twin of :func:`knn_group`."""
-    anchors = np.ascontiguousarray(anchor_coords, dtype=np.float64).reshape(-1, 2)
-    pts = np.ascontiguousarray(point_coords, dtype=np.float64).reshape(-1, 2)
-    n = pts.shape[0]
-    rows = []
-    for ax, ay in anchors:
-        scored = []
-        for i in range(n):
-            dx = ax - pts[i, 0]
-            dy = ay - pts[i, 1]
-            scored.append((dx * dx + dy * dy, i))
-        scored.sort()
-        rows.append([i for _, i in scored[:k]])
-    return np.asarray(rows, dtype=np.int64)

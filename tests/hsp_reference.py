@@ -7,7 +7,9 @@ distance ``dx*dx + dy*dy``. The test suite compares the library's
 vectorized forward pass against this module element by element, and the
 helper routines (nearest-neighbor scale, farthest-point sampling, group
 assignment) are exposed so a mismatch can be localized to the stage that
-caused it.
+caused it. Those helpers are also the O(N^2) oracles that the spatial
+primitives (``mean_nn_distance``, ``fps``, ``knn_group``) must match
+bit-for-bit.
 """
 
 import numpy as np

@@ -64,20 +64,6 @@ def _report(num: int, name: str, problems: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _brute_counts(xy: np.ndarray, types: np.ndarray, radii: list[float]) -> np.ndarray:
-    n = xy.shape[0]
-    dx = xy[:, 0][:, None] - xy[None, :, 0]
-    dy = xy[:, 1][:, None] - xy[None, :, 1]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, np.inf)
-    counts = np.zeros((n, len(radii), N_TYPES), dtype=np.uint32)
-    for j, r in enumerate(radii):
-        within = d2 <= r * r
-        for t in range(N_TYPES):
-            counts[:, j, t] = (within & (types == t)[None, :]).sum(axis=1)
-    return counts
-
-
 def test_c01_spatial_primitives_match_brute_oracles():
     problems: list[str] = []
     rng = np.random.Generator(np.random.Philox(101))
@@ -87,7 +73,7 @@ def test_c01_spatial_primitives_match_brute_oracles():
         n = int(rng.integers(20, 2001))
         cloud = random_cloud(rng, n)
         nc = count_in_radii(build_index(cloud, radii[-1]), radii)
-        if not np.array_equal(nc.counts, _brute_counts(cloud.xy, cloud.types, radii)):
+        if not np.array_equal(nc.counts, count_in_radii_brute(cloud, radii).counts):
             problems.append(f"case {case}: counts diverge from brute force")
 
         m = int(rng.integers(2, 17))

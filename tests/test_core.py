@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from cellcloud.core import (
     write_cloud,
     write_features,
 )
+from cellcloud.hsp import HspConfig, init_weights, load_weights, save_weights
 
 from conftest import make_cloud, random_cloud
 
@@ -256,3 +259,71 @@ def test_features_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ValueError, match="truncated"):
         read_features(path)
+
+
+# ---------------------------------------------------------------------------
+# corrupted binary containers (CC5B, CCEM, CCWT)
+# ---------------------------------------------------------------------------
+
+
+def _tiny_weights():
+    cfg = HspConfig(levels=1, initial_anchors=2, n_basic=2, updates_per_level=1,
+                    encode_dim=2, dim_multiplier=1)
+    return init_weights(cfg, 2, seed=0)
+
+
+# format -> (writer of a small valid file, reader, header count fields as
+# (offset, width in bytes))
+_FORMATS = {
+    "cc5b": (
+        lambda p: write_cloud(p, make_cloud([(1.5, 2.0, 0), (3.0, 4.0, 2)])),
+        read_cloud,
+        [(8, 8)],
+    ),
+    "ccem": (
+        lambda p: write_features(p, np.arange(6, dtype=np.float32).reshape(2, 3)),
+        read_features,
+        [(8, 8), (16, 4)],
+    ),
+    "ccwt": (
+        lambda p: save_weights(p, _tiny_weights()),
+        load_weights,
+        # levels, anchors, n_basic, updates, encode dim, multiplier, input
+        # dim, tensor count, first tensor's rank
+        [(off, 4) for off in (8, 12, 16, 20, 24, 28, 40, 44, 48)],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_binary_readers_reject_corruption(tmp_path_factory, fmt, data):
+    write, read, fields = _FORMATS[fmt]
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{fmt}"
+    write(path)
+    raw = path.read_bytes()
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip", "field"]))
+    if kind == "truncate":
+        bad = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "extend":
+        bad = raw + data.draw(st.binary(min_size=1, max_size=64))
+    elif kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        bad = bytearray(raw)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    else:
+        off, width = data.draw(st.sampled_from(fields))
+        value = data.draw(st.sampled_from([0, 1, 2 ** (8 * width) - 1]))
+        bad = raw[:off] + value.to_bytes(width, "little") + raw[off + width :]
+    path.write_bytes(bytes(bad))
+    t0 = time.monotonic()
+    try:
+        read(path)
+    except ValueError as exc:
+        if kind == "extend":
+            assert "trailing bytes" in str(exc)
+    else:
+        # a strict prefix or an extension of a valid file is never valid
+        assert kind in ("flip", "field"), f"{kind} accepted"
+    assert time.monotonic() - t0 < 1.0

@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -152,8 +153,31 @@ def test_weight_file_errors(tmp_path):
     with pytest.raises(ValueError):
         load_weights(bad)
     bad.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises((ValueError, struct.error)):
+    with pytest.raises(ValueError, match="truncated"):
         load_weights(bad)
+    bad.write_bytes(raw[:20])  # cut inside the config header
+    with pytest.raises(ValueError, match="truncated"):
+        load_weights(bad)
+
+
+@pytest.mark.parametrize("n_tensors", [5, 2 + 3_000_000 * 14])
+def test_weight_file_absurd_header_rejected_fast(tmp_path, n_tensors):
+    # 56 bytes claiming 3M levels: the tensor count and the bytes left bound
+    # the header before any per-level shape list is built.
+    path = tmp_path / "huge.ccwt"
+    path.write_bytes(
+        b"CCWT"
+        + struct.pack("<I", 1)
+        + struct.pack("<IIIIII", 3_000_000, 1, 1, 1, 1, 1)
+        + struct.pack("<d", 0.5)
+        + struct.pack("<II", 1, n_tensors)
+        + bytes(8)
+    )
+    assert path.stat().st_size == 56
+    t0 = time.monotonic()
+    with pytest.raises(ValueError):
+        load_weights(path)
+    assert time.monotonic() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,12 @@ from cellcloud.spatial import (
     count_in_radii,
     count_in_radii_brute,
     fps,
-    fps_brute,
     knn_group,
-    knn_group_brute,
     mean_nn_distance,
-    mean_nn_distance_brute,
-    read_counts,
-    write_counts,
 )
 
 from conftest import make_cloud, random_cloud
+from hsp_reference import fps_reference, knn_reference, nn_mean_reference
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -31,7 +27,7 @@ def lattice_cloud(rng, n, pitch=4):
 
 
 # ---------------------------------------------------------------------------
-# NeighborCounts + CCNC cache
+# NeighborCounts
 # ---------------------------------------------------------------------------
 
 
@@ -42,26 +38,6 @@ def test_counts_radii_must_ascend():
         NeighborCounts(radii=np.array([0.0, 1.0]), counts=np.zeros((1, 2, 3), np.uint32))
     with pytest.raises(ValueError):
         NeighborCounts(radii=np.array([1.0]), counts=np.zeros((1, 2, 3), np.uint32))
-
-
-def test_counts_cache_round_trip(tmp_path):
-    rng = np.random.Generator(np.random.Philox(0))
-    nc = NeighborCounts(
-        radii=np.array([1.5, 3.0, 4.5]),
-        counts=rng.integers(0, 100, size=(7, 3, 3)).astype(np.uint32),
-    )
-    path = tmp_path / "c.ccnc"
-    write_counts(path, nc)
-    back = read_counts(path)
-    assert np.array_equal(back.radii, nc.radii)
-    assert np.array_equal(back.counts, nc.counts)
-
-
-def test_counts_cache_bad_magic(tmp_path):
-    p = tmp_path / "x.ccnc"
-    p.write_bytes(b"ZZZZ" + bytes(30))
-    with pytest.raises(ValueError, match="not a CCNC"):
-        read_counts(p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +214,7 @@ def test_mean_nn_hand_value():
 def test_mean_nn_matches_brute(seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
     cloud = random_cloud(rng, n, extent=100.0)
-    assert mean_nn_distance(cloud) == mean_nn_distance_brute(cloud)
+    assert mean_nn_distance(cloud) == nn_mean_reference(cloud.xy)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +230,7 @@ def test_fps_matches_brute(seed, m, with_labels):
     labels = rng.integers(0, 3, size=m).astype(np.uint8) if with_labels else None
     gamma = float(rng.uniform(0.0, 10.0)) if with_labels else 0.0
     n = int(rng.integers(1, m + 1))
-    assert np.array_equal(fps(xy, labels, n, gamma), fps_brute(xy, labels, n, gamma))
+    assert np.array_equal(fps(xy, labels, n, gamma), fps_reference(xy, labels, n, gamma))
 
 
 @given(seeds, st.integers(1, 40))
@@ -264,7 +240,7 @@ def test_fps_lattice_ties_match_brute(seed, m):
     xy = rng.integers(0, 4, size=(m, 2)).astype(np.float64)
     labels = rng.integers(0, 3, size=m).astype(np.uint8)
     n = int(rng.integers(1, m + 1))
-    assert np.array_equal(fps(xy, labels, n, 2.0), fps_brute(xy, labels, n, 2.0))
+    assert np.array_equal(fps(xy, labels, n, 2.0), fps_reference(xy, labels, n, 2.0))
 
 
 def test_fps_starts_at_lexicographic_min():
@@ -328,7 +304,7 @@ def test_knn_matches_brute(seed, n, a):
     pts = rng.uniform(0.0, 30.0, size=(n, 2))
     anchors = rng.uniform(0.0, 30.0, size=(a, 2))
     k = int(rng.integers(1, n + 1))
-    assert np.array_equal(knn_group(anchors, pts, k), knn_group_brute(anchors, pts, k))
+    assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
 
 
 @given(seeds, st.integers(1, 50))
@@ -338,7 +314,7 @@ def test_knn_lattice_ties_match_brute(seed, n):
     pts = rng.integers(0, 5, size=(n, 2)).astype(np.float64)
     anchors = rng.integers(0, 5, size=(4, 2)).astype(np.float64)
     k = int(rng.integers(1, n + 1))
-    assert np.array_equal(knn_group(anchors, pts, k), knn_group_brute(anchors, pts, k))
+    assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
 
 
 def test_knn_rows_sorted_by_distance_then_index():
