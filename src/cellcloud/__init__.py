@@ -48,7 +48,6 @@ from .spatial import (
 from .nie import NieParams, RadiiSchedule, embed, embed_dim, global_density, local_density, radii_schedule
 from .hsp import (
     BlockWeights,
-    GroupView,
     HspConfig,
     HspWeights,
     LevelWeights,

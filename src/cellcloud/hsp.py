@@ -14,6 +14,10 @@ group-attend-aggregate:
 5. project each member to twice the width and average the retained ones
    into the group feature.
 
+Steps 3 and 4 are the group stage: the public functions
+:func:`similarity_scores`, :func:`filter_mask` and :func:`vector_attention`,
+each batched over b groups of k members.
+
 Anchors become the next level's points. After the last level the features
 are max-pooled element-wise into the cloud descriptor (512-dim with the
 default config). Weights are inference artifacts: either loaded from a
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -42,7 +46,6 @@ __all__ = [
     "BlockWeights",
     "LevelWeights",
     "HspWeights",
-    "GroupView",
     "LevelTrace",
     "init_weights",
     "similarity_scores",
@@ -234,76 +237,49 @@ def _assemble(config: HspConfig, input_dim: int, flat: Sequence[np.ndarray]) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GroupView:
-    """One anchor and its k member points at some level.
-
-    ``f_ref`` is always the mean of the member features before any
-    filtering. ``mask`` is None until the filter runs; afterwards it has at
-    least one True entry (rescue rule).
-    """
-
-    anchor_coord: np.ndarray
-    member_indices: np.ndarray
-    member_coords: np.ndarray
-    member_features: np.ndarray
-    f_ref: np.ndarray = field(init=False)
-    mask: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        self.anchor_coord = np.ascontiguousarray(self.anchor_coord, dtype=np.float64)
-        self.member_coords = np.ascontiguousarray(self.member_coords, dtype=np.float64)
-        self.member_features = np.ascontiguousarray(self.member_features, dtype=np.float64)
-        if self.member_features.shape[0] != self.member_coords.shape[0]:
-            raise ValueError("member feature and coordinate counts differ")
-        if self.member_features.shape[0] == 0:
-            raise EmptyGroup("group has no members")
-        self.f_ref = self.member_features.mean(axis=0)
-
-    def anchor_distances(self) -> np.ndarray:
-        dx = self.member_coords[:, 0] - self.anchor_coord[0]
-        dy = self.member_coords[:, 1] - self.anchor_coord[1]
-        return np.sqrt(dx * dx + dy * dy)
-
-
-def similarity_scores(group: GroupView) -> np.ndarray:
+def similarity_scores(
+    feats: np.ndarray, coords: np.ndarray, anchors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Semantic-spatial score exp(-d_norm) * <f, f_ref>/D per member.
 
-    The member-to-anchor distance is normalized by the group's mean
-    member-to-anchor distance before the exponential, which keeps the
-    spatial term scale-free (and makes the score translation invariant).
-    A group collapsed onto its anchor uses d_norm = 0.
+    ``feats`` is (b, k, D), ``coords`` (b, k, 2), ``anchors`` (b, 2);
+    ``f_ref`` is a group's mean member feature before any filtering. The
+    member-to-anchor distance is normalized by the group's mean
+    member-to-anchor distance, which keeps the spatial term scale-free (and
+    the score translation invariant); a group collapsed onto its anchor uses
+    d_norm = 0. Returns the (b, k) scores and member-to-anchor distances.
     """
-    d = group.anchor_distances()
-    scale = float(d.mean())
-    d_norm = d / scale if scale > 0 else np.zeros_like(d)
-    dim = group.member_features.shape[1]
-    dots = group.member_features @ group.f_ref
-    return np.exp(-d_norm) * dots / dim
+    b, k = feats.shape[:2]
+    if feats.ndim != 3 or coords.shape != (b, k, 2) or anchors.shape != (b, 2):
+        raise ValueError("expected feats (b, k, D), coords (b, k, 2) and anchors (b, 2)")
+    if k == 0:
+        raise EmptyGroup("group has no members")
+    f_ref = feats.mean(axis=1)
+    dx = coords[:, :, 0] - anchors[:, 0][:, None]
+    dy = coords[:, :, 1] - anchors[:, 1][:, None]
+    dist = np.sqrt(dx * dx + dy * dy)
+    scale = dist.mean(axis=1)
+    d_norm = np.divide(
+        dist, scale[:, None], out=np.zeros_like(dist), where=scale[:, None] > 0
+    )
+    dots = (feats * f_ref[:, None, :]).sum(axis=2)
+    return np.exp(-d_norm) * dots / feats.shape[2], dist
 
 
-def filter_mask(
-    scores: np.ndarray,
-    lambda_sim: float,
-    anchor_distances: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Boolean retention mask ``scores > lambda_sim`` with a rescue rule.
+def filter_mask(scores: np.ndarray, dist: np.ndarray, lambda_sim: float) -> np.ndarray:
+    """Boolean (b, k) retention mask ``scores > lambda_sim`` with a rescue rule.
 
-    If nothing clears the threshold, the member nearest the anchor is
-    force-retained (falling back to the highest score when distances are
-    not supplied).
+    A group where nothing clears the threshold keeps its member nearest the
+    anchor (smallest ``dist``).
     """
-    scores = np.asarray(scores, dtype=np.float64)
     mask = scores > lambda_sim
-    if not mask.any() and scores.size:
-        if anchor_distances is not None:
-            mask[int(np.argmin(anchor_distances))] = True
-        else:
-            mask[int(np.argmax(scores))] = True
+    rescued = np.flatnonzero(~mask.any(axis=1))
+    if rescued.size:
+        mask[rescued, np.argmin(dist[rescued], axis=1)] = True
     return mask
 
 
-def _attend(
+def vector_attention(
     feats: np.ndarray,
     coords: np.ndarray,
     mask: np.ndarray,
@@ -311,14 +287,15 @@ def _attend(
 ) -> tuple[np.ndarray, float]:
     """One vector-attention update over a batch of groups.
 
-    ``feats`` is (b, k, D), ``coords`` (b, k, 2), ``mask`` (b, k). Masked
-    members are excluded from every softmax support and value sum and pass
-    through unchanged. Returns the updated features and the largest
-    per-channel deviation of the attention-weight sums from 1 (over
-    retained members), which the structural checks consume.
+    ``feats`` is (b, k, D), ``coords`` (b, k, 2), ``mask`` (b, k); every
+    group needs at least one retained member. Masked members are excluded
+    from every softmax support and value sum and pass through unchanged.
+    Returns the updated features and the largest per-channel deviation of
+    the attention-weight sums from 1 (over retained members), which the
+    structural checks consume.
     """
-    if not mask.any():
-        raise EmptyGroup("attention over a fully masked group")
+    if not mask.any(axis=1).all():
+        raise EmptyGroup("vector attention requires at least one retained member per group")
     q = feats @ blk.w_q.T + blk.b_q
     kk = feats @ blk.w_k.T + blk.b_k
     v = feats @ blk.w_v.T + blk.b_v
@@ -339,20 +316,6 @@ def _attend(
     sums = delta.sum(axis=2)[mask]
     err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
     return np.where(mask[:, :, None], out, feats), err
-
-
-def vector_attention(group: GroupView, blk: BlockWeights) -> np.ndarray:
-    """Single-group vector attention (see :func:`_attend` for semantics)."""
-    if group.mask is None or not group.mask.any():
-        raise EmptyGroup("vector attention requires at least one retained member")
-    blk64 = blk.astype(np.float64)
-    out, _ = _attend(
-        group.member_features[None],
-        group.member_coords[None],
-        np.asarray(group.mask, dtype=bool)[None],
-        blk64,
-    )
-    return out[0]
 
 
 @dataclass
@@ -414,23 +377,10 @@ def hsp_forward(
             g = groups[s:e]
             mf = feats[g]
             mc = xy[g]
-            f_ref = mf.mean(axis=1)
-            dx = mc[:, :, 0] - anchor_xy[s:e, 0][:, None]
-            dy = mc[:, :, 1] - anchor_xy[s:e, 1][:, None]
-            dist = np.sqrt(dx * dx + dy * dy)
-            scale = dist.mean(axis=1)
-            d_norm = np.divide(
-                dist, scale[:, None], out=np.zeros_like(dist), where=scale[:, None] > 0
-            )
-            dots = (mf * f_ref[:, None, :]).sum(axis=2)
-            s_sim = np.exp(-d_norm) * dots / d
-            mask = s_sim > config.lambda_sim
-            rescued = np.flatnonzero(~mask.any(axis=1))
-            if rescued.size:
-                mask[rescued, np.argmin(dist[rescued], axis=1)] = True
+            mask = filter_mask(*similarity_scores(mf, mc, anchor_xy[s:e]), config.lambda_sim)
             cur = mf
             for blk in lw.blocks:
-                cur, blk_err = _attend(cur, mc, mask, blk)
+                cur, blk_err = vector_attention(cur, mc, mask, blk)
                 err = max(err, blk_err)
             proj = cur @ lw.w_agg.T + lw.b_agg
             wgt = mask[:, :, None].astype(np.float64)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .core import Cell, CellCloud, CellCloudError, CellType, N_TYPES
@@ -177,26 +178,6 @@ def _check_disjoint(patches: Sequence[PatchDetections]) -> None:
                 )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # attach larger root under smaller for deterministic roots
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
 def merge_boundary_cells(
     patches: Sequence[PatchDetections],
     d_boundary: float = 24.0,
@@ -212,6 +193,10 @@ def merge_boundary_cells(
     Output keeps input order, a component appearing at its earliest member's
     position in that order.
     """
+    # Imported here: csgraph adds about 25 ms to the start-up of every
+    # command, and only ingest needs it.
+    from scipy.sparse.csgraph import connected_components
+
     _check_disjoint(patches)
     if not patches:
         return CellCloud(
@@ -238,41 +223,30 @@ def merge_boundary_cells(
     near = np.concatenate(near_parts, axis=0)
 
     cand = np.flatnonzero(near)
-    uf = _UnionFind(cand.size)
+    out_xy = xy.copy()
+    keep = np.ones(xy.shape[0], dtype=bool)
     if cand.size > 1:
         tree = cKDTree(xy[cand])
         limit = float(d_merge) * (1.0 + 1e-12)  # superset; exact filter below
-        for a, b in tree.query_pairs(r=limit, output_type="ndarray"):
-            ia, ib = cand[a], cand[b]
-            if types[ia] != types[ib]:
-                continue
-            dx = xy[ia, 0] - xy[ib, 0]
-            dy = xy[ia, 1] - xy[ib, 1]
-            if dx * dx + dy * dy < d_merge * d_merge:
-                uf.union(a, b)
+        a, b = tree.query_pairs(r=limit, output_type="ndarray").T
+        ia, ib = cand[a], cand[b]
+        dx = xy[ia, 0] - xy[ib, 0]
+        dy = xy[ia, 1] - xy[ib, 1]
+        link = (types[ia] == types[ib]) & (dx * dx + dy * dy < d_merge * d_merge)
+        graph = coo_matrix(
+            (np.ones(link.sum()), (a[link], b[link])), shape=(cand.size, cand.size)
+        )
+        _, label = connected_components(graph, directed=False)
+        # Components of two or more cells collapse onto their earliest
+        # member; singletons pass through.
+        size = np.bincount(label)
+        multi = np.flatnonzero(size[label] > 1)
+        if multi.size:
+            multi = multi[np.argsort(label[multi], kind="stable")]
+            for members in np.split(cand[multi], np.cumsum(size[size > 1])[:-1]):
+                out_xy[members[0]] = xy[members].mean(axis=0)
+                keep[members[1:]] = False
 
-    # Components keyed by their earliest global index; singletons pass through.
-    comp_members: dict[int, list[int]] = {}
-    for local, gidx in enumerate(cand):
-        root = uf.find(local)
-        comp_members.setdefault(root, []).append(int(gidx))
-
-    n = xy.shape[0]
-    keep = np.ones(n, dtype=bool)
-    replacement: dict[int, np.ndarray] = {}
-    for members in comp_members.values():
-        if len(members) == 1:
-            continue
-        members.sort()
-        rep = members[0]
-        centroid = xy[members].mean(axis=0)
-        replacement[rep] = centroid
-        for m in members[1:]:
-            keep[m] = False
-
-    out_xy = xy.copy()
-    for rep, centroid in replacement.items():
-        out_xy[rep] = centroid
     return CellCloud(xy=out_xy[keep], types=types[keep], slide_id=slide_id)
 
 

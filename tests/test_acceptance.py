@@ -29,7 +29,6 @@ from cellcloud.clinical import (
 )
 from cellcloud.core import N_TYPES, CellCloud
 from cellcloud.hsp import (
-    GroupView,
     HspConfig,
     LevelTrace,
     filter_mask,
@@ -265,14 +264,9 @@ def test_c07_filter_retains_clusters_rejects_noise():
         ]
     )
     coords = np.vstack([xy_a, xy_b, xy_n])
-    group = GroupView(
-        anchor_coord=coords[:n_cluster].mean(axis=0),
-        member_indices=np.arange(n_cluster + n_noise),
-        member_coords=coords,
-        member_features=feats,
-    )
-    scores = similarity_scores(group)
-    mask = filter_mask(scores / scores.max(), 0.5, group.anchor_distances())
+    anchor = coords[:n_cluster].mean(axis=0)
+    scores, dist = similarity_scores(feats[None], coords[None], anchor[None])
+    mask = filter_mask(scores / scores.max(), dist, 0.5)[0]
 
     cluster_kept = float(mask[:n_cluster].mean())
     noise_kept = float(mask[n_cluster:].mean())

@@ -6,10 +6,7 @@ import pytest
 
 from cellcloud.core import DimMismatch, EmptyGroup, TooFewPoints
 from cellcloud.hsp import (
-    BlockWeights,
-    GroupView,
     HspConfig,
-    _attend,
     combine_appearance,
     filter_mask,
     hsp_forward,
@@ -37,11 +34,18 @@ def small_weights(seed=0, input_dim=21):
     return init_weights(SMALL, input_dim, seed)
 
 
+def small_block(i=0):
+    """A level-1 attention block in float64, as the forward pass runs it."""
+    return small_weights().levels[0].blocks[i].astype(np.float64)
+
+
 def make_group(rng, k=6, dim=8):
-    feats = rng.normal(size=(k, dim))
-    coords = rng.uniform(0.0, 10.0, size=(k, 2))
-    anchor = rng.uniform(0.0, 10.0, size=2)
-    return GroupView(anchor, np.arange(k), coords, feats)
+    """One random group as a batch of one: feats (1, k, dim), coords (1, k, 2)
+    and anchors (1, 2)."""
+    feats = rng.normal(size=(1, k, dim))
+    coords = rng.uniform(0.0, 10.0, size=(1, k, 2))
+    anchors = rng.uniform(0.0, 10.0, size=(1, 2))
+    return feats, coords, anchors
 
 
 # ---------------------------------------------------------------------------
@@ -181,182 +185,189 @@ def test_weight_file_absurd_header_rejected_fast(tmp_path, n_tensors):
 
 
 # ---------------------------------------------------------------------------
-# GroupView + similarity + filter
+# Group stage: similarity, filter, attention (single groups at b = 1)
 # ---------------------------------------------------------------------------
-
-
-def test_group_view_f_ref_is_prefilter_mean():
-    rng = np.random.Generator(np.random.Philox(0))
-    g = make_group(rng)
-    assert np.array_equal(g.f_ref, g.member_features.mean(axis=0))
-    assert g.mask is None
 
 
 def test_group_view_validation():
     with pytest.raises(ValueError):
-        GroupView(np.zeros(2), np.arange(2), np.zeros((2, 2)), np.zeros((3, 4)))
+        similarity_scores(np.zeros((1, 3, 4)), np.zeros((1, 2, 2)), np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        similarity_scores(np.zeros((1, 3, 4)), np.zeros((1, 1, 2)), np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        similarity_scores(np.zeros((2, 3, 4)), np.zeros((2, 3, 2)), np.zeros((1, 2)))
     with pytest.raises(EmptyGroup):
-        GroupView(np.zeros(2), np.arange(0), np.zeros((0, 2)), np.zeros((0, 4)))
+        similarity_scores(np.zeros((1, 0, 4)), np.zeros((1, 0, 2)), np.zeros((1, 2)))
 
 
 def test_anchor_distances_hand_case():
-    g = GroupView(
-        np.array([0.0, 0.0]),
-        np.arange(2),
-        np.array([[3.0, 4.0], [0.0, 5.0]]),
-        np.ones((2, 3)),
+    _, dist = similarity_scores(
+        np.ones((1, 2, 3)), np.array([[[3.0, 4.0], [0.0, 5.0]]]), np.zeros((1, 2))
     )
-    assert np.array_equal(g.anchor_distances(), [5.0, 5.0])
+    assert np.array_equal(dist, [[5.0, 5.0]])
 
 
 def test_similarity_member_at_anchor_with_mean_feature():
     f = np.array([1.0, 2.0, -1.0, 0.5])
-    feats = np.tile(f, (3, 1))
-    coords = np.array([[5.0, 5.0], [6.0, 5.0], [5.0, 7.0]])
-    g = GroupView(np.array([5.0, 5.0]), np.arange(3), coords, feats)
-    s = similarity_scores(g)
-    assert np.isclose(s[0], np.dot(f, f) / 4, rtol=1e-12)
+    feats = np.tile(f, (1, 3, 1))
+    coords = np.array([[[5.0, 5.0], [6.0, 5.0], [5.0, 7.0]]])
+    s, _ = similarity_scores(feats, coords, np.array([[5.0, 5.0]]))
+    assert np.isclose(s[0, 0], np.dot(f, f) / 4, rtol=1e-12)
 
 
 def test_similarity_orthogonal_feature_scores_zero():
-    feats = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    coords = np.array([[0.0, 0.0], [9.0, 0.0], [0.1, 0.2]])
-    g = GroupView(np.array([1.0, 1.0]), np.arange(3), coords, feats)
-    s = similarity_scores(g)
+    feats = np.array([[[2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+    coords = np.array([[[0.0, 0.0], [9.0, 0.0], [0.1, 0.2]]])
+    s, _ = similarity_scores(feats, coords, np.array([[1.0, 1.0]]))
     # f_ref = [2/3, 0]; the second and third features are orthogonal to it
-    assert s[1] == 0.0 and s[2] == 0.0
+    assert s[0, 1] == 0.0 and s[0, 2] == 0.0
 
 
 def test_similarity_collapsed_group_uses_zero_distance():
-    feats = np.array([[1.0, 1.0], [3.0, 1.0]])
-    coords = np.array([[2.0, 2.0], [2.0, 2.0]])
-    g = GroupView(np.array([2.0, 2.0]), np.arange(2), coords, feats)
-    s = similarity_scores(g)
+    feats = np.array([[[1.0, 1.0], [3.0, 1.0]]])
+    coords = np.array([[[2.0, 2.0], [2.0, 2.0]]])
+    s, _ = similarity_scores(feats, coords, np.array([[2.0, 2.0]]))
     f_ref = np.array([2.0, 1.0])
-    assert np.allclose(s, [feats[0] @ f_ref / 2, feats[1] @ f_ref / 2], rtol=1e-12)
+    assert np.allclose(s[0], [feats[0, 0] @ f_ref / 2, feats[0, 1] @ f_ref / 2], rtol=1e-12)
 
 
 def test_similarity_hand_oracle():
     rng = np.random.Generator(np.random.Philox(21))
-    g = make_group(rng, k=5, dim=8)
-    s = similarity_scores(g)
-    f_ref = g.member_features.mean(axis=0)
-    d = [float(np.hypot(*(c - g.anchor_coord))) for c in g.member_coords]
+    feats, coords, anchors = make_group(rng, k=5, dim=8)
+    s, _ = similarity_scores(feats, coords, anchors)
+    # f_ref is the mean of all members, before any filtering
+    f_ref = feats[0].mean(axis=0)
+    d = [float(np.hypot(*(c - anchors[0]))) for c in coords[0]]
     scale = sum(d) / 5
     expected = [
         np.exp(-di / scale) * float(fi @ f_ref) / 8
-        for fi, di in zip(g.member_features, d)
+        for fi, di in zip(feats[0], d)
     ]
-    assert np.allclose(s, expected, rtol=1e-10)
+    assert np.allclose(s[0], expected, rtol=1e-10)
 
 
 def test_filter_mask_threshold():
-    assert np.array_equal(filter_mask(np.array([0.9, 0.2]), 0.5), [True, False])
+    mask = filter_mask(np.array([[0.9, 0.2]]), np.array([[1.0, 1.0]]), 0.5)
+    assert np.array_equal(mask, [[True, False]])
 
 
 def test_filter_mask_rescues_nearest():
     mask = filter_mask(
-        np.array([0.1, 0.1, 0.1]), 0.5, anchor_distances=np.array([3.0, 1.0, 2.0])
+        np.array([[0.1, 0.1, 0.1], [0.1, 0.9, 0.1]]),
+        np.array([[3.0, 1.0, 2.0], [0.5, 3.0, 2.0]]),
+        0.5,
     )
-    assert np.array_equal(mask, [False, True, False])
-
-
-def test_filter_mask_rescues_best_score_without_distances():
-    mask = filter_mask(np.array([0.1, 0.3, 0.2]), 0.5)
-    assert np.array_equal(mask, [False, True, False])
+    # only the first group needs the rescue; the second keeps its scorer
+    assert np.array_equal(mask, [[False, True, False], [False, True, False]])
 
 
 def test_filter_mask_low_threshold_keeps_all():
-    assert filter_mask(np.array([0.4, 0.6, 0.5]), -1.0).all()
-
-
-def test_filter_mask_empty_scores():
-    assert filter_mask(np.array([]), 0.5).shape == (0,)
-
-
-# ---------------------------------------------------------------------------
-# Vector attention
-# ---------------------------------------------------------------------------
+    assert filter_mask(np.array([[0.4, 0.6, 0.5]]), np.ones((1, 3)), -1.0).all()
 
 
 def test_attention_requires_retained_member():
     rng = np.random.Generator(np.random.Philox(1))
-    g = make_group(rng, k=3, dim=16)
-    blk = small_weights().levels[0].blocks[0]
+    feats, coords, _ = make_group(rng, k=3, dim=16)
+    blk = small_block()
     with pytest.raises(EmptyGroup):
-        vector_attention(g, blk)
-    g.mask = np.zeros(3, dtype=bool)
+        vector_attention(feats, coords, np.zeros((1, 3), dtype=bool), blk)
+    # one fully masked group inside a batch is rejected too
+    mask = np.array([[True, False, True], [False, False, False]])
     with pytest.raises(EmptyGroup):
-        vector_attention(g, blk)
+        vector_attention(np.concatenate([feats, feats]), np.concatenate([coords, coords]), mask, blk)
 
 
 def test_attention_singleton_group():
-    blk = small_weights().levels[0].blocks[0]
+    blk = small_block()
     f = np.linspace(-1.0, 1.0, 16)
-    g = GroupView(np.array([3.0, 4.0]), np.arange(1), np.array([[7.0, 1.0]]), f[None])
-    g.mask = np.array([True])
-    out = vector_attention(g, blk)
-    expected = (
-        blk.w_v.astype(np.float64) @ f
-        + blk.b_v.astype(np.float64)
-        + blk.b_pos.astype(np.float64)
-    )
-    assert np.allclose(out[0], expected, rtol=1e-12, atol=1e-12)
+    out, _ = vector_attention(f[None, None], np.array([[[7.0, 1.0]]]), np.array([[True]]), blk)
+    expected = blk.w_v @ f + blk.b_v + blk.b_pos
+    assert np.allclose(out[0, 0], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_attention_masked_members_pass_through():
     rng = np.random.Generator(np.random.Philox(2))
-    g = make_group(rng, k=5, dim=16)
-    g.mask = np.array([True, False, True, False, True])
-    out = vector_attention(g, small_weights().levels[0].blocks[0])
-    assert np.array_equal(out[1], g.member_features[1])
-    assert np.array_equal(out[3], g.member_features[3])
-    assert not np.allclose(out[0], g.member_features[0])
+    feats, coords, _ = make_group(rng, k=5, dim=16)
+    mask = np.array([[True, False, True, False, True]])
+    out, _ = vector_attention(feats, coords, mask, small_block())
+    assert np.array_equal(out[0, 1], feats[0, 1])
+    assert np.array_equal(out[0, 3], feats[0, 3])
+    assert not np.allclose(out[0, 0], feats[0, 0])
 
 
 def test_attention_masked_members_never_influence_retained():
     rng = np.random.Generator(np.random.Philox(3))
-    blk = small_weights().levels[0].blocks[1]
-    feats = rng.normal(size=(6, 16))
-    coords = rng.uniform(0.0, 5.0, size=(6, 2))
-    mask = np.array([True, True, False, True, False, True])
-    g = GroupView(np.zeros(2), np.arange(6), coords, feats)
-    g.mask = mask
-    out_a = vector_attention(g, blk)
+    blk = small_block(1)
+    feats = rng.normal(size=(1, 6, 16))
+    coords = rng.uniform(0.0, 5.0, size=(1, 6, 2))
+    mask = np.array([[True, True, False, True, False, True]])
+    out_a, _ = vector_attention(feats, coords, mask, blk)
 
     zeroed = feats.copy()
     zeroed[~mask] = 0.0
-    g2 = GroupView(np.zeros(2), np.arange(6), coords, zeroed)
-    g2.mask = mask
-    out_b = vector_attention(g2, blk)
+    out_b, _ = vector_attention(zeroed, coords, mask, blk)
     assert np.array_equal(out_a[mask], out_b[mask])
 
 
 def test_attention_permutation_equivariance():
     rng = np.random.Generator(np.random.Philox(4))
-    blk = small_weights().levels[0].blocks[0]
-    feats = rng.normal(size=(5, 16))
-    coords = rng.uniform(0.0, 5.0, size=(5, 2))
-    mask = np.array([True, True, True, False, True])
-    g = GroupView(np.zeros(2), np.arange(5), coords, feats)
-    g.mask = mask
-    out = vector_attention(g, blk)
+    blk = small_block()
+    feats = rng.normal(size=(1, 5, 16))
+    coords = rng.uniform(0.0, 5.0, size=(1, 5, 2))
+    mask = np.array([[True, True, True, False, True]])
+    out, _ = vector_attention(feats, coords, mask, blk)
 
     perm = np.array([2, 0, 4, 1, 3])
-    gp = GroupView(np.zeros(2), np.arange(5), coords[perm], feats[perm])
-    gp.mask = mask[perm]
-    out_p = vector_attention(gp, blk)
-    assert np.allclose(out_p, out[perm], atol=1e-10)
+    out_p, _ = vector_attention(feats[:, perm], coords[:, perm], mask[:, perm], blk)
+    assert np.allclose(out_p, out[:, perm], atol=1e-10)
 
 
 def test_attention_weight_sums_are_normalized():
     rng = np.random.Generator(np.random.Philox(5))
-    blk = small_weights().levels[0].blocks[0].astype(np.float64)
+    blk = small_block()
     feats = rng.normal(size=(1, 4, 16))
     coords = rng.uniform(0.0, 3.0, size=(1, 4, 2))
     mask = np.ones((1, 4), dtype=bool)
-    _, err = _attend(feats, coords, mask, blk)
+    _, err = vector_attention(feats, coords, mask, blk)
     assert err < 1e-5
+
+
+# Level shapes (k, D) of forward-20k, a 50k-cell forward and cohort-small.
+@pytest.mark.parametrize("k,dim", [(2, 64), (19, 64), (48, 64), (32, 128), (32, 256)])
+def test_group_stage_independent_of_batch_size(k, dim):
+    # hsp_forward runs the group stage on chunks whose size follows from
+    # (k, D); the b = 1 tests above stand for it only if a group's result
+    # does not depend on the batch it is computed in.
+    rng = np.random.Generator(np.random.Philox(k * 1000 + dim))
+    b = 40
+    feats = rng.normal(size=(b, k, dim))
+    feats[:4] *= 0.1  # these groups score a hundredth of the rest
+    coords = rng.uniform(0.0, 50.0, size=(b, k, 2))
+    anchors = coords[:, 0] + rng.normal(0.0, 1.0, size=(b, 2))
+    level = init_weights(HspConfig(), 8, seed=dim).levels[int(np.log2(dim // 64))]
+    blocks = [blk.astype(np.float64) for blk in level.blocks]
+
+    # a threshold that masks members and leaves the damped groups to the rescue
+    lam = float(np.quantile(similarity_scores(feats, coords, anchors)[0], 0.75))
+
+    def stage(groups):
+        f, c = feats[groups], coords[groups]
+        scores, dist = similarity_scores(f, c, anchors[groups])
+        mask = filter_mask(scores, dist, lam)
+        arrays, errs = [scores, dist, mask], []
+        for blk in blocks:
+            f, err = vector_attention(f, c, mask, blk)
+            arrays.append(f)
+            errs.append(err)
+        return arrays, errs
+
+    arrays, errs = stage(slice(None))
+    assert not arrays[2].all() and not (arrays[0][:4] > lam).any()
+    singles = [stage(slice(i, i + 1)) for i in range(b)]
+    for j, whole in enumerate(arrays):
+        assert np.array_equal(whole, np.concatenate([one[j] for one, _ in singles]))
+    for j, err in enumerate(errs):
+        assert err == max(one[j] for _, one in singles)
 
 
 # ---------------------------------------------------------------------------
