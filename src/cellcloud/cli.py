@@ -402,11 +402,16 @@ def _cmd_bench(args) -> int:
         feats = embed(sub, NieParams(lambda_r=args.lambda_r, n_d=args.nd), threads=args.threads)
         config = HspConfig()
         weights = init_weights(config, input_dim=feats.shape[1], seed=args.seed)
+        levels: list = []
         t4 = time.perf_counter()
-        hsp_forward(sub.xy, feats, sub.types, config, weights)
+        hsp_forward(sub.xy, feats, sub.types, config, weights, trace=levels)
         t5 = time.perf_counter()
         print(f"hsp_cells={m}")
         print(f"hsp_forward_s={t5 - t4:.3f}")
+        for t in levels:
+            members = t.n_anchors * t.group_size
+            print(f"hsp_l{t.level}_retained_frac={t.retained / members:.4f}")
+            print(f"hsp_l{t.level}_rescued={t.rescued}/{t.n_anchors}")
     config = {
         "cells": args.cells,
         "spacing": args.spacing,

@@ -6,17 +6,20 @@ group-attend-aggregate:
 1. pick group anchors by farthest point sampling (level 1 augments the
    coordinates with scaled type one-hots so anchors cover both space and
    composition),
-2. group the 2*N/N_k nearest points around each anchor,
+2. group the 2*N/N_k nearest points around each anchor (an exact
+   tree-backed kNN, ties broken by the smaller point index),
 3. score members against the group mean feature and anchor position, and
    mask out low-scoring ones (a semantic-spatial filter),
-4. update member features with a few rounds of per-channel vector
-   attention over the retained members,
-5. project each member to twice the width and average the retained ones
-   into the group feature.
+4. update the retained members' features with a few rounds of per-channel
+   vector attention among themselves,
+5. project each retained member to twice the width and average them into
+   the group feature.
 
 Steps 3 and 4 are the group stage: the public functions
 :func:`similarity_scores`, :func:`filter_mask` and :func:`vector_attention`,
-each batched over b groups of k members.
+each batched over b groups of k members. Dropped members feed nothing after
+the filter, so the forward pass hands steps 4 and 5 only the retained ones,
+in their kNN order.
 
 Anchors become the next level's points. After the last level the features
 are max-pooled element-wise into the cloud descriptor (512-dim with the
@@ -61,7 +64,8 @@ _CCWT_MAGIC = b"CCWT"
 _CCWT_VERSION = 1
 
 # Group batches are sized so one (batch, k, k, D) scratch tensor stays near
-# this many float64 elements; attention allocates a handful of them.
+# this many float64 elements; attention allocates a handful of them, over
+# the retained members only, so its tensors are this size at most.
 _ATT_BUDGET = 4_000_000
 
 
@@ -320,11 +324,21 @@ def vector_attention(
 
 @dataclass
 class LevelTrace:
+    """Sizes and checks of one forward level.
+
+    ``retained`` counts the group members the filter kept over all
+    ``n_anchors * group_size`` members, and ``rescued`` the groups in which
+    no member cleared ``lambda_sim``, so only the one nearest the anchor was
+    kept.
+    """
+
     level: int
     n_points: int
     n_anchors: int
     group_size: int
     delta_sum_err: float
+    retained: int
+    rescued: int
 
 
 def hsp_forward(
@@ -371,20 +385,32 @@ def hsp_forward(
         d = feats.shape[1]
         new_feats = np.empty((nk_eff, d * config.dim_multiplier), dtype=np.float64)
         err = 0.0
+        retained = rescued = 0
         chunk = max(1, _ATT_BUDGET // (k * k * d))
         for s in range(0, nk_eff, chunk):
             e = min(s + chunk, nk_eff)
             g = groups[s:e]
-            mf = feats[g]
+            scores, dist = similarity_scores(feats[g], xy[g], anchor_xy[s:e])
+            mask = filter_mask(scores, dist, config.lambda_sim)
+            kept = mask.sum(axis=1)
+            retained += int(kept.sum())
+            # a rescued group's one member is the only kept one below lambda_sim
+            rescued += int(np.count_nonzero(mask & ~(scores > config.lambda_sim)))
+            # Attention and aggregation read dropped members nowhere, so they
+            # run on the retained ones alone: a stable sort moves each group's
+            # retained members to the front in their original order, and the
+            # group is cut to the largest retained count in the chunk.
+            front = np.argsort(~mask, axis=1, kind="stable")[:, : kept.max()]
+            g = np.take_along_axis(g, front, axis=1)
+            mask = np.take_along_axis(mask, front, axis=1)
             mc = xy[g]
-            mask = filter_mask(*similarity_scores(mf, mc, anchor_xy[s:e]), config.lambda_sim)
-            cur = mf
+            cur = feats[g]
             for blk in lw.blocks:
                 cur, blk_err = vector_attention(cur, mc, mask, blk)
                 err = max(err, blk_err)
             proj = cur @ lw.w_agg.T + lw.b_agg
             wgt = mask[:, :, None].astype(np.float64)
-            new_feats[s:e] = (proj * wgt).sum(axis=1) / mask.sum(axis=1)[:, None]
+            new_feats[s:e] = (proj * wgt).sum(axis=1) / kept[:, None]
         if trace is not None:
             trace.append(
                 LevelTrace(
@@ -393,6 +419,8 @@ def hsp_forward(
                     n_anchors=nk_eff,
                     group_size=k,
                     delta_sum_err=err,
+                    retained=retained,
+                    rescued=rescued,
                 )
             )
         xy = anchor_xy

@@ -39,6 +39,10 @@ __all__ = [
 # units of work whose results land in disjoint output slices.
 _QUERY_CHUNK = 65536
 
+# knn_group ranks at most this many (anchor, candidate) pairs at once, or
+# one anchor's candidates when they alone are more.
+_KNN_CANDIDATES = 1 << 22
+
 
 @dataclass(frozen=True)
 class NeighborCounts:
@@ -345,6 +349,13 @@ def knn_group(
 
     Rows come back sorted ascending by (distance, index). Points can belong
     to any number of groups.
+
+    A k-d tree finds each anchor's k-th distance and then every point within
+    a hair more than it: a candidate superset that holds all ties at the
+    k-th distance whatever the tree's own rounding. Candidates are ranked on
+    ``dx*dx + dy*dy`` like everywhere else here, then by index, so the rows
+    match the O(N^2) scan bit-for-bit without ever forming the anchor-by-
+    point distance matrix.
     """
     anchors = np.ascontiguousarray(anchor_coords, dtype=np.float64).reshape(-1, 2)
     pts = np.ascontiguousarray(point_coords, dtype=np.float64).reshape(-1, 2)
@@ -353,20 +364,27 @@ def knn_group(
         raise ValueError(f"k={k} out of range for {n} points")
     a = anchors.shape[0]
     out = np.empty((a, k), dtype=np.int64)
-    step = max(1, int(2e7) // max(n, 1))
-    for s in range(0, a, step):
-        e = min(s + step, a)
-        dx = anchors[s:e, 0][:, None] - pts[None, :, 0]
-        dy = anchors[s:e, 1][:, None] - pts[None, :, 1]
+    if a == 0:
+        return out
+    tree = cKDTree(pts)
+    kth, _ = tree.query(anchors, k=[k])
+    radius = kth[:, 0] * (1.0 + 1e-9) + 1e-300
+    # Ball sizes come first so that a degenerate cloud, with many points tied
+    # at the k-th distance, builds its candidate lists a bounded batch at a time.
+    lens = tree.query_ball_point(anchors, radius, return_length=True)
+    ends = np.cumsum(lens)
+    s = 0
+    while s < a:
+        start = ends[s] - lens[s]
+        e = max(s + 1, int(np.searchsorted(ends, start + _KNN_CANDIDATES, side="right")))
+        balls = tree.query_ball_point(anchors[s:e], radius[s:e])
+        cand = np.concatenate(balls).astype(np.int64, copy=False)
+        owner = np.repeat(np.arange(e - s), lens[s:e])
+        dx = anchors[s + owner, 0] - pts[cand, 0]
+        dy = anchors[s + owner, 1] - pts[cand, 1]
         d2 = dx * dx + dy * dy
-        if k == n:
-            out[s:e] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            continue
-        # argpartition cuts ties arbitrarily, so gather every candidate at or
-        # below the k-th smallest value and resolve ties by index per row.
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        for row in range(e - s):
-            cand = np.flatnonzero(d2[row] <= kth[row])
-            sel = cand[np.argsort(d2[row, cand], kind="stable")[:k]]
-            out[s + row] = sel
+        order = np.lexsort((cand, d2, owner))
+        first = ends[s:e] - lens[s:e] - start
+        out[s:e] = cand[order[first[:, None] + np.arange(k)]]
+        s = e
     return out

@@ -546,3 +546,10 @@ def test_bench_small_run(capsys):
     assert "cells=2000" in stdout
     assert "match=True" in stdout
     assert "hsp_cells=300" in stdout
+    # Default config on 300 cells: 300, 128 and 8 groups of k = 2, 4 and 32.
+    # No member clears lambda_sim = 0.5, so each group keeps one member.
+    lines = dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
+    for level, groups, k in ((1, 300, 2), (2, 128, 4), (3, 8, 32)):
+        assert lines[f"hsp_l{level}_retained_frac"] == f"{1 / k:.4f}"
+        assert lines[f"hsp_l{level}_rescued"] == f"{groups}/{groups}"
+    assert "hsp_l4_rescued" not in lines

@@ -1,5 +1,6 @@
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,6 +407,25 @@ def test_forward_structure_and_trace():
     assert [t.n_anchors for t in trace] == [16, 4]
     assert [t.group_size for t in trace] == [12, 8]
     assert all(t.delta_sum_err < 1e-5 for t in trace)
+    # default lambda_sim: no member clears it, every group keeps its nearest
+    assert [t.retained for t in trace] == [16, 4]
+    assert [t.rescued for t in trace] == [16, 4]
+
+    # Recount level 1 at a threshold that splits groups, from the public
+    # group-stage functions on the encoded features.
+    lam = 0.06
+    w64 = w.astype(np.float64)
+    enc = feats @ w64.encoder_w.T + w64.encoder_b
+    anchors = cloud.xy[fps(cloud.xy, cloud.types, 16, _nn_mean_xy(cloud.xy))]
+    groups = knn_group(anchors, cloud.xy, 12)
+    scores, dist = similarity_scores(enc[groups], cloud.xy[groups], anchors)
+    mask = filter_mask(scores, dist, lam)
+    kept = mask.sum(axis=1)
+    assert 1 < kept.max() and kept.min() < 12 and (scores.max(axis=1) <= lam).any()
+    trace = []
+    hsp_forward(cloud.xy, feats, cloud.types, replace(SMALL, lambda_sim=lam), w, trace=trace)
+    assert trace[0].retained == kept.sum()
+    assert trace[0].rescued == (scores.max(axis=1) <= lam).sum()
 
 
 def test_forward_deterministic():
@@ -461,18 +481,38 @@ def test_reference_helpers_agree():
     assert np.array_equal(knn_group(anchors, xy, 8), knn_reference(anchors, xy, 8))
 
 
-def test_forward_matches_reference():
+def _some_group_partly_kept(t):
+    # If every group kept 1 or all k members, retained - n_anchors would be a
+    # multiple of k - 1.
+    return t.group_size > 2 and (t.retained - t.n_anchors) % (t.group_size - 1) != 0
+
+
+@pytest.mark.parametrize(
+    "lambda_sim,regime",
+    [(-1e9, "keep-all"), (0.02, "partial"), (0.5, "rescue")],
+    ids=["keep-all", "partial", "rescue"],
+)
+def test_forward_matches_reference(lambda_sim, regime):
+    config = replace(SMALL, lambda_sim=lambda_sim)
     worst = 0.0
+    levels = []
     for seed in range(10):
         rng = np.random.Generator(np.random.Philox(1000 + seed))
         n = int(rng.integers(2, 257))
         cloud = random_cloud(rng, n)
         feats = embed(cloud)
-        w = init_weights(SMALL, feats.shape[1], seed)
-        got = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
-        want = hsp_forward_reference(cloud.xy, feats, cloud.types, SMALL, w)
+        w = init_weights(config, feats.shape[1], seed)
+        got = hsp_forward(cloud.xy, feats, cloud.types, config, w, trace=levels)
+        want = hsp_forward_reference(cloud.xy, feats, cloud.types, config, w)
         worst = max(worst, float(np.abs(got.astype(np.float64) - want).max()))
     assert worst <= 1e-5
+    if regime == "keep-all":
+        assert all(t.retained == t.n_anchors * t.group_size for t in levels)
+        assert all(t.rescued == 0 for t in levels)
+    elif regime == "partial":
+        assert any(_some_group_partly_kept(t) for t in levels)
+    else:
+        assert all(t.retained == t.rescued == t.n_anchors for t in levels)
 
 
 # ---------------------------------------------------------------------------

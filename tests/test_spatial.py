@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellcloud import spatial
 from cellcloud.core import CellCloud, TooFewCells
 from cellcloud.spatial import (
     NeighborCounts,
@@ -315,6 +316,70 @@ def test_knn_lattice_ties_match_brute(seed, n):
     anchors = rng.integers(0, 5, size=(4, 2)).astype(np.float64)
     k = int(rng.integers(1, n + 1))
     assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
+
+
+@given(
+    seeds,
+    st.floats(1e5, 3e7),
+    st.floats(1e-3, 10.0),
+    st.integers(1, 60),
+    st.integers(1, 8),
+    st.sampled_from(["lattice", "outside", "far"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_knn_slide_scale_ties_match_brute(seed, offset, spacing, n, a, anchor_kind):
+    # Slide-sized coordinates on a small integer lattice: repeated lattice
+    # sites are exact duplicates, so the k-th distance often lands inside a
+    # run of ties. Anchors sit on the lattice, off it past the hull, or far
+    # outside the cloud.
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = offset + rng.integers(0, 6, size=(n, 2)) * spacing
+    if anchor_kind == "lattice":
+        anchors = offset + rng.integers(0, 6, size=(a, 2)) * spacing
+    elif anchor_kind == "outside":
+        anchors = offset + rng.uniform(-10.0, 16.0, size=(a, 2)) * spacing
+    else:
+        anchors = offset + rng.uniform(-1e4, 1e4, size=(a, 2)) * spacing
+    k = int(rng.integers(1, n + 1))
+    assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
+
+
+def test_knn_kth_distance_inside_tie_run():
+    pts = 3e7 + np.array([[0, 0], [1, 0], [0, 1], [1, 0], [0, 1], [2, 2], [1, 0]]) * 1e-3
+    anchors = pts[[0, 1]]
+    d2 = np.sort(((pts - anchors[0]) ** 2).sum(axis=1))
+    for k in (2, 3, 4, 5):
+        assert d2[k - 1] == d2[k]  # the cut falls inside a tie run
+        assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
+
+
+def test_knn_k_equals_n():
+    rng = np.random.Generator(np.random.Philox(5))
+    pts = 1e6 + rng.integers(0, 4, size=(30, 2)) * 0.5
+    anchors = np.vstack([pts[:3], [[1e6 - 7.0, 1e6 + 3.0]]])
+    got = knn_group(anchors, pts, 30)
+    assert np.array_equal(got, knn_reference(anchors, pts, 30))
+    assert (np.sort(got, axis=1) == np.arange(30)).all()
+
+
+def test_knn_all_points_coincident():
+    pts = np.full((9, 2), [3e7, 1e5])
+    anchors = np.array([[3e7, 1e5], [3e7 + 2.0, 1e5 - 1.0]])
+    for k in (1, 4, 9):
+        got = knn_group(anchors, pts, k)  # the first anchor's k-th distance is 0
+        assert np.array_equal(got, knn_reference(anchors, pts, k))
+        assert (got == np.arange(k)).all()
+
+
+def test_knn_candidate_batches(monkeypatch):
+    # A lattice with many tied candidates, ranked in batches of a few anchors,
+    # one anchor per batch when its candidates alone exceed the bound.
+    monkeypatch.setattr(spatial, "_KNN_CANDIDATES", 40)
+    rng = np.random.Generator(np.random.Philox(8))
+    pts = 2e5 + rng.integers(0, 4, size=(60, 2)) * 0.25
+    anchors = 2e5 + rng.integers(-1, 5, size=(25, 2)) * 0.25
+    for k in (1, 7, 33, 60):
+        assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
 
 
 def test_knn_rows_sorted_by_distance_then_index():
