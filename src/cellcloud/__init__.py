@@ -36,6 +36,7 @@ from .ingest import (
     parse_cells_csv,
 )
 from .spatial import (
+    GridOverflow,
     NeighborCounts,
     SpatialIndex,
     build_index,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nie
 from .core import (
     CellCloud,
     CellCloudError,
@@ -182,8 +182,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_nie(args) -> int:
     t0 = time.monotonic()
+    params = _nie_params(args)
     cloud = _load_valid_cloud(args.input)
-    params = NieParams(lambda_r=args.lambda_r, n_d=args.nd)
     features = embed(cloud, params, d_mean=args.d_mean, threads=args.threads)
     write_features(args.output, features)
     print(f"rows={features.shape[0]} dim={features.shape[1]}")
@@ -197,23 +197,39 @@ def _cmd_nie(args) -> int:
     return 0
 
 
+def _nie_params(args) -> NieParams:
+    try:
+        return NieParams(lambda_r=args.lambda_r, n_d=args.nd)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _hsp_config(args) -> HspConfig:
-    return HspConfig(
-        levels=args.levels,
-        initial_anchors=args.anchors,
-        n_basic=args.n_basic,
-        lambda_sim=args.lambda_sim,
-        updates_per_level=args.updates,
-        encode_dim=args.encode_dim,
-        dim_multiplier=args.dim_multiplier,
-    )
+    try:
+        return HspConfig(
+            levels=args.levels,
+            initial_anchors=args.anchors,
+            n_basic=args.n_basic,
+            lambda_sim=args.lambda_sim,
+            updates_per_level=args.updates,
+            encode_dim=args.encode_dim,
+            dim_multiplier=args.dim_multiplier,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_forward(args) -> int:
     t0 = time.monotonic()
+    params = _nie_params(args)
+    config = None if args.weights else _hsp_config(args)
     cloud = _load_valid_cloud(args.input)
-    params = NieParams(lambda_r=args.lambda_r, n_d=args.nd)
-    features = embed(cloud, params, d_mean=args.d_mean, threads=args.threads)
+    # One mean-NN per run: it scales the level-1 anchors even when --d-mean
+    # pins the embedding's radii. It is looked up on nie, the layer whose
+    # scale it is, where perfbench's tracer records it as spatial.mean_nn.
+    d_cloud = nie.mean_nn_distance(cloud)
+    d_mean = d_cloud if args.d_mean is None else args.d_mean
+    features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
     if args.weights:
         weights = load_weights(args.weights)
         config = weights.config
@@ -223,9 +239,8 @@ def _cmd_forward(args) -> int:
                 f"embedding has {features.shape[1]}"
             )
     else:
-        config = _hsp_config(args)
         weights = init_weights(config, input_dim=features.shape[1], seed=args.seed)
-    descriptor = hsp_forward(cloud.xy, features, cloud.types, config, weights)
+    descriptor = hsp_forward(cloud.xy, features, cloud.types, config, weights, gamma=d_cloud)
     if args.appearance:
         f_app = read_features(args.appearance).ravel()
         descriptor = combine_appearance(descriptor, f_app, args.beta)
@@ -365,13 +380,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_bench(args) -> int:
     t0 = time.monotonic()
+    params = _nie_params(args)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     extent = float(np.sqrt(args.cells)) * args.spacing
     xy = rng.uniform(0.0, extent, size=(args.cells, 2))
     types = rng.integers(0, 3, size=args.cells).astype(np.uint8)
     cloud = CellCloud(xy=xy, types=types, slide_id="bench")
     d_mean = mean_nn_distance(cloud)
-    sched = radii_schedule(d_mean, NieParams(lambda_r=args.lambda_r, n_d=args.nd))
+    sched = radii_schedule(d_mean, params)
     t_build = time.perf_counter()
     index = build_index(cloud, bin_size=sched.r_max)
     t_count = time.perf_counter()
@@ -399,7 +415,7 @@ def _cmd_bench(args) -> int:
     if args.hsp_cells:
         m = min(args.hsp_cells, cloud.n_total)
         sub = cloud.subset(np.arange(m))
-        feats = embed(sub, NieParams(lambda_r=args.lambda_r, n_d=args.nd), threads=args.threads)
+        feats = embed(sub, params, threads=args.threads)
         config = HspConfig()
         weights = init_weights(config, input_dim=feats.shape[1], seed=args.seed)
         levels: list = []

@@ -5,7 +5,10 @@ group-attend-aggregate:
 
 1. pick group anchors by farthest point sampling (level 1 augments the
    coordinates with scaled type one-hots so anchors cover both space and
-   composition),
+   composition, at a scale of the cloud's mean nearest-neighbor distance);
+   each pick updates only the x-strip of points it can move, a half-width
+   of sqrt(current max min-distance) plus a rounding margin, so the picks
+   equal the all-points greedy loop exactly,
 2. group the 2*N/N_k nearest points around each anchor (an exact
    tree-backed kNN, ties broken by the smaller point index),
 3. score members against the group mean feature and anchor position, and
@@ -348,13 +351,16 @@ def hsp_forward(
     config: HspConfig,
     weights: HspWeights,
     trace: Optional[list] = None,
+    *,
+    gamma: Optional[float] = None,
 ) -> np.ndarray:
     """Run the full multi-level forward pass, returning the cloud descriptor.
 
-    ``types`` feeds the level-1 semantic FPS augmentation (gamma = mean
-    nearest-neighbor distance of the input points); pass None to sample
-    anchors on coordinates alone. ``trace``, if given, collects a
-    :class:`LevelTrace` per level for structural inspection.
+    ``types`` feeds the level-1 semantic FPS augmentation; pass None to
+    sample anchors on coordinates alone. Its scale ``gamma`` is the mean
+    nearest-neighbor distance of the input points, computed here unless the
+    caller, which may already hold it, passes it in. ``trace``, if given,
+    collects a :class:`LevelTrace` per level for structural inspection.
     """
     xy = np.ascontiguousarray(coords, dtype=np.float64).reshape(-1, 2)
     n = xy.shape[0]
@@ -376,7 +382,8 @@ def hsp_forward(
         nk_eff = min(n_k, pts)
         k = min(max(1, (2 * pts) // nk_eff), pts)
         if lvl == 0 and labels is not None:
-            gamma = _nn_mean_xy(xy)
+            if gamma is None:
+                gamma = _nn_mean_xy(xy)
             anchors = fps(xy, labels, nk_eff, gamma)
         else:
             anchors = fps(xy, None, nk_eff, 0.0)

@@ -15,6 +15,7 @@ neighbor-count pass that dominates the pipeline.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -22,9 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import CellCloud, N_TYPES, TooFewCells
+from .core import CellCloud, CellCloudError, N_TYPES, TooFewCells
 
 __all__ = [
+    "GridOverflow",
     "SpatialIndex",
     "NeighborCounts",
     "build_index",
@@ -42,6 +44,16 @@ _QUERY_CHUNK = 65536
 # knn_group ranks at most this many (anchor, candidate) pairs at once, or
 # one anchor's candidates when they alone are more.
 _KNN_CANDIDATES = 1 << 22
+
+# Bin rows, columns and packed bin ids must stay below this; 2**62 leaves
+# int64 headroom for the float64 rounding of the span check.
+_GRID_LIMIT = 2.0**62
+
+
+class GridOverflow(CellCloudError):
+    """The cloud spans more grid bins than int64 bin ids can address."""
+
+    error_code = "grid_overflow"
 
 
 @dataclass(frozen=True)
@@ -116,13 +128,21 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
     n = cloud.n_total
-    rows = np.floor(cloud.xy[:, 1] / bin_size).astype(np.int64)
-    cols = np.floor(cloud.xy[:, 0] / bin_size).astype(np.int64)
+    rows = np.floor(cloud.xy[:, 1] / bin_size)
+    cols = np.floor(cloud.xy[:, 0] / bin_size)
     if n:
-        r0, r1 = int(rows.min()), int(rows.max())
-        c0, c1 = int(cols.min()), int(cols.max())
+        r0, r1 = float(rows.min()), float(rows.max())
+        c0, c1 = float(cols.min()), float(cols.max())
+        span = (r1 - r0 + 1.0) * (c1 - c0 + 1.0)
+        if not (span < _GRID_LIMIT and max(-r0, r1, -c0, c1) < _GRID_LIMIT):
+            raise GridOverflow(
+                f"cloud spans too many bins of size {bin_size!r} for int64 bin ids"
+            )
+        r0, r1, c0, c1 = int(r0), int(r1), int(c0), int(c1)
     else:
         r0 = r1 = c0 = c1 = 0
+    rows = rows.astype(np.int64)
+    cols = cols.astype(np.int64)
     n_cols = c1 - c0 + 1
     packed = (rows - r0) * n_cols + (cols - c0)
     order = np.argsort(packed, kind="stable")
@@ -250,23 +270,43 @@ def count_in_radii(
 
 
 def count_in_radii_brute(cloud: CellCloud, radii: Sequence[float]) -> NeighborCounts:
-    """Reference O(N^2) twin of :func:`count_in_radii` (same boundary rule)."""
+    """Reference O(N^2) twin of :func:`count_in_radii` (same boundary rule).
+
+    Every pair is scanned, in cache-sized tiles of 128 query rows by 1024
+    columns. Columns are sorted by type, so each tile holds one type and
+    its hits per radius are counted directly.
+    """
     radii_arr = np.ascontiguousarray(radii, dtype=np.float64)
     n = cloud.n_total
     r2 = radii_arr * radii_arr
-    onehot = np.eye(N_TYPES, dtype=np.int64)[cloud.types]
-    counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.uint32)
-    step = max(1, int(2e7) // max(n, 1))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        dx = cloud.xy[s:e, 0][:, None] - cloud.xy[None, :, 0]
-        dy = cloud.xy[s:e, 1][:, None] - cloud.xy[None, :, 1]
-        d2 = dx * dx + dy * dy
-        for j, rj2 in enumerate(r2):
-            within = d2 <= rj2
-            counts[s:e, j, :] = within.astype(np.int64) @ onehot
-    for i in range(n):  # self always falls inside every radius
-        counts[i, :, cloud.types[i]] -= 1
+    by_type = np.argsort(cloud.types, kind="stable")
+    col_x = cloud.xy[by_type, 0]
+    col_y = cloud.xy[by_type, 1]
+    bounds = np.searchsorted(cloud.types[by_type], np.arange(N_TYPES + 1))
+    counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.int64)
+    # The tiles are reused: a fresh 1 MB temporary costs a page fault per page.
+    dx_tile = np.empty((128, 1024))
+    dy_tile = np.empty((128, 1024))
+    hit_tile = np.empty((128, 1024), dtype=bool)
+    for s in range(0, n, 128):
+        e = min(s + 128, n)
+        qx = cloud.xy[s:e, 0][:, None]
+        qy = cloud.xy[s:e, 1][:, None]
+        for t in range(N_TYPES):
+            for c in range(bounds[t], bounds[t + 1], 1024):
+                ce = min(c + 1024, bounds[t + 1])
+                dx = dx_tile[: e - s, : ce - c]
+                dy = dy_tile[: e - s, : ce - c]
+                hit = hit_tile[: e - s, : ce - c]
+                np.subtract(qx, col_x[c:ce], out=dx)
+                np.subtract(qy, col_y[c:ce], out=dy)
+                np.multiply(dx, dx, out=dx)
+                np.multiply(dy, dy, out=dy)
+                d2 = np.add(dx, dy, out=dx)  # dx*dx + dy*dy
+                for j, rj2 in enumerate(r2):
+                    np.less_equal(d2, rj2, out=hit)
+                    counts[s:e, j, t] += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+    counts[np.arange(n), :, cloud.types] -= 1  # self always falls inside every radius
     return NeighborCounts(radii=radii_arr, counts=counts)
 
 
@@ -285,19 +325,19 @@ def mean_nn_distance(cloud: CellCloud) -> float:
 
 
 def _augmented_d2(
-    xy: np.ndarray, labels: Optional[np.ndarray], j: int, penalty: float
+    xy: np.ndarray, labels: np.ndarray, p: np.ndarray, p_label, penalty: float
 ) -> np.ndarray:
-    """Squared distance from every point to point j in the augmented space.
+    """Squared distance from every point to the point ``p`` in the augmented space.
 
-    With labels, differing tags add ``2*gamma**2`` (the squared distance
+    Differing labels add ``penalty = 2*gamma**2`` (the squared distance
     between two scaled one-hot corners). Written with the same scalar
     expression the test oracle uses so both routes round identically.
     """
-    dx = xy[:, 0] - xy[j, 0]
-    dy = xy[:, 1] - xy[j, 1]
+    dx = xy[:, 0] - p[0]
+    dy = xy[:, 1] - p[1]
     d2 = dx * dx + dy * dy
-    if labels is not None and penalty != 0.0:
-        d2 = d2 + penalty * (labels != labels[j])
+    if penalty != 0.0:
+        d2 = d2 + penalty * (labels != p_label)
     return d2
 
 
@@ -314,6 +354,18 @@ def fps(
     point is the lexicographically smallest (x, y, tag) and every later pick
     maximises the minimum distance to the selected set, ties falling to the
     smallest index. Returns the selected indices in pick order.
+
+    Each pick updates only a strip of points around it along x. A pick made
+    at value M = max(min_d2) can lower a point's min_d2 only if their
+    augmented d2 is below that point's min_d2, which is at most M; the label
+    penalty is non-negative, so such a point lies within sqrt(M) of the pick
+    in x. The strip is cut from the x-sorted points at a half-width of
+    sqrt(M)*(1 + 1e-9) + 4e-16*|x_pick| + 1e-300: the relative term covers
+    the rounding of sqrt and of the squares, the |x_pick| term the rounding
+    of x_pick -/+ r at slide-scale offsets. Points outside it have a
+    computed d2 of at least M, which ``np.minimum`` would leave unchanged,
+    and points inside it run :func:`_augmented_d2`'s exact expression, so
+    ``min_d2`` is bitwise the all-points update at every step.
     """
     xy = np.ascontiguousarray(points, dtype=np.float64)
     m = xy.shape[0]
@@ -321,24 +373,32 @@ def fps(
         raise ValueError(f"cannot sample {n} anchors from {m} points")
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
+    if not np.isfinite(xy).all():
+        raise ValueError("points must be finite")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    lab = None if labels is None else np.ascontiguousarray(labels)
-    if lab is None:
-        start = int(np.lexsort((xy[:, 1], xy[:, 0]))[0])
-    else:
-        start = int(np.lexsort((lab, xy[:, 1], xy[:, 0]))[0])
-    penalty = 2.0 * gamma * gamma
+    # Unlabelled points share one label and pay no penalty.
+    lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
+    start = int(np.lexsort((lab, xy[:, 1], xy[:, 0]))[0])
+    penalty = 0.0 if labels is None else 2.0 * gamma * gamma
+    perm = np.argsort(xy[:, 0], kind="stable")
+    sxy = xy[perm]
+    slab = lab[perm]
+    xs = sxy[:, 0]
     out = np.empty(n, dtype=np.int64)
-    out[0] = start
-    min_d2 = _augmented_d2(xy, lab, start, penalty)
-    min_d2[start] = -np.inf  # never re-pick a selected point
-    for step in range(1, n):
-        nxt = int(np.argmax(min_d2))  # first occurrence = smallest index
+    min_d2 = np.full(m, np.inf)
+    nxt = start
+    for step in range(n):
         out[step] = nxt
-        d2 = _augmented_d2(xy, lab, nxt, penalty)
-        np.minimum(min_d2, d2, out=min_d2)
-        min_d2[nxt] = -np.inf
+        # M is +inf at the start pick, so its strip is the whole cloud.
+        xj = xy[nxt, 0]
+        r = math.sqrt(min_d2[nxt]) * (1.0 + 1e-9) + 4e-16 * abs(xj) + 1e-300
+        lo, hi = xs.searchsorted((xj - r, xj + r))
+        idx = perm[lo:hi]
+        d2 = _augmented_d2(sxy[lo:hi], slab[lo:hi], xy[nxt], lab[nxt], penalty)
+        min_d2[idx] = np.minimum(min_d2[idx], d2)
+        min_d2[nxt] = -np.inf  # never re-pick a selected point
+        nxt = int(min_d2.argmax())  # first occurrence = smallest index
     return out
 
 

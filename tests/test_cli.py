@@ -23,7 +23,8 @@ from cellcloud.clinical import (
     write_cohort_csv,
 )
 from cellcloud.core import read_cloud, read_features, write_cells_csv, write_cloud
-from cellcloud.hsp import HspConfig, combine_appearance, load_weights
+from cellcloud import spatial
+from cellcloud.hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
 from cellcloud.nie import embed
 
@@ -252,6 +253,36 @@ def test_nie_too_few_cells(capsys, tmp_path):
     assert "error_code=too_few_cells" in err
 
 
+def test_nie_grid_overflow_is_data_error(capsys, tmp_path):
+    # With --d-mean 3 the far cell's bin index leaves int64.
+    src = tmp_path / "huge.csv"
+    src.write_text("x,y,type\n1e300,1e300,neoplastic\n0,0,neoplastic\n5,5,other\n")
+    code, _, err = run(capsys, ["nie", str(src), "-o", str(tmp_path / "o.bin"), "--d-mean", "3"])
+    assert code == 2
+    assert "error_code=grid_overflow" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("forward", "--anchors"),
+        ("forward", "--updates"),
+        ("forward", "--nd"),
+        ("forward", "--lambda-r"),
+        ("nie", "--nd"),
+        ("nie", "--lambda-r"),
+    ],
+)
+def test_bad_config_flag_is_usage_error(capsys, cloud_file, tmp_path, command, flag):
+    path, _ = cloud_file
+    argv = [command, str(path), "-o", str(tmp_path / "d.ccem"), flag, "0"]
+    if command == "forward":
+        argv += ["--seed", "1"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "error_code=usage" in err
+
+
 def test_nie_threads_env_fallback(capsys, cloud_file, tmp_path, monkeypatch):
     path, _ = cloud_file
     a = tmp_path / "a.ccem"
@@ -280,6 +311,39 @@ def test_forward_seeded_runs_are_byte_identical(capsys, cloud_file, tmp_path):
     assert "dim=64" in stdout
     run(capsys, [*argv, "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_forward_d_mean_reaches_only_the_embedding(capsys, cloud_file, tmp_path):
+    # --d-mean pins the embedding's radii; level-1 anchors keep the cloud's
+    # own mean nearest-neighbor distance as their label scale.
+    path, cloud = cloud_file
+    out = tmp_path / "d.ccem"
+    code, _, _ = run(
+        capsys, ["forward", str(path), "--seed", "7", *SMALL_FWD, "--d-mean", "400", "-o", str(out)]
+    )
+    assert code == 0
+    feats = embed(cloud, d_mean=400.0)
+    config = HspConfig(levels=2, initial_anchors=16, n_basic=4, encode_dim=16)
+    w = init_weights(config, feats.shape[1], 7)
+    expected = hsp_forward(cloud.xy, feats, cloud.types, config, w)
+    assert read_features(out)[0].tobytes() == expected.tobytes()
+    pinned = hsp_forward(cloud.xy, feats, cloud.types, config, w, gamma=400.0)
+    assert not np.array_equal(pinned, expected)
+
+
+def test_forward_threads_do_not_change_bytes(capsys, cloud_file, tmp_path, monkeypatch):
+    # Small query chunks so that the neighbor count really splits over threads.
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 16)
+    path, _ = cloud_file
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.ccem"
+        code, _, _ = run(
+            capsys, ["forward", str(path), "--seed", "7", *SMALL_FWD, "--threads", threads, "-o", str(out)]
+        )
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_forward_weight_file_round_trip(capsys, cloud_file, tmp_path):

@@ -18,7 +18,7 @@ from cellcloud.hsp import (
     vector_attention,
 )
 from cellcloud.nie import embed
-from cellcloud.spatial import _nn_mean_xy, fps, knn_group
+from cellcloud.spatial import _nn_mean_xy, fps, knn_group, mean_nn_distance
 
 from conftest import random_cloud
 from hsp_reference import (
@@ -434,6 +434,17 @@ def test_forward_deterministic():
     a = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
     b = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
     assert np.array_equal(a, b)
+
+
+def test_forward_given_gamma_matches_default():
+    # `cellcloud forward` passes the mean-NN it computed once for the run.
+    cloud, feats = forward_inputs(11, 80)
+    w = small_weights(seed=2)
+    base = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
+    given = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w, gamma=mean_nn_distance(cloud))
+    assert given.tobytes() == base.tobytes()
+    other = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w, gamma=500.0)
+    assert not np.array_equal(other, base)
 
 
 def test_forward_permutation_invariance():

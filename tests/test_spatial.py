@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cellcloud import spatial
 from cellcloud.core import CellCloud, TooFewCells
 from cellcloud.spatial import (
+    GridOverflow,
     NeighborCounts,
     build_index,
     count_in_radii,
@@ -83,6 +86,15 @@ def test_index_partitions_all_cells(seed, n):
 def test_index_rejects_nonpositive_bin():
     with pytest.raises(ValueError):
         build_index(make_cloud([(0, 0, 0)]), 0.0)
+
+
+def test_index_rejects_bins_beyond_int64():
+    for far in (1e300, 4e12):
+        cloud = make_cloud([(0.0, 0.0, 0), (far, far, 1)])
+        with pytest.raises(GridOverflow, match="int64"):
+            build_index(cloud, 1.0)
+    wide = build_index(make_cloud([(0.0, 0.0, 0), (1e9, 1e9, 1)]), 1.0)
+    assert wide.bins[(10**9, 10**9)] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +254,63 @@ def test_fps_lattice_ties_match_brute(seed, m):
     labels = rng.integers(0, 3, size=m).astype(np.uint8)
     n = int(rng.integers(1, m + 1))
     assert np.array_equal(fps(xy, labels, n, 2.0), fps_reference(xy, labels, n, 2.0))
+
+
+@given(
+    seeds,
+    st.floats(1e5, 3e7),
+    st.floats(1e-3, 10.0),
+    st.integers(1, 60),
+    st.sampled_from([0.0, 1e-12, 1.0, 50.0]),
+    st.sampled_from(["none", "all", "part"]),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_fps_slide_scale_ties_match_brute(seed, offset, spacing, m, gamma, labelled, full):
+    # Slide-sized coordinates on a small integer lattice: repeated sites are
+    # exact duplicates and many min distances tie, so strip edges land on
+    # points. Gamma is in units of the spacing; "part" gives one label to a
+    # band of the cloud and another to the rest.
+    rng = np.random.Generator(np.random.Philox(seed))
+    site = rng.integers(0, 6, size=(m, 2))
+    xy = offset + site * spacing
+    labels = None
+    if labelled == "all":
+        labels = rng.integers(0, 3, size=m).astype(np.uint8)
+    elif labelled == "part":
+        labels = np.where(site[:, 0] < 2, 2, 0).astype(np.uint8)
+    g = gamma * spacing if labels is not None else 0.0
+    n = m if full else int(rng.integers(1, m + 1))
+    assert np.array_equal(fps(xy, labels, n, g), fps_reference(xy, labels, n, g))
+
+
+def test_fps_all_points_coincident_slide_scale():
+    xy = np.full((9, 2), [3e7, 1e5])
+    labels = np.array([2, 0, 1, 0, 2, 1, 0, 0, 1], dtype=np.uint8)
+    # A tiny gamma makes the largest min distance far smaller than the
+    # spacing of floats at x = 3e7, so a strip must still hold the pick's x.
+    for lab, gamma in ((None, 0.0), (labels, 0.0), (labels, 1e-12), (labels, 3.0)):
+        for n in (1, 4, 9):
+            got = fps(xy, lab, n, gamma)
+            assert np.array_equal(got, fps_reference(xy, lab, n, gamma))
+
+
+def test_fps_strip_edge_rounding():
+    # Picks 0 and 1 leave points 2 and 4 tied at min d2 = 3.0 and point 3 at
+    # fl(sqrt(3)**2) = 3 - 4.4e-16. Picking 2 at x = 0 must lower point 4 at
+    # x = fl(sqrt(3)), exactly on the strip edge sqrt(3.0), to 3 - 4.4e-16 as
+    # well, so that point 3 wins the tie by index.
+    h = math.sqrt(3.0) / 2
+    xy = np.array([[-100.0, -1000.0], [h, 1.5], [0.0, 0.0], [-h, 1.5], [2 * h, 0.0]])
+    assert fps(xy, None, 5).tolist() == [0, 1, 2, 3, 4]
+    assert np.array_equal(fps(xy, None, 5), fps_reference(xy, None, 5, 0.0))
+
+
+def test_fps_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        xy = np.array([[0.0, 0.0], [1.0, bad], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            fps(xy, None, 2)
 
 
 def test_fps_starts_at_lexicographic_min():
