@@ -27,6 +27,7 @@ from .core import (
 from .ingest import (
     DuplicateCell,
     MalformedRow,
+    OutOfPatch,
     OverlappingPatches,
     PatchDetections,
     UnknownType,
@@ -46,7 +47,7 @@ from .spatial import (
     knn_group,
     mean_nn_distance,
 )
-from .nie import NieParams, RadiiSchedule, embed, embed_dim, global_density, local_density, radii_schedule
+from .nie import DegenerateScale, NieParams, RadiiSchedule, embed, embed_dim, global_density, local_density, radii_schedule
 from .hsp import (
     BlockWeights,
     HspConfig,

@@ -183,8 +183,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_nie(args) -> int:
     t0 = time.monotonic()
     params = _nie_params(args)
+    d_mean = _d_mean_arg(args)
     cloud = _load_valid_cloud(args.input)
-    features = embed(cloud, params, d_mean=args.d_mean, threads=args.threads)
+    features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
     write_features(args.output, features)
     print(f"rows={features.shape[0]} dim={features.shape[1]}")
     config = {
@@ -195,6 +196,13 @@ def _cmd_nie(args) -> int:
     }
     _write_manifest(args, "nie", config, [args.input], [args.output], None, t0)
     return 0
+
+
+def _d_mean_arg(args) -> "float | None":
+    """The user's --d-mean, which must be positive and finite when given."""
+    if args.d_mean is not None and not (args.d_mean > 0 and np.isfinite(args.d_mean)):
+        raise _UsageError(f"--d-mean must be positive and finite, got {args.d_mean!r}")
+    return args.d_mean
 
 
 def _nie_params(args) -> NieParams:
@@ -222,13 +230,15 @@ def _hsp_config(args) -> HspConfig:
 def _cmd_forward(args) -> int:
     t0 = time.monotonic()
     params = _nie_params(args)
+    d_mean = _d_mean_arg(args)
     config = None if args.weights else _hsp_config(args)
     cloud = _load_valid_cloud(args.input)
     # One mean-NN per run: it scales the level-1 anchors even when --d-mean
     # pins the embedding's radii. It is looked up on nie, the layer whose
     # scale it is, where perfbench's tracer records it as spatial.mean_nn.
     d_cloud = nie.mean_nn_distance(cloud)
-    d_mean = d_cloud if args.d_mean is None else args.d_mean
+    if d_mean is None:
+        d_mean = d_cloud
     features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
     if args.weights:
         weights = load_weights(args.weights)

@@ -71,6 +71,10 @@ _CCWT_VERSION = 1
 # the retained members only, so its tensors are this size at most.
 _ATT_BUDGET = 4_000_000
 
+# A config may size at most this many weights (256 MiB as float32), not
+# counting the encoder columns, which grow with the input width.
+_MAX_WEIGHTS = 1 << 26
+
 
 @dataclass(frozen=True)
 class HspConfig:
@@ -87,14 +91,19 @@ class HspConfig:
             raise ValueError("levels must be >= 1")
         if self.initial_anchors < 1 or self.n_basic < 1:
             raise ValueError("initial_anchors and n_basic must be >= 1")
-        if self.initial_anchors % (self.n_basic ** (self.levels - 1)) != 0:
-            raise ValueError(
-                "initial_anchors must be divisible by n_basic**(levels-1)"
-            )
         if self.updates_per_level < 1:
             raise ValueError("updates_per_level must be >= 1")
         if self.encode_dim < 1 or self.dim_multiplier < 1:
             raise ValueError("encode_dim and dim_multiplier must be >= 1")
+        # The weight count is bounded before anything is sized by it, as
+        # load_weights bounds a CCWT header, and before the divisibility
+        # test, whose power grows with the level count.
+        if _weight_count(self, _MAX_WEIGHTS) > _MAX_WEIGHTS:
+            raise ValueError(f"config sizes more than {_MAX_WEIGHTS} weights")
+        if self.initial_anchors % (self.n_basic ** (self.levels - 1)) != 0:
+            raise ValueError(
+                "initial_anchors must be divisible by n_basic**(levels-1)"
+            )
         if not np.isfinite(self.lambda_sim):
             raise ValueError("lambda_sim must be finite")
 
@@ -179,6 +188,26 @@ class HspWeights:
             encoder_b=self.encoder_b.astype(dtype),
             levels=tuple(lw.astype(dtype) for lw in self.levels),
         )
+
+
+def _weight_count(config: HspConfig, limit: int) -> int:
+    """Weights in ``config``'s tensors for a zero-width input, exact up to
+    ``limit``. Past ``limit`` it returns some larger count, after a number
+    of steps that stays small for any config.
+
+    Per level of width d: each update block holds 5d^2 + 8d weights (see
+    :func:`_tensor_shapes`) and the aggregation m(d^2 + d).
+    """
+    m = config.dim_multiplier
+    total = config.encode_dim  # the encoder bias
+    # With m == 1 every level has the same width, so one step counts them all.
+    for level in range(config.levels if m > 1 else 1):
+        d = config.level_dim(level)
+        per_level = config.updates_per_level * (5 * d * d + 8 * d) + m * (d * d + d)
+        total += per_level if m > 1 else per_level * config.levels
+        if total > limit:
+            break
+    return total
 
 
 def _tensor_shapes(config: HspConfig, input_dim: int) -> Iterator[tuple[int, ...]]:

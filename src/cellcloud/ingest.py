@@ -13,7 +13,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -27,6 +27,7 @@ __all__ = [
     "UnknownType",
     "DuplicateCell",
     "OverlappingPatches",
+    "OutOfPatch",
     "parse_cells_csv",
     "load_patch_dir",
     "merge_boundary_cells",
@@ -72,6 +73,12 @@ class OverlappingPatches(CellCloudError):
     error_code = "overlapping_patches"
 
 
+class OutOfPatch(CellCloudError, ValueError):
+    """A patch-local coordinate outside ``[0, patch_size)``."""
+
+    error_code = "out_of_patch"
+
+
 @dataclass(frozen=True)
 class PatchDetections:
     """Detections of one patch, in patch-local pixel coordinates."""
@@ -87,7 +94,7 @@ class PatchDetections:
         if types.shape != (xy.shape[0],):
             raise ValueError("types length must match coordinate count")
         if xy.size and (xy.min() < 0 or xy.max() >= self.patch_size):
-            raise ValueError("patch-local coordinates must lie in [0, patch_size)")
+            raise OutOfPatch("patch-local coordinates must lie in [0, patch_size)")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "types", types)
 
@@ -96,8 +103,16 @@ class PatchDetections:
         return self.xy.shape[0]
 
 
-def _parse_rows(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
-    """Shared CSV body parser returning (xy, types); raises ingest errors."""
+def _body_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every non-blank row after the header."""
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        yield line_no, row
+
+
+def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row parser: the only one that reports ingest errors."""
     xs: list[float] = []
     ys: list[float] = []
     ts: list[int] = []
@@ -110,9 +125,7 @@ def _parse_rows(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
             raise MalformedRow(1, "missing header") from None
         if [h.strip().lower() for h in header] != ["x", "y", "type"]:
             raise MalformedRow(1, "header must be x,y,type")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
+        for line_no, row in _body_rows(reader):
             if len(row) != 3:
                 raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
             try:
@@ -137,10 +150,81 @@ def _parse_rows(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
     return xy.astype(np.float64), np.asarray(ts, dtype=np.uint8)
 
 
+def _parse_bulk(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Whole-file parse of the plain form, or None where it does not apply.
+
+    Accepts only text without quotes or carriage returns, with the header
+    exactly ``x,y,type`` and at least one line below it, each of three
+    comma-separated fields; there ``csv.reader`` yields exactly these
+    fields. Coordinates go through the same ``float``, type tokens through
+    the same ``CellType.from_token`` and duplicates through the same set
+    of ``(x, y, type)`` keys as :func:`_parse_lines`, so an accepted file
+    gives the same arrays. Anything it does not accept returns None,
+    including every file :func:`_parse_lines` would reject.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if lines[0] != "x,y,type":
+        return None
+    body = lines[1:]
+    if body and not body[-1]:
+        body.pop()  # the newline that ends the last row
+    if {line.count(",") for line in body} != {2}:
+        return None
+    toks = ",".join(body).split(",")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, toks)) > limit:
+        return None  # csv.reader refuses a field this long
+    kinds = toks[2::3]
+    del toks[2::3]  # leaves x0, y0, x1, y1, ...
+    try:
+        coords = list(map(float, toks))
+        codes = {tok: int(CellType.from_token(tok)) for tok in set(kinds)}
+    except ValueError:
+        return None
+    ts = list(map(codes.__getitem__, kinds))
+    if len(set(zip(coords[0::2], coords[1::2], ts))) != len(ts):
+        return None
+    xy = np.array(coords, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        return None
+    return xy, np.array(ts, dtype=np.uint8)
+
+
+def _parse_rows(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
+    """Shared CSV body parser returning (xy, types); raises ingest errors.
+
+    The whole file is parsed in bulk; a file the bulk pass does not accept
+    is read again by the row-by-row parser, which reports any error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        parsed = _parse_bulk(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        parsed = None
+    return parsed if parsed is not None else _parse_lines(path)
+
+
 def parse_cells_csv(path: Union[str, Path], slide_id: str = "") -> CellCloud:
     """Parse a canonical ``x,y,type`` CSV into a cloud, preserving file order."""
     xy, types = _parse_rows(path)
     return CellCloud(xy=xy, types=types, slide_id=slide_id or Path(path).stem)
+
+
+def _out_of_patch(path: Path, xy: np.ndarray, patch_size: float) -> OutOfPatch:
+    """The error naming the file and line of its first out-of-patch row."""
+    row = int(np.flatnonzero(((xy < 0) | (xy >= patch_size)).any(axis=1))[0])
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header
+        for k, (line_no, _) in enumerate(_body_rows(reader)):
+            if k == row:
+                break
+    return OutOfPatch(
+        f"{path}: line {line_no}: patch-local coordinates must lie in [0, {patch_size!r})"
+    )
 
 
 def load_patch_dir(
@@ -155,27 +239,122 @@ def load_patch_dir(
             continue
         origin = (float(m.group(1)), float(m.group(2)))
         xy, types = _parse_rows(dirpath / name)
-        patches.append(
-            PatchDetections(patch_origin=origin, xy=xy, types=types, patch_size=patch_size)
-        )
+        try:
+            patches.append(
+                PatchDetections(patch_origin=origin, xy=xy, types=types, patch_size=patch_size)
+            )
+        except OutOfPatch:
+            raise _out_of_patch(dirpath / name, xy, patch_size) from None
     patches.sort(key=lambda p: (p.patch_origin[1], p.patch_origin[0]))
     return patches
 
 
-def _check_disjoint(patches: Sequence[PatchDetections]) -> None:
+# Bins are floor(origin / S) in float64. Below 2**50 bins each quotient is
+# within 2**-3 of its true value, so a pair less than S apart on an axis is
+# at most two bins apart there.
+_BIN_LIMIT = 2.0**50
+_BIN_REACH = 2
+
+# Candidate pairs are tested in chunks of about this many, so a layout that
+# puts many patches in one bin costs time, not memory.
+_PAIR_CHUNK = 1 << 20
+
+
+def _overlap_candidates(
+    ox: np.ndarray, oy: np.ndarray, size: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks of index pairs (i, j), i < j, that include every intersecting pair.
+
+    A pair intersects only if both |dx| and |dy| are below the larger of
+    its two sizes, so below S, the largest finite size. Origins are hashed
+    into square bins of side S and each patch is paired with the patches
+    in the bins up to ``_BIN_REACH`` away on each axis: O(P) pairs on a
+    tiled grid. Patches the bins cannot place (non-finite origin or size,
+    or an origin beyond ``_BIN_LIMIT`` bins) are paired with every patch.
+    """
+    n = ox.size
+    finite = np.isfinite(size)
+    s = float(size[finite].max()) if finite.any() else 0.0
+    if s > 0:
+        bx, by = np.floor(ox / s), np.floor(oy / s)
+        placed = finite & (np.abs(bx) < _BIN_LIMIT) & (np.abs(by) < _BIN_LIMIT)
+        yield from _binned_pairs(np.flatnonzero(placed), bx, by)
+    else:
+        placed = finite  # no two patches of size <= 0 meet
+    for f in np.flatnonzero(~placed):
+        other = np.delete(np.arange(n), f)
+        yield np.minimum(other, f), np.maximum(other, f)
+
+
+def _binned_pairs(
+    idx: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pairs (i, j), i < j, of patches ``idx`` at most ``_BIN_REACH`` bins apart."""
+    if idx.size == 0:
+        return
+    ux, rx = np.unique(bx[idx], return_inverse=True)
+    uy, ry = np.unique(by[idx], return_inverse=True)
+    order = np.argsort(rx * uy.size + ry, kind="stable")
+    cell = (rx * uy.size + ry)[order]
+    for dx in range(-_BIN_REACH, _BIN_REACH + 1):
+        cx = _rank(ux, bx[idx] + dx)
+        for dy in range(-_BIN_REACH, _BIN_REACH + 1):
+            cy = _rank(uy, by[idx] + dy)
+            ok = (cx >= 0) & (cy >= 0)
+            src, key = idx[ok], cx[ok] * uy.size + cy[ok]
+            lo = np.searchsorted(cell, key, "left")
+            count = np.searchsorted(cell, key, "right") - lo
+            ends = np.cumsum(count)
+            a = 0
+            while a < src.size:
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - count[a] + _PAIR_CHUNK, "right")))
+                c = count[a:b]
+                i = np.repeat(src[a:b], c)
+                first = np.repeat(lo[a:b] - np.cumsum(c) + c, c)
+                j = idx[order[first + np.arange(i.size)]]
+                yield i[i < j], j[i < j]
+                a = b
+
+
+def _rank(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in ``sorted_values``, or -1 where it is absent."""
+    pos = np.searchsorted(sorted_values, values)
+    pos[pos == sorted_values.size] = 0
+    return np.where(sorted_values[pos] == values, pos, -1)
+
+
+def _check_disjoint(
+    patches: Sequence[PatchDetections], origin: np.ndarray, size: np.ndarray
+) -> None:
+    """Raise on the first intersecting pair (i, j), i < j, in patch order."""
     # Rectangles are half-open [x0, x0+size) so grid-adjacent patches touch
     # without intersecting.
-    for i in range(len(patches)):
-        xi, yi = patches[i].patch_origin
-        si = patches[i].patch_size
-        for j in range(i + 1, len(patches)):
-            xj, yj = patches[j].patch_origin
-            sj = patches[j].patch_size
-            if xi < xj + sj and xj < xi + si and yi < yj + sj and yj < yi + si:
-                raise OverlappingPatches(
-                    f"patches at {patches[i].patch_origin} and "
-                    f"{patches[j].patch_origin} intersect"
-                )
+    ox, oy = origin[:, 0], origin[:, 1]
+    first: Optional[tuple[int, int]] = None
+    for i, j in _overlap_candidates(ox, oy, size):
+        with np.errstate(invalid="ignore"):  # inf + -inf is nan: False, as in Python
+            hit = (
+                (ox[i] < ox[j] + size[j])
+                & (ox[j] < ox[i] + size[i])
+                & (oy[i] < oy[j] + size[j])
+                & (oy[j] < oy[i] + size[i])
+            )
+        if hit.any():
+            k = np.lexsort((j[hit], i[hit]))[0]
+            pair = (int(i[hit][k]), int(j[hit][k]))
+            first = pair if first is None else min(first, pair)
+    if first is not None:
+        a, b = first
+        raise OverlappingPatches(
+            f"patches at {patches[a].patch_origin} and "
+            f"{patches[b].patch_origin} intersect"
+        )
+
+
+def _edge_distance(local: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Distance of each patch-local point to its own patch border."""
+    lx, ly = local[:, 0], local[:, 1]
+    return np.minimum(np.minimum(lx, size - lx), np.minimum(ly, size - ly))
 
 
 def merge_boundary_cells(
@@ -197,32 +376,23 @@ def merge_boundary_cells(
     # command, and only ingest needs it.
     from scipy.sparse.csgraph import connected_components
 
-    _check_disjoint(patches)
     if not patches:
         return CellCloud(
             xy=np.empty((0, 2), dtype=np.float64),
             types=np.empty(0, dtype=np.uint8),
             slide_id=slide_id,
         )
+    origin = np.array([p.patch_origin for p in patches], dtype=np.float64).reshape(-1, 2)
+    size = np.array([p.patch_size for p in patches], dtype=np.float64)
+    _check_disjoint(patches, origin, size)
 
-    xy_parts, type_parts, near_parts = [], [], []
-    for p in patches:
-        ox, oy = p.patch_origin
-        xy_parts.append(p.xy + np.array([ox, oy], dtype=np.float64))
-        type_parts.append(p.types)
-        if p.n_cells:
-            lx, ly = p.xy[:, 0], p.xy[:, 1]
-            edge = np.minimum(
-                np.minimum(lx, p.patch_size - lx), np.minimum(ly, p.patch_size - ly)
-            )
-            near_parts.append(edge < d_boundary)
-        else:
-            near_parts.append(np.empty(0, dtype=bool))
-    xy = np.concatenate(xy_parts, axis=0)
-    types = np.concatenate(type_parts, axis=0)
-    near = np.concatenate(near_parts, axis=0)
-
-    cand = np.flatnonzero(near)
+    counts = [p.n_cells for p in patches]
+    local = np.concatenate([p.xy for p in patches], axis=0)
+    types = np.concatenate([p.types for p in patches], axis=0)
+    xy = np.repeat(origin, counts, axis=0)
+    xy += local
+    cand = np.flatnonzero(_edge_distance(local, np.repeat(size, counts)) < d_boundary)
+    del local
     out_xy = xy.copy()
     keep = np.ones(xy.shape[0], dtype=bool)
     if cand.size > 1:
@@ -238,14 +408,18 @@ def merge_boundary_cells(
         )
         _, label = connected_components(graph, directed=False)
         # Components of two or more cells collapse onto their earliest
-        # member; singletons pass through.
-        size = np.bincount(label)
-        multi = np.flatnonzero(size[label] > 1)
+        # member; singletons pass through. bincount sums each component's
+        # members in ascending order from 0.0, as xy[members].mean(axis=0)
+        # does, so the centroid is the same to the bit.
+        n_members = np.bincount(label)
+        multi = np.flatnonzero(n_members[label] > 1)
         if multi.size:
-            multi = multi[np.argsort(label[multi], kind="stable")]
-            for members in np.split(cand[multi], np.cumsum(size[size > 1])[:-1]):
-                out_xy[members[0]] = xy[members].mean(axis=0)
-                keep[members[1:]] = False
+            comp, members = label[multi], cand[multi]
+            sums = np.column_stack([np.bincount(comp, weights=xy[members, c]) for c in (0, 1)])
+            heads, first = np.unique(comp, return_index=True)
+            keep[members] = False
+            keep[members[first]] = True
+            out_xy[members[first]] = sums[heads] / n_members[heads, None]
 
     return CellCloud(xy=out_xy[keep], types=types[keep], slide_id=slide_id)
 

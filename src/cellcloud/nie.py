@@ -20,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CellCloud, N_TYPES, TooFewCells
+from .core import CellCloud, CellCloudError, N_TYPES, TooFewCells
 from .spatial import NeighborCounts, build_index, count_in_radii, mean_nn_distance
 
 __all__ = [
+    "DegenerateScale",
     "NieParams",
     "RadiiSchedule",
     "radii_schedule",
@@ -32,6 +33,16 @@ __all__ = [
     "embed",
     "embed_dim",
 ]
+
+
+class DegenerateScale(CellCloudError, ValueError):
+    """A radius scale d_mean that is not positive and finite.
+
+    A cloud's own mean nearest-neighbor distance is 0 when all its cells
+    coincide, and inf when the distance to a far cell overflows float64.
+    """
+
+    error_code = "degenerate_scale"
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,10 @@ class RadiiSchedule:
 def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> RadiiSchedule:
     """Uniform schedule [r_max/n_d, 2*r_max/n_d, ..., r_max]."""
     if not (d_mean > 0 and np.isfinite(d_mean)):
-        raise ValueError("d_mean must be positive and finite")
+        raise DegenerateScale(
+            "radius scale d_mean (by default the cloud's mean nearest-neighbor "
+            f"distance) must be positive and finite, got {d_mean!r}"
+        )
     r_max = params.lambda_r * d_mean
     j = np.arange(1, params.n_d + 1, dtype=np.float64)
     return RadiiSchedule(r=j * r_max / params.n_d)

@@ -262,6 +262,65 @@ def test_nie_grid_overflow_is_data_error(capsys, tmp_path):
     assert "error_code=grid_overflow" in err
 
 
+@pytest.mark.parametrize("command", ["nie", "forward"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # all cells coincide: mean-NN 0
+        "1,1,other\n1,1,neoplastic\n1,1,inflammatory\n",
+        # the far cell's nearest-neighbor distance overflows to inf
+        "0,0,neoplastic\n5,5,other\n1e300,1e300,neoplastic\n",
+    ],
+)
+def test_degenerate_cloud_scale_is_data_error(capsys, tmp_path, command, rows):
+    src = tmp_path / "cloud.csv"
+    src.write_text("x,y,type\n" + rows)
+    argv = [command, str(src), "-o", str(tmp_path / "o.bin")]
+    if command == "forward":
+        argv += ["--seed", "1", *SMALL_FWD]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "error_code=degenerate_scale" in err
+
+
+@pytest.mark.parametrize("command", ["nie", "forward"])
+@pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+def test_bad_d_mean_is_usage_error(capsys, cloud_file, tmp_path, command, value):
+    path, _ = cloud_file
+    argv = [command, str(path), "-o", str(tmp_path / "o.bin"), f"--d-mean={value}"]
+    if command == "forward":
+        argv += ["--seed", "1"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "error_code=usage" in err
+
+
+def test_oversized_config_is_rejected_before_weights(capsys, cloud_file, tmp_path, monkeypatch):
+    # 1e8 channels would size a 15.6 GiB weight set; the config cap must
+    # refuse it before anything is allocated.
+    def no_weights(*args, **kwargs):
+        raise AssertionError("init_weights ran")
+
+    monkeypatch.setattr("cellcloud.cli.init_weights", no_weights)
+    path, _ = cloud_file
+    code, _, err = run(
+        capsys, ["forward", str(path), "--seed", "1", "--encode-dim", "100000000", "-o", str(tmp_path / "d")]
+    )
+    assert code == 1
+    assert "error_code=usage" in err
+    assert "weights" in err
+
+
+def test_ingest_out_of_patch_is_data_error(capsys, tmp_path):
+    d = tmp_path / "patches"
+    d.mkdir()
+    (d / "patch_0_0.csv").write_text("x,y,type\n1,1,other\n512,2,other\n")
+    code, _, err = run(capsys, ["ingest", str(d), "-o", str(tmp_path / "s.cc5b")])
+    assert code == 2
+    assert "error_code=out_of_patch" in err
+    assert "patch_0_0.csv: line 3: patch-local" in err
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [

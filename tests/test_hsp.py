@@ -1,3 +1,5 @@
+import itertools
+import math
 import struct
 import time
 from dataclasses import replace
@@ -7,7 +9,10 @@ import pytest
 
 from cellcloud.core import DimMismatch, EmptyGroup, TooFewPoints
 from cellcloud.hsp import (
+    _MAX_WEIGHTS,
     HspConfig,
+    _tensor_shapes,
+    _weight_count,
     combine_appearance,
     filter_mask,
     hsp_forward,
@@ -80,6 +85,30 @@ def test_config_validation():
         HspConfig(dim_multiplier=0)
     with pytest.raises(ValueError):
         HspConfig(lambda_sim=np.nan)
+
+
+def test_config_weight_count_is_exact():
+    for levels, updates, width, mult in itertools.product([1, 2, 4], [1, 3], [1, 5, 64], [1, 2, 3]):
+        cfg = HspConfig(levels=levels, initial_anchors=64, n_basic=1, updates_per_level=updates,
+                        encode_dim=width, dim_multiplier=mult)
+        expect = sum(math.prod(shape) for shape in _tensor_shapes(cfg, 0))
+        assert _weight_count(cfg, 2**62) == expect
+
+
+def test_config_weight_cap():
+    HspConfig(encode_dim=1024, levels=2, initial_anchors=32)  # 22M weights: allowed
+    for kwargs in [
+        {"encode_dim": 100_000_000},
+        {"encode_dim": 2048, "levels": 2, "initial_anchors": 32},
+        # a billion levels fails in a few steps, whatever the width growth
+        {"levels": 10**9, "n_basic": 1},
+        {"levels": 10**9, "n_basic": 1, "dim_multiplier": 1, "encode_dim": 1},
+        {"levels": 10**9, "n_basic": 2},
+    ]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {_MAX_WEIGHTS} weights"):
+            HspConfig(**kwargs)
+        assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import csv
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +9,13 @@ from cellcloud.core import CellCloud, CellType
 from cellcloud.ingest import (
     DuplicateCell,
     MalformedRow,
+    OutOfPatch,
     OverlappingPatches,
     PatchDetections,
     UnknownType,
+    _parse_bulk,
+    _parse_lines,
+    _parse_rows,
     grid_sample,
     load_patch_dir,
     merge_boundary_cells,
@@ -115,6 +122,78 @@ def test_parse_generated_tallies(tmp_path):
     assert cloud.counts_by_type.tolist() == np.bincount(kinds, minlength=3).tolist()
 
 
+# Bulk parse vs the row-by-row parser. Clean rows come from small pools, so
+# exact duplicates (-0.0 against 0.0 included) turn up; one edit at most
+# then adds a bad header, an odd line or CRLF line ends.
+_NUMBERS = ["0", "1", "2.5", "-0.0", "0.0", "1_0", " 3 ", "1e2", "100.0", "7"]
+_TYPES = ["other", "neoplastic", "inflammatory", " Other", "INFLAMMATORY ", "Neoplastic\t"]
+_HEADERS = [" X ,y,TYPE", "x,y", '"x",y,type', "x,y,type,extra", "", "x,y,type "]
+_row = st.tuples(
+    st.sampled_from(_NUMBERS), st.sampled_from(_NUMBERS), st.sampled_from(_TYPES)
+).map(",".join)
+_odd_line = st.one_of(
+    st.tuples(
+        st.sampled_from(_NUMBERS + ["nan", "-inf", "x", ""]),
+        st.sampled_from(_NUMBERS + ["inf"]),
+        st.sampled_from(_TYPES + ["tumour", "", '"other"']),
+    ).map(",".join),
+    st.lists(st.sampled_from(_NUMBERS + ["other"]), min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "  ", "\t", '"1",2,other', '1,2,"oth""er"', "1,2,other,", '"1,2",other',
+                     "1\r,2,other", "1,2,other\r3,4,other"]),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    lines = ["x,y,type"] + draw(st.lists(_row, max_size=12))
+    edit = draw(st.sampled_from(["none", "none", "none", "header", "line", "line", "crlf"]))
+    if edit == "header":
+        lines[0] = draw(st.sampled_from(_HEADERS))
+    elif edit == "line":
+        lines.insert(draw(st.integers(1, len(lines))), draw(_odd_line))
+    end = "\r\n" if edit == "crlf" else "\n"
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(parse, path):
+    try:
+        xy, types = parse(path)
+    except Exception as exc:  # compared by class, line and message below
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return xy.tobytes(), xy.shape, xy.dtype, types.tobytes(), types.dtype
+
+
+@given(_csv_text())
+@settings(max_examples=400, deadline=None)
+def test_bulk_parse_matches_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "cells.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expect = _outcome(_parse_lines, path)
+    assert _outcome(_parse_rows, path) == expect
+    bulk = _parse_bulk(text)
+    if bulk is not None:  # accepted: bitwise the arrays the line parser returns
+        assert isinstance(expect[0], bytes)
+        assert (bulk[0].tobytes(), bulk[0].shape, bulk[0].dtype, bulk[1].tobytes(), bulk[1].dtype) == expect
+
+
+def test_bulk_parse_takes_plain_files():
+    text = "x,y,type\n1.5,2,other\n-0.0,1_0,Neoplastic\n3,4,inflammatory"
+    xy, types = _parse_bulk(text)
+    assert xy.tolist() == [[1.5, 2.0], [-0.0, 10.0], [3.0, 4.0]]
+    assert types.tolist() == [2, 0, 1]
+    # anything else is left to the line parser
+    for other in ["x,y,type\r\n1,2,other\r\n", 'x,y,type\n"1",2,other\n', "x,y,type\n\n1,2,other\n",
+                  "X,y,type\n1,2,other\n", "x,y,type\n1,2\nother,3,4,other\n", "x,y,type\n0.0,1,other\n-0.0,1,other\n"]:
+        assert _parse_bulk(other) is None
+
+
+def test_bulk_parse_leaves_long_fields_to_csv(tmp_path):
+    # csv.reader refuses fields over its size limit; the bulk pass must not accept them
+    p = write_csv(tmp_path / "long.csv", "x,y,type\n" + "0" * 200_000 + "1,2,other\n")
+    assert _parse_bulk(p.read_text()) is None
+    assert _outcome(_parse_rows, p)[0] is csv.Error
+
+
 # ---------------------------------------------------------------------------
 # PatchDetections / load_patch_dir
 # ---------------------------------------------------------------------------
@@ -133,6 +212,29 @@ def test_patch_local_coordinates_validated():
             xy=np.array([[-0.1, 0.0]]),
             types=np.array([0], dtype=np.uint8),
         )
+
+
+def test_out_of_patch_is_a_coded_error():
+    with pytest.raises(OutOfPatch) as exc:
+        PatchDetections(patch_origin=(0.0, 0.0), xy=np.array([[1.0, 600.0]]), types=[0])
+    assert exc.value.error_code == "out_of_patch"
+
+
+def test_load_patch_dir_names_out_of_patch_line(tmp_path):
+    write_csv(tmp_path / "patch_0_0.csv", "x,y,type\n1,1,other\n")
+    # the blank line sends the file through the line parser; line numbers count it
+    write_csv(tmp_path / "patch_512_0.csv", "x,y,type\n1,1,other\n\n2,512,other\n-1,3,other\n")
+    with pytest.raises(OutOfPatch, match="patch-local") as exc:
+        load_patch_dir(tmp_path)
+    msg = str(exc.value)
+    assert "patch_512_0.csv: line 4:" in msg
+    write_csv(tmp_path / "patch_512_0.csv", "x,y,type\n1,1,other\n2,-0.5,other\n")
+    with pytest.raises(OutOfPatch, match=r"patch_512_0.csv: line 3: patch-local"):
+        load_patch_dir(tmp_path)
+    # a smaller patch size moves the bound
+    write_csv(tmp_path / "patch_512_0.csv", "x,y,type\n1,1,other\n300,2,other\n")
+    with pytest.raises(OutOfPatch, match=r"line 3: .*\[0, 256.0\)"):
+        load_patch_dir(tmp_path, patch_size=256.0)
 
 
 def test_load_patch_dir_names_and_order(tmp_path):
@@ -237,6 +339,94 @@ def test_touching_patches_allowed():
     assert merge_boundary_cells([a, b, c]).n_total == 0
 
 
+def _overlap_oracle(patches):
+    """The all-pairs check: message of the first intersecting (i, j), i < j."""
+    for i in range(len(patches)):
+        xi, yi = patches[i].patch_origin
+        si = patches[i].patch_size
+        for j in range(i + 1, len(patches)):
+            xj, yj = patches[j].patch_origin
+            sj = patches[j].patch_size
+            if xi < xj + sj and xj < xi + si and yi < yj + sj and yj < yi + si:
+                return (
+                    f"patches at {patches[i].patch_origin} and "
+                    f"{patches[j].patch_origin} intersect"
+                )
+    return None
+
+
+def _overlap_outcome(patches):
+    try:
+        merge_boundary_cells(patches)
+    except OverlappingPatches as exc:
+        return str(exc)
+    return None
+
+
+_ODD = [np.inf, -np.inf, np.nan, 1e300, -1e300, 2.0**60, -0.0, 0.1]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from(["tiled", "mixed", "jitter", "odd"]))
+@settings(max_examples=200, deadline=None)
+def test_overlap_check_matches_all_pairs_oracle(seed, side, layout):
+    rng = np.random.Generator(np.random.Philox(seed))
+    size = 512.0
+    gx, gy = np.meshgrid(np.arange(side), np.arange(side))
+    origins = np.column_stack([gx.ravel(), gy.ravel()]).astype(float) * size
+    sizes = np.full(origins.shape[0], size)
+    if layout == "mixed":
+        sizes = rng.choice([128.0, 256.0, 512.0, 1024.0, 0.0, -64.0], size=sizes.size)
+    if layout in ("jitter", "mixed"):
+        # touching, nearly touching and overlapping shifts
+        shift = rng.choice([0.0, 1.0, -1.0, 511.5, 512.0, 0.25], size=origins.shape)
+        origins = origins + shift * (rng.uniform(size=origins.shape) < 0.2)
+    if layout == "odd":
+        hit = rng.uniform(size=origins.shape) < 0.15
+        origins[hit] = rng.choice(_ODD, size=int(hit.sum()))
+        sizes = np.where(rng.uniform(size=sizes.size) < 0.15, rng.choice(_ODD, size=sizes.size), sizes)
+    extra = int(rng.integers(0, 3))  # a few patches anywhere
+    origins = np.vstack([origins, rng.uniform(-512.0, size * side, size=(extra, 2))])
+    sizes = np.concatenate([sizes, rng.choice([256.0, 512.0, 700.0], size=extra)])
+    order = rng.permutation(sizes.size) if rng.uniform() < 0.5 else np.arange(sizes.size)
+    patches = [
+        patch((float(origins[k, 0]), float(origins[k, 1])), [], size=float(sizes[k]))
+        for k in order
+    ]
+    assert _overlap_outcome(patches) == _overlap_oracle(patches)
+
+
+def test_overlap_check_without_positive_sizes():
+    # No finite size is positive: only the infinite patch can meet another.
+    patches = [patch((0.0, 0.0), [], size=0.0), patch((1.0, 1.0), [], size=-5.0),
+               patch((0.5, 0.5), [], size=np.nan)]
+    assert _overlap_outcome(patches) is None is _overlap_oracle(patches)
+    patches.append(patch((-3.0, -3.0), [], size=np.inf))
+    assert _overlap_outcome(patches) == _overlap_oracle(patches) is not None
+
+
+@pytest.fixture(scope="module")
+def slide_grid():
+    """A 200 x 200 grid of empty 512 px patches: 40k, the count of a
+    100k x 100k px slide."""
+    return [patch((512.0 * gx, 512.0 * gy), []) for gy in range(200) for gx in range(200)]
+
+
+def test_overlap_check_at_slide_scale(slide_grid):
+    t0 = time.perf_counter()
+    assert merge_boundary_cells(slide_grid).n_total == 0
+    assert time.perf_counter() - t0 < 2.0
+
+    rng = np.random.Generator(np.random.Philox(17))
+    gx, gy = (int(v) for v in rng.integers(0, 199, size=2))
+    planted = (512.0 * gx + float(rng.integers(1, 511)), 512.0 * gy + float(rng.integers(1, 511)))
+    t0 = time.perf_counter()
+    with pytest.raises(OverlappingPatches) as exc:
+        merge_boundary_cells(slide_grid + [patch(planted, [])])
+    assert time.perf_counter() - t0 < 2.0
+    # the planted patch overlaps four grid patches; the first in order is (gx, gy)
+    assert str(exc.value) == f"patches at {(512.0 * gx, 512.0 * gy)} and {planted} intersect"
+
+
 def test_merge_empty_patch_list():
     out = merge_boundary_cells([])
     assert out.n_total == 0
@@ -339,6 +529,27 @@ def test_merge_matches_oracle(seed, n_per_patch):
         assert gt == et
         assert gx == pytest.approx(ex, abs=1e-9)
         assert gy == pytest.approx(ey, abs=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.sampled_from([8.0, 12.0, 24.0]))
+@settings(max_examples=40, deadline=None)
+def test_merge_centroids_are_bitwise_the_member_mean(seed, n_per_patch, reach):
+    # Cells within `reach` of the corner the four patches share form 2-, 3-
+    # and 4-cell chains and larger components; each merged cell must be
+    # xy[members].mean(axis=0) to the bit.
+    rng = np.random.Generator(np.random.Philox(seed))
+    patches = []
+    for origin in [(0.0, 0.0), (512.0, 0.0), (0.0, 512.0), (512.0, 512.0)]:
+        off = rng.uniform(0.0, reach, size=(n_per_patch, 2))
+        xy = np.where(np.array(origin) == 0.0, 512.0 - reach + off, off)
+        types = rng.integers(0, 2, size=n_per_patch).astype(np.uint8)
+        patches.append(PatchDetections(patch_origin=origin, xy=xy, types=types))
+    out = merge_boundary_cells(patches)
+    expect = _merge_oracle(patches)
+    assert out.xy.tolist() == [[x, y] for x, y, _ in expect]
+    assert out.types.tolist() == [t for _, _, t in expect]
+    if reach == 8.0:  # 8 x 8 px quarters of the corner box hold mergeable pairs
+        assert out.n_total < 4 * n_per_patch
 
 
 def test_merge_never_increases_count_or_changes_types():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellcloud.core import N_TYPES, TooFewCells
 from cellcloud.nie import (
+    DegenerateScale,
     NieParams,
     RadiiSchedule,
     embed,
@@ -93,6 +94,13 @@ def test_schedule_rejects_bad_d_mean():
     for bad in (0.0, -2.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             radii_schedule(bad)
+
+
+def test_degenerate_cloud_scale_is_coded():
+    for rows in [[(1, 1, 0), (1, 1, 1), (1, 1, 2)], [(0, 0, 0), (5, 5, 2), (1e300, 1e300, 0)]]:
+        with pytest.raises(DegenerateScale) as exc:
+            embed(make_cloud(rows))
+        assert exc.value.error_code == "degenerate_scale"
 
 
 @settings(deadline=None)
