@@ -42,7 +42,6 @@ from .spatial import (
     SpatialIndex,
     build_index,
     count_in_radii,
-    count_in_radii_brute,
     fps,
     knn_group,
     mean_nn_distance,

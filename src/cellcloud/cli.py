@@ -22,23 +22,20 @@ from . import __version__, nie
 from .core import (
     CellCloud,
     CellCloudError,
-    CellType,
     read_cloud,
     read_features,
     validate_cloud,
-    write_cells_csv,
     write_cloud,
     write_features,
 )
 from .ingest import grid_sample, load_patch_dir, merge_boundary_cells, parse_cells_csv
-from .spatial import build_index, count_in_radii, count_in_radii_brute, mean_nn_distance
+from .spatial import build_index, count_in_radii, mean_nn_distance
 from .nie import NieParams, embed, radii_schedule
 from .hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights, save_weights
 from .clinical import (
     ALPHA_PRESETS,
     AlphaWeights,
     BoxSpec,
-    SurvivalCohort,
     cps,
     km_curve,
     logrank,
@@ -153,8 +150,19 @@ def _write_manifest(
 # ---------------------------------------------------------------------------
 
 
+def _check_ingest_flags(args) -> None:
+    """Sizes must be positive and finite, distances finite and >= 0."""
+    for flag, value in (("--patch-size", args.patch_size), ("--grid-size", args.grid_size)):
+        if value is not None and not 0 < value < np.inf:
+            raise _UsageError(f"{flag} must be positive and finite, got {value!r}")
+    for flag, value in (("--d-boundary", args.d_boundary), ("--d-merge", args.d_merge)):
+        if not 0 <= value < np.inf:
+            raise _UsageError(f"{flag} must be finite and >= 0, got {value!r}")
+
+
 def _cmd_ingest(args) -> int:
     t0 = time.monotonic()
+    _check_ingest_flags(args)
     src = Path(args.input)
     if src.is_dir():
         patches = load_patch_dir(src, patch_size=args.patch_size)
@@ -408,20 +416,6 @@ def _cmd_bench(args) -> int:
     print(f"index_s={t_count - t_build:.3f}")
     print(f"count_s={t_done - t_count:.3f}")
     print(f"cells_per_s={args.cells / (t_done - t_count):.0f}")
-    if args.brute_cells:
-        sub = cloud.subset(np.arange(min(args.brute_cells, cloud.n_total)))
-        sub_index = build_index(sub, bin_size=sched.r_max)
-        t1 = time.perf_counter()
-        fast = count_in_radii(sub_index, sched.r, threads=args.threads)
-        t2 = time.perf_counter()
-        brute = count_in_radii_brute(sub, sched.r)
-        t3 = time.perf_counter()
-        same = bool(np.array_equal(fast.counts, brute.counts))
-        print(f"brute_cells={sub.n_total}")
-        print(f"fast_s={t2 - t1:.3f}")
-        print(f"brute_s={t3 - t2:.3f}")
-        print(f"speedup={(t3 - t2) / max(t2 - t1, 1e-9):.1f}")
-        print(f"match={same}")
     if args.hsp_cells:
         m = min(args.hsp_cells, cloud.n_total)
         sub = cloud.subset(np.arange(m))
@@ -444,7 +438,6 @@ def _cmd_bench(args) -> int:
         "lambda_r": args.lambda_r,
         "nd": args.nd,
         "threads": args.threads,
-        "brute_cells": args.brute_cells,
         "hsp_cells": args.hsp_cells,
     }
     assert counts.n_cells == args.cells
@@ -557,14 +550,16 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("bench", help="throughput report for counting and the forward pass")
+    p = sub.add_parser(
+        "bench",
+        help="throughput report for counting and the forward pass "
+        "(the O(N^2) oracles they must match live in tests/hsp_reference.py)",
+    )
     p.add_argument("--cells", type=int, default=1_000_000, help="bench cloud size (default 1e6)")
     p.add_argument("--spacing", type=float, default=10.0,
                    help="mean cell spacing in px (default 10)")
     p.add_argument("--lambda-r", type=float, default=4.0)
     p.add_argument("--nd", type=int, default=3)
-    p.add_argument("--brute-cells", type=int, default=0,
-                   help="also time the quadratic reference at this size (0 = skip)")
     p.add_argument("--hsp-cells", type=int, default=0,
                    help="also time the forward pass at this size (0 = skip)")
     p.add_argument("--seed", type=int, default=0)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import CellCloud, CellCloudError, CellType, EmptyCloud, N_TYPES
+from .core import CellCloud, CellCloudError, CellType, EmptyCloud
 
 __all__ = [
     "AlphaWeights",

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -19,7 +19,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
-from .core import Cell, CellCloud, CellCloudError, CellType, N_TYPES
+from .core import CellCloud, CellCloudError, CellType
+from .spatial import _ragged
 
 __all__ = [
     "PatchDetections",
@@ -255,15 +256,11 @@ def load_patch_dir(
 _BIN_LIMIT = 2.0**50
 _BIN_REACH = 2
 
-# Candidate pairs are tested in chunks of about this many, so a layout that
-# puts many patches in one bin costs time, not memory.
-_PAIR_CHUNK = 1 << 20
-
 
 def _overlap_candidates(
     ox: np.ndarray, oy: np.ndarray, size: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunks of index pairs (i, j), i < j, that include every intersecting pair.
+    """Batches of index pairs (i, j), i < j, that include every intersecting pair.
 
     A pair intersects only if both |dx| and |dy| are below the larger of
     its two sizes, so below S, the largest finite size. Origins are hashed
@@ -304,16 +301,9 @@ def _binned_pairs(
             src, key = idx[ok], cx[ok] * uy.size + cy[ok]
             lo = np.searchsorted(cell, key, "left")
             count = np.searchsorted(cell, key, "right") - lo
-            ends = np.cumsum(count)
-            a = 0
-            while a < src.size:
-                b = max(a + 1, int(np.searchsorted(ends, ends[a] - count[a] + _PAIR_CHUNK, "right")))
-                c = count[a:b]
-                i = np.repeat(src[a:b], c)
-                first = np.repeat(lo[a:b] - np.cumsum(c) + c, c)
-                j = idx[order[first + np.arange(i.size)]]
+            for row, slot in _ragged(count):
+                i, j = src[row], idx[order[lo[row] + slot]]
                 yield i[i < j], j[i < j]
-                a = b
 
 
 def _rank(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -376,6 +366,8 @@ def merge_boundary_cells(
     # command, and only ingest needs it.
     from scipy.sparse.csgraph import connected_components
 
+    if not (0 <= d_boundary < np.inf and 0 <= d_merge < np.inf):
+        raise ValueError("d_boundary and d_merge must be finite and >= 0")
     if not patches:
         return CellCloud(
             xy=np.empty((0, 2), dtype=np.float64),
@@ -431,8 +423,8 @@ def grid_sample(cloud: CellCloud, grid_size: float = 256.0) -> CellCloud:
     at least one member is replaced by a single cell at the member centroid.
     Output is ordered by (bin row, bin col, type).
     """
-    if grid_size <= 0:
-        raise ValueError("grid_size must be positive")
+    if not 0 < grid_size < np.inf:
+        raise ValueError("grid_size must be positive and finite")
     if cloud.n_total == 0:
         return cloud
     rows = np.floor(cloud.xy[:, 1] / grid_size).astype(np.int64)

@@ -3,9 +3,8 @@
 Everything here is exact: all comparisons happen on squared distances
 computed as ``dx*dx + dy*dy`` in float64, and the optimized paths evaluate
 that same expression per candidate pair, so they agree bit-for-bit with
-O(N^2) pair scans. Those oracles live in the test suite
-(``tests/hsp_reference.py``); the one kept here is
-:func:`count_in_radii_brute`, which ``cellcloud bench --brute-cells`` times.
+O(N^2) pair scans. Those oracles live only in the test suite
+(``tests/hsp_reference.py``).
 
 The workhorse is a uniform grid index. With ``bin_size`` equal to the
 largest query radius, a radius query only ever touches the 3x3 ring of
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,19 +30,19 @@ __all__ = [
     "NeighborCounts",
     "build_index",
     "count_in_radii",
-    "count_in_radii_brute",
     "mean_nn_distance",
     "fps",
     "knn_group",
 ]
 
-# Queries are chunked: keeps peak memory bounded and gives the thread pool
-# units of work whose results land in disjoint output slices.
+# Queries are chunked: gives the thread pool units of work whose results
+# land in disjoint output slices.
 _QUERY_CHUNK = 65536
 
-# knn_group ranks at most this many (anchor, candidate) pairs at once, or
-# one anchor's candidates when they alone are more.
-_KNN_CANDIDATES = 1 << 22
+# Every query expands its candidates at most this many (query, candidate)
+# pairs at a time, or one query's candidates when they alone are more, so
+# a cloud that packs many cells close together costs time, not memory.
+_PAIR_BATCH = 1 << 20
 
 # Bin rows, columns and packed bin ids must stay below this; 2**62 leaves
 # int64 headroom for the float64 rounding of the span check.
@@ -170,6 +169,25 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     )
 
 
+def _ragged(lens: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Expand rows of ``lens[i]`` items into flat (row, position in row) arrays.
+
+    Consecutive rows are taken together while their items number at most
+    ``_PAIR_BATCH``; a longer row comes alone. A batch that would hold no
+    items is skipped.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    ends = np.cumsum(lens)
+    s = 0
+    while s < lens.size:
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - lens[s] + _PAIR_BATCH, side="right")))
+        begin = ends[s:e] - lens[s:e]
+        row = np.repeat(np.arange(s, e), lens[s:e])
+        if row.size:
+            yield row, np.arange(row.size) - np.repeat(begin - begin[0], lens[s:e])
+        s = e
+
+
 def _count_chunk(
     index: SpatialIndex,
     q_idx: np.ndarray,
@@ -200,33 +218,20 @@ def _count_chunk(
             pos_c = np.minimum(pos, index.bin_ids.size - 1)
             hit = (index.bin_ids.size > 0) & (index.bin_ids[pos_c] == packed)
             # out-of-span bins pack to ids that simply miss the table
-            valid_col = (qcol + dc >= c0) & (qcol + dc <= c1)
-            hit &= valid_col
-            if not hit.any():
-                continue
+            hit &= (qcol + dc >= c0) & (qcol + dc <= c1)
             qh = np.flatnonzero(hit)
-            b = pos_c[qh]
-            seg_start = index.starts[b]
-            seg_len = index.starts[b + 1] - seg_start
-            total = int(seg_len.sum())
-            if total == 0:
-                continue
-            # ragged expansion: for each hit query, the run of candidate slots
-            ends = np.cumsum(seg_len)
-            begins = ends - seg_len
-            slot = np.arange(total, dtype=np.int64)
-            owner = np.searchsorted(ends, slot, side="right")
-            cand = index.order[slot - begins[owner] + seg_start[owner]]
-            qg = qh[owner]
-            dx = qx[qg] - xy[cand, 0]
-            dy = qy[qg] - xy[cand, 1]
-            d2 = dx * dx + dy * dy
-            shell = np.searchsorted(r2, d2, side="left")
-            inside = shell < n_d
-            if not inside.any():
-                continue
-            key = (qg[inside] * n_d + shell[inside]) * N_TYPES + types[cand[inside]]
-            shell_counts += np.bincount(key, minlength=shell_counts.size)
+            seg_start = index.starts[pos_c[qh]]
+            seg_len = index.starts[pos_c[qh] + 1] - seg_start
+            for row, slot in _ragged(seg_len):
+                cand = index.order[seg_start[row] + slot]
+                qg = qh[row]
+                dx = qx[qg] - xy[cand, 0]
+                dy = qy[qg] - xy[cand, 1]
+                d2 = dx * dx + dy * dy
+                shell = np.searchsorted(r2, d2, side="left")
+                inside = shell < n_d
+                key = (qg[inside] * n_d + shell[inside]) * N_TYPES + types[cand[inside]]
+                shell_counts += np.bincount(key, minlength=shell_counts.size)
 
     cum = np.cumsum(shell_counts.reshape(m, n_d, N_TYPES), axis=1)
     # remove the self pair: d2 = 0 lands in the first shell of own type
@@ -251,62 +256,19 @@ def count_in_radii(
     n = index.source.n_total
     r2 = radii_arr * radii_arr
     counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.uint32)
-    chunks = [
-        np.arange(s, min(s + _QUERY_CHUNK, n), dtype=np.int64)
-        for s in range(0, n, _QUERY_CHUNK)
-    ]
-    if threads <= 1 or len(chunks) <= 1:
-        for q in chunks:
-            _count_chunk(index, q, r2, counts[q[0] : q[-1] + 1])
+
+    def run(s: int) -> None:
+        e = min(s + _QUERY_CHUNK, n)
+        _count_chunk(index, np.arange(s, e, dtype=np.int64), r2, counts[s:e])
+
+    starts = range(0, n, _QUERY_CHUNK)
+    if threads <= 1 or len(starts) <= 1:
+        # A lone pool thread would gain nothing, and the scratch it frees
+        # stays in a malloc arena of its own, raising peak RSS.
+        list(map(run, starts))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_count_chunk, index, q, r2, counts[q[0] : q[-1] + 1])
-                for q in chunks
-            ]
-            for f in futures:
-                f.result()
-    return NeighborCounts(radii=radii_arr, counts=counts)
-
-
-def count_in_radii_brute(cloud: CellCloud, radii: Sequence[float]) -> NeighborCounts:
-    """Reference O(N^2) twin of :func:`count_in_radii` (same boundary rule).
-
-    Every pair is scanned, in cache-sized tiles of 128 query rows by 1024
-    columns. Columns are sorted by type, so each tile holds one type and
-    its hits per radius are counted directly.
-    """
-    radii_arr = np.ascontiguousarray(radii, dtype=np.float64)
-    n = cloud.n_total
-    r2 = radii_arr * radii_arr
-    by_type = np.argsort(cloud.types, kind="stable")
-    col_x = cloud.xy[by_type, 0]
-    col_y = cloud.xy[by_type, 1]
-    bounds = np.searchsorted(cloud.types[by_type], np.arange(N_TYPES + 1))
-    counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.int64)
-    # The tiles are reused: a fresh 1 MB temporary costs a page fault per page.
-    dx_tile = np.empty((128, 1024))
-    dy_tile = np.empty((128, 1024))
-    hit_tile = np.empty((128, 1024), dtype=bool)
-    for s in range(0, n, 128):
-        e = min(s + 128, n)
-        qx = cloud.xy[s:e, 0][:, None]
-        qy = cloud.xy[s:e, 1][:, None]
-        for t in range(N_TYPES):
-            for c in range(bounds[t], bounds[t + 1], 1024):
-                ce = min(c + 1024, bounds[t + 1])
-                dx = dx_tile[: e - s, : ce - c]
-                dy = dy_tile[: e - s, : ce - c]
-                hit = hit_tile[: e - s, : ce - c]
-                np.subtract(qx, col_x[c:ce], out=dx)
-                np.subtract(qy, col_y[c:ce], out=dy)
-                np.multiply(dx, dx, out=dx)
-                np.multiply(dy, dy, out=dy)
-                d2 = np.add(dx, dy, out=dx)  # dx*dx + dy*dy
-                for j, rj2 in enumerate(r2):
-                    np.less_equal(d2, rj2, out=hit)
-                    counts[s:e, j, t] += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
-    counts[np.arange(n), :, cloud.types] -= 1  # self always falls inside every radius
+            list(pool.map(run, starts))
     return NeighborCounts(radii=radii_arr, counts=counts)
 
 
@@ -432,19 +394,14 @@ def knn_group(
     # Ball sizes come first so that a degenerate cloud, with many points tied
     # at the k-th distance, builds its candidate lists a bounded batch at a time.
     lens = tree.query_ball_point(anchors, radius, return_length=True)
-    ends = np.cumsum(lens)
-    s = 0
-    while s < a:
-        start = ends[s] - lens[s]
-        e = max(s + 1, int(np.searchsorted(ends, start + _KNN_CANDIDATES, side="right")))
+    for row, slot in _ragged(lens):
+        s, e = row[0], row[-1] + 1
         balls = tree.query_ball_point(anchors[s:e], radius[s:e])
         cand = np.concatenate(balls).astype(np.int64, copy=False)
-        owner = np.repeat(np.arange(e - s), lens[s:e])
-        dx = anchors[s + owner, 0] - pts[cand, 0]
-        dy = anchors[s + owner, 1] - pts[cand, 1]
+        dx = anchors[row, 0] - pts[cand, 0]
+        dy = anchors[row, 1] - pts[cand, 1]
         d2 = dx * dx + dy * dy
-        order = np.lexsort((cand, d2, owner))
-        first = ends[s:e] - lens[s:e] - start
+        order = np.lexsort((cand, d2, row))
+        first = np.flatnonzero(slot == 0)  # every ball holds at least k points
         out[s:e] = cand[order[first[:, None] + np.arange(k)]]
-        s = e
     return out

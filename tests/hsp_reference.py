@@ -1,4 +1,5 @@
-"""Straight-line reference for the hierarchical forward pass.
+"""Straight-line reference for the hierarchical forward pass, and the
+O(N^2) oracles of the spatial primitives.
 
 Everything here is deliberately unoptimized: python loops over points,
 groups and members, one matrix-vector product at a time, no batching, no
@@ -9,10 +10,16 @@ helper routines (nearest-neighbor scale, farthest-point sampling, group
 assignment) are exposed so a mismatch can be localized to the stage that
 caused it. Those helpers are also the O(N^2) oracles that the spatial
 primitives (``mean_nn_distance``, ``fps``, ``knn_group``) must match
-bit-for-bit.
+bit-for-bit. ``count_reference``, the oracle of ``count_in_radii``, scans
+every pair too, but in numpy tiles: the tests run it at 100k cells.
+
+The module imports numpy only, never ``cellcloud``, so that it can be
+loaded by file path next to any checkout.
 """
 
 import numpy as np
+
+N_TYPES = 3  # cell types: neoplastic, inflammatory, other
 
 
 def nn_mean_reference(xy):
@@ -31,6 +38,50 @@ def nn_mean_reference(xy):
                 best = d2
         nn[i] = np.sqrt(best)
     return float(np.mean(nn))
+
+
+def count_reference(xy, types, radii):
+    """Per-(cell, radius, type) neighbour counts by scanning every pair.
+
+    Returns the ``(n, len(radii), N_TYPES)`` int64 array whose ``[i, j, t]``
+    is the number of type-``t`` cells ``c != i`` with
+    ``dx*dx + dy*dy <= radii[j]**2``. Pairs are scanned in cache-sized
+    tiles of 128 query rows by 1024 columns. Columns are sorted by type, so
+    each tile holds one type and its hits per radius are counted directly.
+    """
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    types = np.asarray(types)
+    r2 = np.asarray(radii, dtype=np.float64) ** 2
+    n = xy.shape[0]
+    by_type = np.argsort(types, kind="stable")
+    col_x = xy[by_type, 0]
+    col_y = xy[by_type, 1]
+    bounds = np.searchsorted(types[by_type], np.arange(N_TYPES + 1))
+    counts = np.zeros((n, r2.size, N_TYPES), dtype=np.int64)
+    # The tiles are reused: a fresh 1 MB temporary costs a page fault per page.
+    dx_tile = np.empty((128, 1024))
+    dy_tile = np.empty((128, 1024))
+    hit_tile = np.empty((128, 1024), dtype=bool)
+    for s in range(0, n, 128):
+        e = min(s + 128, n)
+        qx = xy[s:e, 0][:, None]
+        qy = xy[s:e, 1][:, None]
+        for t in range(N_TYPES):
+            for c in range(bounds[t], bounds[t + 1], 1024):
+                ce = min(c + 1024, bounds[t + 1])
+                dx = dx_tile[: e - s, : ce - c]
+                dy = dy_tile[: e - s, : ce - c]
+                hit = hit_tile[: e - s, : ce - c]
+                np.subtract(qx, col_x[c:ce], out=dx)
+                np.subtract(qy, col_y[c:ce], out=dy)
+                np.multiply(dx, dx, out=dx)
+                np.multiply(dy, dy, out=dy)
+                d2 = np.add(dx, dy, out=dx)  # dx*dx + dy*dy
+                for j, rj2 in enumerate(r2):
+                    np.less_equal(d2, rj2, out=hit)
+                    counts[s:e, j, t] += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+    counts[np.arange(n), :, types] -= 1  # self always falls inside every radius
+    return counts
 
 
 def fps_reference(xy, labels, n, gamma):

@@ -41,14 +41,13 @@ from cellcloud.nie import NieParams, embed, local_density, radii_schedule
 from cellcloud.spatial import (
     build_index,
     count_in_radii,
-    count_in_radii_brute,
     fps,
     knn_group,
     mean_nn_distance,
 )
 
 from conftest import random_cloud
-from hsp_reference import fps_reference, hsp_forward_reference, knn_reference
+from hsp_reference import count_reference, fps_reference, hsp_forward_reference, knn_reference
 
 
 def _report(num: int, name: str, problems: list[str]) -> None:
@@ -72,7 +71,7 @@ def test_c01_spatial_primitives_match_brute_oracles():
         n = int(rng.integers(20, 2001))
         cloud = random_cloud(rng, n)
         nc = count_in_radii(build_index(cloud, radii[-1]), radii)
-        if not np.array_equal(nc.counts, count_in_radii_brute(cloud, radii).counts):
+        if not np.array_equal(nc.counts, count_reference(cloud.xy, cloud.types, radii)):
             problems.append(f"case {case}: counts diverge from brute force")
 
         m = int(rng.integers(2, 17))
@@ -457,9 +456,9 @@ def test_c11_counting_performance():
     fast = count_in_radii(build_index(sub, sched.r_max), sched.r)
     t_fast = time.monotonic() - t1
     t2 = time.monotonic()
-    brute = count_in_radii_brute(sub, sched.r)
+    brute = count_reference(sub.xy, sub.types, sched.r)
     t_brute = time.monotonic() - t2
-    if not np.array_equal(fast.counts, brute.counts):
+    if not np.array_equal(fast.counts, brute):
         problems.append("fast and brute counts diverge at 100k cells")
     speedup = t_brute / max(t_fast, 1e-9)
     if speedup < 5.0:

@@ -321,22 +321,44 @@ def test_ingest_out_of_patch_is_data_error(capsys, tmp_path):
     assert "patch_0_0.csv: line 3: patch-local" in err
 
 
+_BAD_FLAGS = [
+    ("forward", "--anchors", "0"),
+    ("forward", "--updates", "0"),
+    ("forward", "--nd", "0"),
+    ("forward", "--lambda-r", "0"),
+    ("nie", "--nd", "0"),
+    ("nie", "--lambda-r", "0"),
+    ("ingest", "--patch-size", "nan"),
+    ("ingest", "--patch-size", "inf"),
+    ("ingest", "--patch-size", "0"),
+    ("ingest", "--patch-size", "-512"),
+    ("ingest", "--grid-size", "nan"),
+    ("ingest", "--grid-size", "inf"),
+    ("ingest", "--grid-size", "0"),
+    ("ingest", "--grid-size", "-1"),
+    ("ingest", "--d-boundary", "nan"),
+    ("ingest", "--d-boundary", "inf"),
+    ("ingest", "--d-boundary", "-1"),
+    ("ingest", "--d-merge", "nan"),
+    ("ingest", "--d-merge", "inf"),
+    ("ingest", "--d-merge", "-1"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("forward", "--anchors"),
-        ("forward", "--updates"),
-        ("forward", "--nd"),
-        ("forward", "--lambda-r"),
-        ("nie", "--nd"),
-        ("nie", "--lambda-r"),
-    ],
+    "command, flag, value",
+    _BAD_FLAGS,
+    # The forward and nie cases keep the ids they had when every value was 0.
+    ids=["-".join(case if case[0] == "ingest" else case[:2]) for case in _BAD_FLAGS],
 )
-def test_bad_config_flag_is_usage_error(capsys, cloud_file, tmp_path, command, flag):
+def test_bad_config_flag_is_usage_error(capsys, cloud_file, tmp_path, command, flag, value):
     path, _ = cloud_file
-    argv = [command, str(path), "-o", str(tmp_path / "d.ccem"), flag, "0"]
+    argv = [command, str(path), "-o", str(tmp_path / "d.ccem"), flag, value]
     if command == "forward":
         argv += ["--seed", "1"]
+    if command == "ingest":
+        # Checked before any input is read: a missing input is not reported.
+        argv[1] = str(tmp_path / "missing")
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "error_code=usage" in err
@@ -663,11 +685,10 @@ def test_synth_cohort_outputs_reproducible(capsys, tmp_path):
 def test_bench_small_run(capsys):
     code, stdout, _ = run(
         capsys,
-        ["bench", "--cells", "2000", "--brute-cells", "400", "--hsp-cells", "300"],
+        ["bench", "--cells", "2000", "--hsp-cells", "300"],
     )
     assert code == 0
     assert "cells=2000" in stdout
-    assert "match=True" in stdout
     assert "hsp_cells=300" in stdout
     # Default config on 300 cells: 300, 128 and 8 groups of k = 2, 4 and 32.
     # No member clears lambda_sim = 0.5, so each group keeps one member.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellcloud import spatial
 from cellcloud.core import CellCloud, CellType
 from cellcloud.ingest import (
     DuplicateCell,
@@ -395,6 +396,16 @@ def test_overlap_check_matches_all_pairs_oracle(seed, side, layout):
     assert _overlap_outcome(patches) == _overlap_oracle(patches)
 
 
+def test_overlap_check_in_small_pair_batches(monkeypatch):
+    # Candidate pairs tested a few at a time name the same first pair.
+    monkeypatch.setattr(spatial, "_PAIR_BATCH", 3)
+    grid = [patch((512.0 * gx, 512.0 * gy), []) for gy in range(6) for gx in range(6)]
+    assert _overlap_outcome(grid) is None
+    for planted in ((700.0, 900.0), (0.0, 2000.0), (2559.0, 2559.0)):
+        patches = grid + [patch(planted, [], size=600.0)]
+        assert _overlap_outcome(patches) == _overlap_oracle(patches) is not None
+
+
 def test_overlap_check_without_positive_sizes():
     # No finite size is positive: only the infinite patch can meet another.
     patches = [patch((0.0, 0.0), [], size=0.0), patch((1.0, 1.0), [], size=-5.0),
@@ -425,6 +436,13 @@ def test_overlap_check_at_slide_scale(slide_grid):
     assert time.perf_counter() - t0 < 2.0
     # the planted patch overlaps four grid patches; the first in order is (gx, gy)
     assert str(exc.value) == f"patches at {(512.0 * gx, 512.0 * gy)} and {planted} intersect"
+
+
+@pytest.mark.parametrize("kwargs", [{"d_merge": np.nan}, {"d_merge": -1.0},
+                                    {"d_merge": np.inf}, {"d_boundary": np.nan}])
+def test_merge_rejects_bad_distances(kwargs):
+    with pytest.raises(ValueError):
+        merge_boundary_cells([patch((0.0, 0.0), [])], **kwargs)
 
 
 def test_merge_empty_patch_list():
@@ -594,8 +612,9 @@ def test_grid_sample_empty():
 
 
 def test_grid_sample_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        grid_sample(make_cloud([(1, 1, 0)]), 0.0)
+    for size in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            grid_sample(make_cloud([(1, 1, 0)]), size)
 
 
 def test_grid_sample_ordering():

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellcloud import spatial
 from cellcloud.core import CellCloud, TooFewCells
@@ -11,14 +12,13 @@ from cellcloud.spatial import (
     NeighborCounts,
     build_index,
     count_in_radii,
-    count_in_radii_brute,
     fps,
     knn_group,
     mean_nn_distance,
 )
 
 from conftest import make_cloud, random_cloud
-from hsp_reference import fps_reference, knn_reference, nn_mean_reference
+from hsp_reference import count_reference, fps_reference, knn_reference, nn_mean_reference
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -143,8 +143,7 @@ def test_counts_match_brute_random(seed, n, n_d):
     radii = np.cumsum(rng.uniform(1.0, 8.0, size=n_d))
     idx = build_index(cloud, bin_size=float(radii[-1]))
     fast = count_in_radii(idx, radii)
-    brute = count_in_radii_brute(cloud, radii)
-    assert np.array_equal(fast.counts, brute.counts)
+    assert np.array_equal(fast.counts, count_reference(cloud.xy, cloud.types, radii))
 
 
 @given(seeds, st.integers(2, 120))
@@ -155,8 +154,7 @@ def test_counts_match_brute_lattice_ties(seed, n):
     radii = [3.0, 4.2426406871192855, 6.0]  # hits exact lattice distances
     idx = build_index(cloud, bin_size=2.5)
     fast = count_in_radii(idx, radii)
-    brute = count_in_radii_brute(cloud, radii)
-    assert np.array_equal(fast.counts, brute.counts)
+    assert np.array_equal(fast.counts, count_reference(cloud.xy, cloud.types, radii))
 
 
 def test_counts_small_bins_vs_large_bins():
@@ -204,6 +202,63 @@ def test_counts_permutation_equivariant():
     a = count_in_radii(build_index(cloud, 7.0), radii)
     b = count_in_radii(build_index(permuted, 7.0), radii)
     assert np.array_equal(a.counts[perm], b.counts)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_counts_in_small_pair_batches_match_oracle(monkeypatch, threads):
+    # Batches of a few pairs, and chunks of a few queries to spread over threads.
+    monkeypatch.setattr(spatial, "_PAIR_BATCH", 5)
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 32)
+    rng = np.random.Generator(np.random.Philox(41))
+    for _ in range(3):
+        cloud = random_cloud(rng, 150, extent=60.0)
+        radii = np.cumsum(rng.uniform(1.0, 8.0, size=3))
+        nc = count_in_radii(build_index(cloud, float(radii[-1])), radii, threads=threads)
+        assert np.array_equal(nc.counts, count_reference(cloud.xy, cloud.types, radii))
+        lattice = lattice_cloud(rng, 120)
+        radii = [3.0, 4.2426406871192855, 6.0]
+        nc = count_in_radii(build_index(lattice, 2.5), radii, threads=threads)
+        assert np.array_equal(nc.counts, count_reference(lattice.xy, lattice.types, radii))
+
+
+def test_count_memory_bounded_when_cells_share_a_bin(monkeypatch):
+    # 1,000 cells in one bin are a million (query, candidate) pairs; expanded
+    # all at once they take tens of MB, in batches of 4,096 well under one.
+    monkeypatch.setattr(spatial, "_PAIR_BATCH", 4096)
+    rng = np.random.Generator(np.random.Philox(43))
+    cloud = random_cloud(rng, 1000, extent=1.0)
+    index = build_index(cloud, bin_size=2.0)
+    tracemalloc.start()
+    try:
+        nc = count_in_radii(index, [0.5, 2.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (nc.counts[:, -1].sum(axis=1) == 999).all()
+    assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# bounded candidate expansion
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 12), max_size=40), st.integers(1, 30))
+@example([], 4)
+@example([0, 0, 0], 4)
+@example([0, 2, 0, 1], 4)
+@settings(max_examples=200, deadline=None)
+def test_ragged_batches_bounded_and_complete(lens, limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial, "_PAIR_BATCH", limit)
+        batches = list(spatial._ragged(np.array(lens, dtype=np.int64)))
+    for row, pos in batches:
+        assert row.size > 0
+        assert row.size <= limit or (row == row[0]).all()
+    rows = [int(r) for row, _ in batches for r in row]
+    slots = [int(p) for _, pos in batches for p in pos]
+    assert rows == [i for i, n in enumerate(lens) for _ in range(n)]
+    assert slots == [p for n in lens for p in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +498,7 @@ def test_knn_all_points_coincident():
 def test_knn_candidate_batches(monkeypatch):
     # A lattice with many tied candidates, ranked in batches of a few anchors,
     # one anchor per batch when its candidates alone exceed the bound.
-    monkeypatch.setattr(spatial, "_KNN_CANDIDATES", 40)
+    monkeypatch.setattr(spatial, "_PAIR_BATCH", 40)
     rng = np.random.Generator(np.random.Philox(8))
     pts = 2e5 + rng.integers(0, 4, size=(60, 2)) * 0.25
     anchors = 2e5 + rng.integers(-1, 5, size=(25, 2)) * 0.25
