@@ -46,11 +46,12 @@ from .spatial import (
     knn_group,
     mean_nn_distance,
 )
-from .nie import DegenerateScale, NieParams, RadiiSchedule, embed, embed_dim, global_density, local_density, radii_schedule
+from .nie import DegenerateScale, NieParams, RadiiSchedule, embed, embed_dim, radii_schedule
 from .hsp import (
     BlockWeights,
     HspConfig,
     HspWeights,
+    LevelTrace,
     LevelWeights,
     combine_appearance,
     filter_mask,

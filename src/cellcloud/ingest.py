@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .core import CellCloud, CellCloudError, CellType
-from .spatial import _ragged
+from .spatial import _grid_bins, _ragged
 
 __all__ = [
     "PatchDetections",
@@ -94,7 +94,7 @@ class PatchDetections:
         types = np.ascontiguousarray(self.types, dtype=np.uint8)
         if types.shape != (xy.shape[0],):
             raise ValueError("types length must match coordinate count")
-        if xy.size and (xy.min() < 0 or xy.max() >= self.patch_size):
+        if xy.size and not (xy.min() >= 0 and xy.max() < self.patch_size):
             raise OutOfPatch("patch-local coordinates must lie in [0, patch_size)")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "types", types)
@@ -154,15 +154,18 @@ def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
 def _parse_bulk(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Whole-file parse of the plain form, or None where it does not apply.
 
-    Accepts only text without quotes or carriage returns, with the header
-    exactly ``x,y,type`` and at least one line below it, each of three
-    comma-separated fields; there ``csv.reader`` yields exactly these
-    fields. Coordinates go through the same ``float``, type tokens through
-    the same ``CellType.from_token`` and duplicates through the same set
-    of ``(x, y, type)`` keys as :func:`_parse_lines`, so an accepted file
-    gives the same arrays. Anything it does not accept returns None,
-    including every file :func:`_parse_lines` would reject.
+    Accepts only text without quotes or lone carriage returns, with the
+    header exactly ``x,y,type`` and at least one line below it, each of
+    three comma-separated fields or blank; there ``csv.reader`` yields
+    exactly these fields and skips the blank lines. Coordinates go through
+    the same ``float``, type tokens through the same ``CellType.from_token``
+    and duplicates through the same set of ``(x, y, type)`` keys as
+    :func:`_parse_lines`, so an accepted file gives the same arrays.
+    Anything it does not accept returns None, including every file
+    :func:`_parse_lines` would reject.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text:
         return None
     lines = text.split("\n")
@@ -172,7 +175,9 @@ def _parse_bulk(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
     if body and not body[-1]:
         body.pop()  # the newline that ends the last row
     if {line.count(",") for line in body} != {2}:
-        return None
+        body = [line for line in body if line.strip()]  # csv.reader skips blank lines
+        if {line.count(",") for line in body} != {2}:
+            return None
     toks = ",".join(body).split(",")
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, toks)) > limit:
@@ -216,7 +221,7 @@ def parse_cells_csv(path: Union[str, Path], slide_id: str = "") -> CellCloud:
 
 def _out_of_patch(path: Path, xy: np.ndarray, patch_size: float) -> OutOfPatch:
     """The error naming the file and line of its first out-of-patch row."""
-    row = int(np.flatnonzero(((xy < 0) | (xy >= patch_size)).any(axis=1))[0])
+    row = int(np.flatnonzero(~((xy >= 0) & (xy < patch_size)).all(axis=1))[0])
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
@@ -421,14 +426,14 @@ def grid_sample(cloud: CellCloud, grid_size: float = 256.0) -> CellCloud:
 
     The plane is divided into ``grid_size`` squares; each (bin, type) with
     at least one member is replaced by a single cell at the member centroid.
-    Output is ordered by (bin row, bin col, type).
+    Output is ordered by (bin row, bin col, type). A grid so fine that a bin
+    index leaves int64 raises :class:`~cellcloud.spatial.GridOverflow`.
     """
     if not 0 < grid_size < np.inf:
         raise ValueError("grid_size must be positive and finite")
     if cloud.n_total == 0:
         return cloud
-    rows = np.floor(cloud.xy[:, 1] / grid_size).astype(np.int64)
-    cols = np.floor(cloud.xy[:, 0] / grid_size).astype(np.int64)
+    rows, cols = _grid_bins(cloud.xy, grid_size)
     order = np.lexsort((cloud.types, cols, rows))
     r, c, t = rows[order], cols[order], cloud.types[order]
     xy = cloud.xy[order]

@@ -28,8 +28,6 @@ __all__ = [
     "NieParams",
     "RadiiSchedule",
     "radii_schedule",
-    "local_density",
-    "global_density",
     "embed",
     "embed_dim",
 ]
@@ -87,42 +85,26 @@ def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> RadiiSched
     return RadiiSchedule(r=j * r_max / params.n_d)
 
 
-def _shell_counts(nc: NeighborCounts) -> np.ndarray:
-    """Per-shell (annulus) counts from cumulative counts, float64 (n, n_d, T)."""
-    c = nc.counts.astype(np.float64)
-    shells = np.empty_like(c)
-    shells[:, 0, :] = c[:, 0, :]
-    shells[:, 1:, :] = c[:, 1:, :] - c[:, :-1, :]
-    return shells
+def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
+    """[local shells || global shells || one-hot type], f32 (n, 2*T*n_d + T).
 
-
-def _flatten_t_major(x: np.ndarray) -> np.ndarray:
-    """(n, n_d, T) -> (n, T*n_d) with each type's shell profile contiguous."""
-    return np.swapaxes(x, 1, 2).reshape(x.shape[0], -1)
-
-
-def local_density(nc: NeighborCounts) -> np.ndarray:
-    """Shell counts normalized by the cell's own outermost count per type.
-
-    Zero outermost count (no neighbors of that type in range) produces an
-    all-zero block rather than NaN.
+    Shell (annulus) counts are built once in float64, type-major, and divided
+    by the cell's own outermost count (local) and by the cloud's largest one
+    (global), per type; a zero denominator leaves the block zero, not NaN.
+    Each quotient is rounded to float32 as it is written into the output.
     """
-    shells = _shell_counts(nc)
-    denom = nc.counts[:, -1, :].astype(np.float64)[:, None, :]
-    out = np.divide(shells, denom, out=np.zeros_like(shells), where=denom > 0)
-    return _flatten_t_major(out).astype(np.float32)
-
-
-def global_density(nc: NeighborCounts) -> np.ndarray:
-    """Shell counts normalized by the cloud-wide maximum outermost count per type."""
-    shells = _shell_counts(nc)
-    if nc.n_cells:
-        denom = nc.counts[:, -1, :].max(axis=0).astype(np.float64)
-    else:
-        denom = np.zeros(N_TYPES)
-    denom = denom[None, None, :]
-    out = np.divide(shells, denom, out=np.zeros_like(shells), where=denom > 0)
-    return _flatten_t_major(out).astype(np.float32)
+    n, n_d = nc.n_cells, nc.n_radii
+    counts = np.swapaxes(nc.counts, 1, 2)  # (n, T, n_d)
+    shells = counts.astype(np.float64, order="C")
+    np.subtract(shells[:, :, 1:], counts[:, :, :-1], out=shells[:, :, 1:])
+    outer = counts[:, :, -1:]
+    w = N_TYPES * n_d
+    out = np.zeros((n, 2 * w + N_TYPES), dtype=np.float32)
+    for k, denom in enumerate((outer, outer.max(axis=0, initial=0))):
+        block = out[:, k * w : (k + 1) * w].reshape(n, N_TYPES, n_d)
+        np.divide(shells, denom, out=block, where=denom > 0, casting="same_kind")
+    out[:, 2 * w :][np.arange(n), types] = 1.0
+    return out
 
 
 def embed_dim(params: NieParams = NieParams()) -> int:
@@ -148,5 +130,5 @@ def embed(
     sched = radii_schedule(d_mean, params)
     index = build_index(cloud, bin_size=sched.r_max)
     nc = count_in_radii(index, sched.r, threads=threads)
-    onehot = np.eye(N_TYPES, dtype=np.float32)[cloud.types]
-    return np.hstack([local_density(nc), global_density(nc), onehot])
+    del index
+    return _embedding(nc, cloud.types)

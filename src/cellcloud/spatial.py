@@ -44,8 +44,8 @@ _QUERY_CHUNK = 65536
 # a cloud that packs many cells close together costs time, not memory.
 _PAIR_BATCH = 1 << 20
 
-# Bin rows, columns and packed bin ids must stay below this; 2**62 leaves
-# int64 headroom for the float64 rounding of the span check.
+# Bin rows, columns and packed bin ids must stay below this in magnitude;
+# 2**62 leaves int64 room for the differences between bins.
 _GRID_LIMIT = 2.0**62
 
 
@@ -122,26 +122,31 @@ class SpatialIndex:
         return out
 
 
+def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
+    """int64 bins (floor(y / size), floor(x / size)); GridOverflow beyond int64."""
+    rows = np.floor(xy[:, 1] / size)
+    cols = np.floor(xy[:, 0] / size)
+    for b in (rows, cols):
+        if b.size and not (-_GRID_LIMIT < b.min() and b.max() < _GRID_LIMIT):
+            raise GridOverflow(f"grid bins of size {size!r} lie beyond int64 bin ids")
+    return rows.astype(np.int64), cols.astype(np.int64)
+
+
 def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     """Assign every cell to its grid bin and group cell indices by bin."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
     n = cloud.n_total
-    rows = np.floor(cloud.xy[:, 1] / bin_size)
-    cols = np.floor(cloud.xy[:, 0] / bin_size)
+    rows, cols = _grid_bins(cloud.xy, bin_size)
     if n:
-        r0, r1 = float(rows.min()), float(rows.max())
-        c0, c1 = float(cols.min()), float(cols.max())
-        span = (r1 - r0 + 1.0) * (c1 - c0 + 1.0)
-        if not (span < _GRID_LIMIT and max(-r0, r1, -c0, c1) < _GRID_LIMIT):
+        r0, r1 = int(rows.min()), int(rows.max())
+        c0, c1 = int(cols.min()), int(cols.max())
+        if (r1 - r0 + 1) * (c1 - c0 + 1) >= _GRID_LIMIT:
             raise GridOverflow(
                 f"cloud spans too many bins of size {bin_size!r} for int64 bin ids"
             )
-        r0, r1, c0, c1 = int(r0), int(r1), int(c0), int(c1)
     else:
         r0 = r1 = c0 = c1 = 0
-    rows = rows.astype(np.int64)
-    cols = cols.astype(np.int64)
     n_cols = c1 - c0 + 1
     packed = (rows - r0) * n_cols + (cols - c0)
     order = np.argsort(packed, kind="stable")

@@ -37,7 +37,7 @@ from cellcloud.hsp import (
     similarity_scores,
 )
 from cellcloud.ingest import PatchDetections, grid_sample, merge_boundary_cells
-from cellcloud.nie import NieParams, embed, local_density, radii_schedule
+from cellcloud.nie import NieParams, embed, radii_schedule
 from cellcloud.spatial import (
     build_index,
     count_in_radii,
@@ -109,18 +109,16 @@ def test_c02_density_normalization_bounds():
     rng = np.random.Generator(np.random.Philox(202))
     cloud = random_cloud(rng, 10_000, extent=4000.0)
     d_mean = mean_nn_distance(cloud)
-    sched = radii_schedule(d_mean)
-    nc = count_in_radii(build_index(cloud, sched.r_max), sched.r)
-
-    f_ld = local_density(nc).astype(np.float64)
-    block_sums = f_ld.reshape(nc.n_cells, N_TYPES, nc.n_radii).sum(axis=2)
-    off = (block_sums != 0.0) & (np.abs(block_sums - 1.0) > 1e-6)
-    if off.any():
-        problems.append(f"{int(off.sum())} local blocks sum outside {{0, 1±1e-6}}")
+    n_d = NieParams().n_d
 
     emb = embed(cloud, d_mean=d_mean)
     if emb.shape != (10_000, 21):
         problems.append(f"embedding shape {emb.shape}, expected (10000, 21)")
+    f_ld = emb[:, : N_TYPES * n_d].astype(np.float64)
+    block_sums = f_ld.reshape(-1, N_TYPES, n_d).sum(axis=2)
+    off = (block_sums != 0.0) & (np.abs(block_sums - 1.0) > 1e-6)
+    if off.any():
+        problems.append(f"{int(off.sum())} local blocks sum outside {{0, 1±1e-6}}")
     f_gd = emb[:, 9:18].astype(np.float64)
     if f_gd.min() < 0.0 or f_gd.max() > 1.0:
         problems.append(f"global densities outside [0, 1]: [{f_gd.min()}, {f_gd.max()}]")

@@ -219,6 +219,17 @@ def test_ingest_grid_sample(capsys, cloud_file, tmp_path):
     assert np.array_equal(back.types, want.types)
 
 
+def test_ingest_grid_overflow_is_data_error(capsys, tmp_path):
+    # A grid this fine puts every bin index beyond int64.
+    src = tmp_path / "three.csv"
+    src.write_text("x,y,type\n1,1,other\n5000,7000,other\n9000,20,other\n")
+    out = tmp_path / "t.cc5b"
+    code, _, err = run(capsys, ["ingest", str(src), "-o", str(out), "--grid-size", "1e-300"])
+    assert code == 2
+    assert "error_code=grid_overflow" in err
+    assert not out.exists()
+
+
 def test_ingest_overlapping_patches_data_error(capsys, tmp_path):
     patches = tmp_path / "patches"
     patches.mkdir()

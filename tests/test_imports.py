@@ -1,4 +1,5 @@
-"""Every top-level import in the package is used by the module that makes it.
+"""Every top-level import in the package is used by the module that makes it,
+and the package re-exports every name its modules declare public.
 
 No linter ships with the test dependencies, so this is the one check of it.
 A name counts as used when the module reads it anywhere (annotations
@@ -7,9 +8,12 @@ is exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import cellcloud
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cellcloud"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -40,3 +44,11 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_top_level_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_package_reexports_module_all(path):
+    module = importlib.import_module(f"cellcloud.{path.stem}")
+    names = getattr(module, "__all__", [])
+    assert [n for n in names if not hasattr(module, n)] == []
+    assert [n for n in names if getattr(cellcloud, n, None) is not getattr(module, n)] == []

@@ -177,14 +177,24 @@ def test_bulk_parse_matches_line_parser(tmp_path_factory, text):
         assert (bulk[0].tobytes(), bulk[0].shape, bulk[0].dtype, bulk[1].tobytes(), bulk[1].dtype) == expect
 
 
-def test_bulk_parse_takes_plain_files():
+def test_bulk_parse_takes_plain_files(tmp_path):
     text = "x,y,type\n1.5,2,other\n-0.0,1_0,Neoplastic\n3,4,inflammatory"
     xy, types = _parse_bulk(text)
     assert xy.tolist() == [[1.5, 2.0], [-0.0, 10.0], [3.0, 4.0]]
     assert types.tolist() == [2, 0, 1]
+    # CRLF line ends and the blank lines csv.reader skips are taken too
+    for plain in ["x,y,type\r\n1,2,other\r\n", "x,y,type\n\n1,2,other\n",
+                  "x,y,type\r\n1,2,other\r\n \t\r\n\r\n3,4,other\r\n\r\n", "x,y,type\n1,2,other\n  "]:
+        path = tmp_path / "plain.csv"
+        path.write_bytes(plain.encode("utf-8"))
+        bulk = _parse_bulk(plain)
+        assert bulk is not None, plain
+        expect = _parse_lines(path)
+        assert (bulk[0].tobytes(), bulk[1].tobytes()) == (expect[0].tobytes(), expect[1].tobytes())
     # anything else is left to the line parser
-    for other in ["x,y,type\r\n1,2,other\r\n", 'x,y,type\n"1",2,other\n', "x,y,type\n\n1,2,other\n",
-                  "X,y,type\n1,2,other\n", "x,y,type\n1,2\nother,3,4,other\n", "x,y,type\n0.0,1,other\n-0.0,1,other\n"]:
+    for other in ['x,y,type\n"1",2,other\n', "x,y,type\r1,2,other\r", "x,y,type\r\n1,2,other\r\r\n",
+                  "X,y,type\n1,2,other\n", "x,y,type\n1,2\nother,3,4,other\n", "x,y,type\n0.0,1,other\n-0.0,1,other\n",
+                  "x,y,type\n\n", "x,y,type\n1,2,other\nnope\n"]:
         assert _parse_bulk(other) is None
 
 
@@ -223,7 +233,7 @@ def test_out_of_patch_is_a_coded_error():
 
 def test_load_patch_dir_names_out_of_patch_line(tmp_path):
     write_csv(tmp_path / "patch_0_0.csv", "x,y,type\n1,1,other\n")
-    # the blank line sends the file through the line parser; line numbers count it
+    # line numbers count the blank line
     write_csv(tmp_path / "patch_512_0.csv", "x,y,type\n1,1,other\n\n2,512,other\n-1,3,other\n")
     with pytest.raises(OutOfPatch, match="patch-local") as exc:
         load_patch_dir(tmp_path)
@@ -587,6 +597,18 @@ def test_merge_never_increases_count_or_changes_types():
     assert all(out.counts_by_type[t] <= type_tally[t] for t in range(3))
 
 
+def test_nan_patch_size_rejects_every_cell(tmp_path):
+    with pytest.raises(OutOfPatch):
+        PatchDetections(patch_origin=(0.0, 0.0), xy=np.array([[1.0, 2.0]]), types=[0], patch_size=np.nan)
+    write_csv(tmp_path / "patch_0_0.csv", "x,y,type\n700,5,other\n")
+    with pytest.raises(OutOfPatch, match=r"patch_0_0.csv: line 2: .*\[0, nan\)"):
+        load_patch_dir(tmp_path, patch_size=np.nan)
+    # an empty patch has no coordinate to check, whatever its size
+    for size in (np.nan, np.inf, -1.0):
+        empty = PatchDetections(patch_origin=(0.0, 0.0), xy=np.empty((0, 2)), types=[], patch_size=size)
+        assert empty.n_cells == 0
+
+
 # ---------------------------------------------------------------------------
 # grid_sample
 # ---------------------------------------------------------------------------
@@ -615,6 +637,14 @@ def test_grid_sample_rejects_nonpositive():
     for size in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             grid_sample(make_cloud([(1, 1, 0)]), size)
+
+
+def test_grid_sample_rejects_bins_beyond_int64():
+    # floor(1 / 1e-300) is 1e300: the int64 cast would put every cell in one bin
+    cloud = make_cloud([(1, 1, 0), (5000, 7000, 0), (9000, 20, 0)])
+    with pytest.raises(spatial.GridOverflow, match="int64") as exc:
+        grid_sample(cloud, 1e-300)
+    assert exc.value.error_code == "grid_overflow"
 
 
 def test_grid_sample_ordering():

@@ -1,19 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellcloud import nie
 from cellcloud.core import N_TYPES, TooFewCells
 from cellcloud.nie import (
     DegenerateScale,
     NieParams,
     RadiiSchedule,
+    _embedding,
     embed,
     embed_dim,
-    global_density,
-    local_density,
     radii_schedule,
 )
-from cellcloud.spatial import NeighborCounts, mean_nn_distance
+from cellcloud.spatial import NeighborCounts, build_index, count_in_radii, mean_nn_distance
 
 from conftest import make_cloud, random_cloud
 
@@ -27,6 +29,18 @@ def cumulative_counts(rng, n, n_d=3, hi=6):
         radii=np.arange(1.0, n_d + 1.0),
         counts=np.cumsum(shells, axis=1).astype(np.uint32),
     )
+
+
+def local_density(nc):
+    """The embedding's local block: shells over the cell's own outermost count."""
+    w = N_TYPES * nc.n_radii
+    return _embedding(nc, np.zeros(nc.n_cells, np.uint8))[:, :w]
+
+
+def global_density(nc):
+    """The embedding's global block: shells over the cloud-wide outermost maximum."""
+    w = N_TYPES * nc.n_radii
+    return _embedding(nc, np.zeros(nc.n_cells, np.uint8))[:, w : 2 * w]
 
 
 def density_oracle(nc):
@@ -358,3 +372,23 @@ def test_embed_against_first_principles(seed, n, n_d):
     expected = np.hstack([ld, gd, onehot])
 
     assert np.array_equal(embed(cloud, params, d_mean=d_mean), expected)
+
+
+def test_embed_peak_memory_per_cell(monkeypatch):
+    # Counts are computed beforehand, so the traced peak is what embed adds
+    # around them: mean-NN, grid index and the embedding itself. The float64
+    # shells and the float32 output are 156 bytes per cell between them.
+    rng = np.random.Generator(np.random.Philox(15))
+    n = 20_000
+    cloud = random_cloud(rng, n, extent=1400.0)
+    sched = radii_schedule(mean_nn_distance(cloud))
+    nc = count_in_radii(build_index(cloud, sched.r_max), sched.r)
+    monkeypatch.setattr(nie, "count_in_radii", lambda *args, **kwargs: nc)
+    tracemalloc.start()
+    try:
+        f = embed(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.shape == (n, 21)
+    assert peak / n < 250, f"embed peaked at {peak / n:.0f} bytes per cell"
