@@ -72,6 +72,7 @@ from .clinical import (
     GaussianComponent,
     KMeansResult,
     KmPoint,
+    MalformedCohort,
     NoComparablePairs,
     NoEvents,
     SurvivalCohort,

@@ -1,10 +1,11 @@
 """Command-line surface: reproducible batch runs over cell cloud files.
 
-One binary, subcommand style. Every run resolves all defaults, executes,
-and writes a JSON manifest (command, resolved config, inputs, outputs,
-seed, version, duration) so the run can be reproduced bit-for-bit. Exit
-codes: 0 success, 1 usage error, 2 data error; data errors additionally
-print a machine-parseable ``error_code=<token>`` line on stderr.
+One binary, subcommand style. Each subcommand does its work and returns
+the paths it read and wrote; ``main`` then writes the run's JSON manifest
+(command, every parsed option, inputs, outputs, seed, version, duration)
+so the run can be reproduced bit-for-bit. Exit codes: 0 success, 1 usage
+error, 2 data error; errors additionally print a machine-parseable
+``error_code=<token>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import __version__, nie
 from .core import (
     CellCloud,
     CellCloudError,
+    DimMismatch,
     read_cloud,
     read_features,
     validate_cloud,
@@ -105,10 +107,7 @@ def _parse_alpha(text: str) -> AlphaWeights:
         vals = [float(v) for v in parts]
     except ValueError:
         raise _UsageError(f"--alpha components must be numeric: {text!r}") from None
-    try:
-        return AlphaWeights(*vals)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _usage(AlphaWeights, *vals)
 
 
 def _parse_ratio(text: str) -> tuple[float, float]:
@@ -122,22 +121,38 @@ def _parse_ratio(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _write_manifest(
-    args, command: str, config: dict, inputs: list, outputs: list, seed, t0: float
-) -> None:
-    path = getattr(args, "manifest", None)
+def _usage(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the ValueError of an out-of-range
+    parameter turned into a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+# Parsed options the manifest's config leaves out: the parser's own fields,
+# --seed (a top-level field of its own) and the paths a command returns as
+# its inputs or outputs.
+_NOT_CONFIG = frozenset(
+    {"func", "command", "manifest", "seed",
+     "input", "inputs", "output", "cohort", "appearance", "save_weights"}
+)
+
+
+def _write_manifest(args, inputs: list, outputs: list, t0: float) -> None:
+    """Write the run record. A path the run did not use is None and left out."""
+    inputs = [str(i) for i in inputs if i is not None]
+    outputs = [str(o) for o in outputs if o is not None]
+    path = args.manifest
     if path is None:
-        if outputs:
-            path = str(outputs[0]) + ".manifest.json"
-        else:
-            path = f"cellcloud-{command}.manifest.json"
+        path = (outputs[0] if outputs else f"cellcloud-{args.command}") + ".manifest.json"
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "config": config,
-        "inputs": [str(i) for i in inputs],
-        "outputs": [str(o) for o in outputs],
-        "seed": seed,
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+        "inputs": inputs,
+        "outputs": outputs,
+        "seed": getattr(args, "seed", None),
         "duration_s": round(time.monotonic() - t0, 6),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -146,7 +161,7 @@ def _write_manifest(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, outputs), the paths main() records
 # ---------------------------------------------------------------------------
 
 
@@ -160,8 +175,7 @@ def _check_ingest_flags(args) -> None:
             raise _UsageError(f"{flag} must be finite and >= 0, got {value!r}")
 
 
-def _cmd_ingest(args) -> int:
-    t0 = time.monotonic()
+def _cmd_ingest(args):
     _check_ingest_flags(args)
     src = Path(args.input)
     if src.is_dir():
@@ -178,32 +192,17 @@ def _cmd_ingest(args) -> int:
         cloud = grid_sample(cloud, grid_size=args.grid_size)
     write_cloud(args.output, cloud)
     print(f"cells={cloud.n_total}")
-    config = {
-        "patch_size": args.patch_size,
-        "d_boundary": args.d_boundary,
-        "d_merge": args.d_merge,
-        "grid_size": args.grid_size,
-    }
-    _write_manifest(args, "ingest", config, [args.input], [args.output], None, t0)
-    return 0
+    return [args.input], [args.output]
 
 
-def _cmd_nie(args) -> int:
-    t0 = time.monotonic()
-    params = _nie_params(args)
+def _cmd_nie(args):
+    params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
     d_mean = _d_mean_arg(args)
     cloud = _load_valid_cloud(args.input)
     features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
     write_features(args.output, features)
     print(f"rows={features.shape[0]} dim={features.shape[1]}")
-    config = {
-        "lambda_r": args.lambda_r,
-        "nd": args.nd,
-        "d_mean": args.d_mean,
-        "threads": args.threads,
-    }
-    _write_manifest(args, "nie", config, [args.input], [args.output], None, t0)
-    return 0
+    return [args.input], [args.output]
 
 
 def _d_mean_arg(args) -> "float | None":
@@ -213,33 +212,23 @@ def _d_mean_arg(args) -> "float | None":
     return args.d_mean
 
 
-def _nie_params(args) -> NieParams:
-    try:
-        return NieParams(lambda_r=args.lambda_r, n_d=args.nd)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+# forward's option for each HspConfig field
+_HSP_FLAGS = {
+    "levels": "levels",
+    "anchors": "initial_anchors",
+    "n_basic": "n_basic",
+    "lambda_sim": "lambda_sim",
+    "updates": "updates_per_level",
+    "encode_dim": "encode_dim",
+    "dim_multiplier": "dim_multiplier",
+}
 
 
-def _hsp_config(args) -> HspConfig:
-    try:
-        return HspConfig(
-            levels=args.levels,
-            initial_anchors=args.anchors,
-            n_basic=args.n_basic,
-            lambda_sim=args.lambda_sim,
-            updates_per_level=args.updates,
-            encode_dim=args.encode_dim,
-            dim_multiplier=args.dim_multiplier,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _cmd_forward(args) -> int:
-    t0 = time.monotonic()
-    params = _nie_params(args)
+def _cmd_forward(args):
+    params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
     d_mean = _d_mean_arg(args)
-    config = None if args.weights else _hsp_config(args)
+    if not args.weights:
+        config = _usage(HspConfig, **{f: getattr(args, dest) for dest, f in _HSP_FLAGS.items()})
     cloud = _load_valid_cloud(args.input)
     # One mean-NN per run: it scales the level-1 anchors even when --d-mean
     # pins the embedding's radii. It is looked up on nie, the layer whose
@@ -252,7 +241,7 @@ def _cmd_forward(args) -> int:
         weights = load_weights(args.weights)
         config = weights.config
         if weights.input_dim != features.shape[1]:
-            raise CellCloudError(
+            raise DimMismatch(
                 f"weight file expects input dim {weights.input_dim}, "
                 f"embedding has {features.shape[1]}"
             )
@@ -266,29 +255,15 @@ def _cmd_forward(args) -> int:
     if args.save_weights:
         save_weights(args.save_weights, weights)
     print(f"dim={descriptor.size}")
-    outputs = [args.output] + ([args.save_weights] if args.save_weights else [])
-    cfg = {
-        "levels": config.levels,
-        "anchors": config.initial_anchors,
-        "n_basic": config.n_basic,
-        "lambda_sim": config.lambda_sim,
-        "updates": config.updates_per_level,
-        "encode_dim": config.encode_dim,
-        "dim_multiplier": config.dim_multiplier,
-        "lambda_r": args.lambda_r,
-        "nd": args.nd,
-        "d_mean": args.d_mean,
-        "weights": args.weights,
-        "beta": args.beta if args.appearance else None,
-        "threads": args.threads,
-    }
-    inputs = [args.input] + ([args.appearance] if args.appearance else [])
-    _write_manifest(args, "forward", cfg, inputs, outputs, args.seed, t0)
-    return 0
+    # The manifest records the config the pass ran with: under --weights, the file's.
+    for dest, f in _HSP_FLAGS.items():
+        setattr(args, dest, getattr(config, f))
+    if not args.appearance:
+        args.beta = None
+    return [args.input, args.appearance], [args.output, args.save_weights]
 
 
-def _score_command(args, name: str, scorer) -> int:
-    t0 = time.monotonic()
+def _score_command(args, scorer):
     rows = []
     for path in args.inputs:
         cloud = _load_valid_cloud(path)
@@ -298,39 +273,27 @@ def _score_command(args, name: str, scorer) -> int:
     else:
         for path, score in rows:
             print(f"{path},{score!r}")
-    outputs = []
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write("input,score\n")
             for path, score in rows:
                 fh.write(f"{path},{score!r}\n")
-        outputs.append(args.output)
-    config = {"alpha": args.alpha}
-    seed = None
-    if name == "mcps":
-        config.update({"n_box": args.n_box, "ratio": args.ratio})
-        seed = args.seed
-    _write_manifest(args, name, config, list(args.inputs), outputs, seed, t0)
-    return 0
+    return args.inputs, [args.output]
 
 
-def _cmd_cps(args) -> int:
+def _cmd_cps(args):
     alpha = _parse_alpha(args.alpha)
-    return _score_command(args, "cps", lambda cloud: cps(cloud, alpha))
+    return _score_command(args, lambda cloud: cps(cloud, alpha))
 
 
-def _cmd_mcps(args) -> int:
+def _cmd_mcps(args):
     alpha = _parse_alpha(args.alpha)
     lo, hi = _parse_ratio(args.ratio)
-    try:
-        boxes = BoxSpec(n_box=args.n_box, ratio_low=lo, ratio_high=hi, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return _score_command(args, "mcps", lambda cloud: mcps(cloud, alpha, boxes))
+    boxes = _usage(BoxSpec, n_box=args.n_box, ratio_low=lo, ratio_high=hi, seed=args.seed)
+    return _score_command(args, lambda cloud: mcps(cloud, alpha, boxes))
 
 
-def _cmd_km(args) -> int:
-    t0 = time.monotonic()
+def _cmd_km(args):
     cohort = read_cohort_csv(args.cohort)
     if args.split == "median":
         high, low = median_split(cohort)
@@ -348,23 +311,19 @@ def _cmd_km(args) -> int:
     p = logrank(high, low)
     print(f"n_high={len(high)} n_low={len(low)}")
     print(f"logrank_p={p!r}")
-    _write_manifest(
-        args, "km", {"split": args.split}, [args.cohort], [high_path, low_path], None, t0
-    )
-    return 0
+    return [args.cohort], [high_path, low_path]
 
 
-def _cmd_cindex(args) -> int:
-    t0 = time.monotonic()
+def _cmd_cindex(args):
     cohort = read_cohort_csv(args.cohort)
     value = c_index(cohort)
     print(f"c_index={value!r}")
-    _write_manifest(args, "cindex", {}, [args.cohort], [], None, t0)
-    return 0
+    return [args.cohort], []
 
 
-def _cmd_synth(args) -> int:
-    t0 = time.monotonic()
+def _cmd_synth(args):
+    if args.n < 0:
+        raise _UsageError(f"--n must be >= 0, got {args.n}")
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
@@ -390,17 +349,21 @@ def _cmd_synth(args) -> int:
         write_cohort_csv(cohort_path, cohort)
         outputs.append(str(cohort_path))
         print(f"patients={len(clouds)} events={cohort.n_events}")
-    _write_manifest(
-        args, "synth", {"kind": args.kind, "n": args.n}, [], outputs, args.seed, t0
-    )
-    return 0
+    return [], outputs
 
 
-def _cmd_bench(args) -> int:
-    t0 = time.monotonic()
-    params = _nie_params(args)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+def _cmd_bench(args):
+    if args.cells < 2:
+        raise _UsageError(f"--cells must be >= 2, got {args.cells}")
     extent = float(np.sqrt(args.cells)) * args.spacing
+    if not 0 < extent < np.inf:
+        raise _UsageError(
+            f"--spacing must be positive, with sqrt(--cells) * --spacing finite, got {args.spacing!r}"
+        )
+    if args.hsp_cells < 0:
+        raise _UsageError(f"--hsp-cells must be >= 0, got {args.hsp_cells}")
+    params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     xy = rng.uniform(0.0, extent, size=(args.cells, 2))
     types = rng.integers(0, 3, size=args.cells).astype(np.uint8)
     cloud = CellCloud(xy=xy, types=types, slide_id="bench")
@@ -432,17 +395,8 @@ def _cmd_bench(args) -> int:
             members = t.n_anchors * t.group_size
             print(f"hsp_l{t.level}_retained_frac={t.retained / members:.4f}")
             print(f"hsp_l{t.level}_rescued={t.rescued}/{t.n_anchors}")
-    config = {
-        "cells": args.cells,
-        "spacing": args.spacing,
-        "lambda_r": args.lambda_r,
-        "nd": args.nd,
-        "threads": args.threads,
-        "hsp_cells": args.hsp_cells,
-    }
     assert counts.n_cells == args.cells
-    _write_manifest(args, "bench", config, [], [], args.seed, t0)
-    return 0
+    return [], []
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +529,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        t0 = time.monotonic()
+        inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, t0)
+        return 0
     except _UsageError as exc:
         print("error_code=usage", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

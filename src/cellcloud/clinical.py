@@ -35,6 +35,7 @@ __all__ = [
     "EmptyCohort",
     "NoEvents",
     "NoComparablePairs",
+    "MalformedCohort",
     "cps",
     "mcps",
     "km_curve",
@@ -71,6 +72,12 @@ class NoEvents(CellCloudError):
 
 class NoComparablePairs(CellCloudError):
     error_code = "no_comparable_pairs"
+
+
+class MalformedCohort(CellCloudError, ValueError):
+    """A cohort CSV that does not parse; the message names the file and line."""
+
+    error_code = "malformed_cohort"
 
 
 @dataclass(frozen=True)
@@ -657,15 +664,24 @@ def read_cohort_csv(path: Union[str, Path]) -> SurvivalCohort:
             "time",
             "event",
         ]:
-            raise ValueError(f"{path}: header must be patient_id,score,time,event")
+            raise MalformedCohort(f"{path}: line 1: header must be patient_id,score,time,event")
         for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) != 4 or row[3].strip() not in ("0", "1"):
-                raise ValueError(f"{path}: malformed cohort row {row!r}")
+                raise MalformedCohort(f"{where}: malformed cohort row {row!r}")
+            try:
+                score, time = float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise MalformedCohort(f"{where}: {exc}") from None
+            if not math.isfinite(score):
+                raise MalformedCohort(f"{where}: score must be finite, got {row[1]!r}")
+            if not 0 < time < math.inf:
+                raise MalformedCohort(f"{where}: time must be finite and positive, got {row[2]!r}")
             ids.append(row[0])
-            scores.append(float(row[1]))
-            times.append(float(row[2]))
+            scores.append(score)
+            times.append(time)
             events.append(row[3].strip() == "1")
     return SurvivalCohort(
         scores=np.asarray(scores, dtype=np.float64),

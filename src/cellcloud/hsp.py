@@ -402,6 +402,12 @@ def hsp_forward(
         raise DimMismatch(
             f"features have dim {feats_in.shape[1]}, weights expect {weights.input_dim}"
         )
+    # The fields that size the tensors must be the weights' own; lambda_sim,
+    # initial_anchors and n_basic may differ.
+    sizing = ("levels", "updates_per_level", "encode_dim", "dim_multiplier")
+    differ = [f for f in sizing if getattr(config, f) != getattr(weights.config, f)]
+    if differ:
+        raise DimMismatch(f"config differs from the weights' config in {', '.join(differ)}")
     w64 = weights.astype(np.float64)
     feats = feats_in @ w64.encoder_w.T + w64.encoder_b
     labels = None if types is None else np.ascontiguousarray(types)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import cellcloud
-from cellcloud.cli import main
+from cellcloud.cli import _build_parser, main
 from cellcloud.clinical import (
     ALPHA_PRESETS,
     BoxSpec,
@@ -22,7 +23,7 @@ from cellcloud.clinical import (
     synth_toy_set,
     write_cohort_csv,
 )
-from cellcloud.core import read_cloud, read_features, write_cells_csv, write_cloud
+from cellcloud.core import CellCloudError, read_cloud, read_features, write_cells_csv, write_cloud
 from cellcloud import spatial
 from cellcloud.hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
@@ -170,6 +171,98 @@ def test_manifest_custom_path(capsys, cloud_file, tmp_path):
     code, _, _ = run(capsys, ["nie", str(path), "-o", str(out), "--manifest", str(man)])
     assert code == 0
     assert json.loads(man.read_text())["command"] == "nie"
+
+
+# Parsed options a manifest's config leaves out: --manifest, --seed (a
+# top-level field) and the paths the command lists as inputs or outputs.
+NOT_CONFIG = {"manifest", "seed", "input", "inputs", "output", "cohort", "appearance", "save_weights"}
+
+
+def test_manifest_config_is_every_parsed_option(capsys, cloud_file, cohort_file, tmp_path):
+    cloud, _ = cloud_file
+    cohort, _ = cohort_file
+    cases = {
+        "ingest": [str(cloud), "-o", "i.cc5b"],
+        "nie": [str(cloud), "-o", "e.ccem"],
+        "forward": [str(cloud), "--seed", "3", *SMALL_FWD, "-o", "f.ccem"],
+        "cps": [str(cloud)],
+        "mcps": [str(cloud), "--seed", "4"],
+        "km": [str(cohort), "-o", "km"],
+        "cindex": [str(cohort)],
+        "synth": ["--kind", "cohort", "--n", "2", "--seed", "2", "-o", "syn"],
+        "bench": ["--cells", "2000"],
+    }
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(cases) == set(commands.choices)
+    for name, sub in commands.choices.items():
+        argv = [name, *cases[name], "--manifest", str(tmp_path / f"{name}.json")]
+        code, _, _ = run(capsys, argv)
+        assert code == 0, name
+        manifest = json.loads((tmp_path / f"{name}.json").read_text())
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert set(manifest["config"]) == dests - NOT_CONFIG, name
+        assert manifest["command"] == name
+        assert manifest["seed"] == getattr(parser.parse_args(argv), "seed", None), name
+
+
+def test_forward_manifest_records_weight_file_config(capsys, cloud_file, tmp_path):
+    path, _ = cloud_file
+    wfile = tmp_path / "w.ccwt"
+    code, _, _ = run(
+        capsys,
+        ["forward", str(path), "--seed", "7", "--levels", "2", "--anchors", "512",
+         "--lambda-sim", "0.25", "--save-weights", str(wfile), "-o", str(tmp_path / "a.ccem")],
+    )
+    assert code == 0
+    code, _, _ = run(capsys, ["forward", str(path), "--weights", str(wfile), "-o", str(tmp_path / "b.ccem")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "b.ccem.manifest.json").read_text())
+    config = manifest["config"]
+    assert (config["anchors"], config["levels"], config["lambda_sim"]) == (512, 2, 0.25)
+    assert manifest["seed"] is None and config["weights"] == str(wfile)
+
+
+def test_forward_manifest_beta_only_with_appearance(capsys, cloud_file, tmp_path):
+    path, _ = cloud_file
+    argv = ["forward", str(path), "--seed", "5", *SMALL_FWD, "--beta", "0.25"]
+    code, _, _ = run(capsys, [*argv, "-o", str(tmp_path / "plain.ccem")])
+    assert code == 0
+    plain = json.loads((tmp_path / "plain.ccem.manifest.json").read_text())
+    assert plain["config"]["beta"] is None
+    assert plain["inputs"] == [str(path)]
+    code, _, _ = run(
+        capsys, [*argv, "--appearance", str(tmp_path / "plain.ccem"), "-o", str(tmp_path / "blend.ccem")]
+    )
+    assert code == 0
+    blend = json.loads((tmp_path / "blend.ccem.manifest.json").read_text())
+    assert blend["config"]["beta"] == 0.25
+    assert blend["inputs"] == [str(path), str(tmp_path / "plain.ccem")]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_readme_lists_every_error_code():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = iter(readme.read_text(encoding="utf-8").splitlines())
+    for line in lines:
+        if line == "| code | exit | raised by |":
+            break
+    next(lines)  # the separator row
+    table = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        token, exit_status = (cell.strip() for cell in line.split("|")[1:3])
+        table[token.strip("`")] = int(exit_status)
+    codes = {c.error_code for c in [CellCloudError, *_subclasses(CellCloudError)]}
+    assert set(table) == codes | {"usage", "io"}
+    assert {t for t, status in table.items() if status == 1} == {"usage"}
+    assert set(table.values()) == {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +585,7 @@ def test_forward_weight_dim_mismatch(capsys, cloud_file, tmp_path):
          "-o", str(tmp_path / "e.ccem")],
     )
     assert code == 2
-    assert "error_code=error" in err
+    assert "error_code=dim_mismatch" in err
 
 
 def test_forward_appearance_blend(capsys, cloud_file, tmp_path):
@@ -649,6 +742,27 @@ def test_cindex_matches_library(capsys, cohort_file):
     assert stdout.strip() == f"c_index={c_index(cohort)!r}"
 
 
+@pytest.mark.parametrize("command", ["km", "cindex"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("p1,abc,3.0,1", "could not convert string to float: 'abc'"),
+        ("p1,nan,3.0,1", "score must be finite"),
+        ("p1,1.0,-1,1", "time must be finite and positive"),
+        ("p1,1.0,inf,0", "time must be finite and positive"),
+        ("p1,1.0,2.0,yes", "malformed cohort row"),
+        ("p1,1.0,2.0", "malformed cohort row"),
+    ],
+)
+def test_cohort_data_error_names_line(capsys, tmp_path, command, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"patient_id,score,time,event\np0,0.5,2.0,1\n\n{row}\n")
+    code, _, err = run(capsys, [command, str(path)])
+    assert code == 2
+    assert "error_code=malformed_cohort" in err
+    assert f"bad.csv: line 4: {message}" in err
+
+
 def test_cindex_no_comparable_pairs(capsys, tmp_path):
     cohort = SurvivalCohort(
         scores=np.array([1.0, 2.0]), times=np.array([3.0, 3.0]),
@@ -691,6 +805,31 @@ def test_synth_cohort_outputs_reproducible(capsys, tmp_path):
         assert "patients=3" in stdout
     for name in ("patient_0000.cc5b", "patient_0001.cc5b", "patient_0002.cc5b", "cohort.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--cells", "2000", "--spacing", "nan"],
+        ["bench", "--cells", "2000", "--spacing", "inf"],
+        ["bench", "--cells", "2000", "--spacing", "-1"],
+        ["bench", "--cells", "2000", "--spacing", "0"],
+        # finite, but the cloud's side sqrt(2000) * 1e307 is not
+        ["bench", "--cells", "2000", "--spacing", "1e307"],
+        ["bench", "--cells", "-5"],
+        ["bench", "--cells", "1"],
+        ["bench", "--cells", "2000", "--hsp-cells", "-1"],
+        ["synth", "--kind", "cohort", "-o", "d", "--n", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_bench_and_synth_range_is_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert "error_code=usage" in err
+    # Checked before any work: nothing is printed or written.
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_small_run(capsys):

@@ -14,6 +14,7 @@ from cellcloud.clinical import (
     ExhaustedResampling,
     GaussianComponent,
     KmPoint,
+    MalformedCohort,
     NoComparablePairs,
     NoEvents,
     SurvivalCohort,
@@ -692,6 +693,15 @@ def test_cohort_csv_errors(tmp_path):
         read_cohort_csv(path)
     path.write_text("patient_id,score,time,event\np0,1.0,2.0\n")
     with pytest.raises(ValueError):
+        read_cohort_csv(path)
+
+
+def test_cohort_csv_header_error_is_malformed_cohort(tmp_path):
+    # The row errors, each naming its line, are checked through the CLI.
+    assert issubclass(MalformedCohort, ValueError)
+    path = tmp_path / "bad.csv"
+    path.write_text("id,score,time,event\n")
+    with pytest.raises(MalformedCohort, match="bad.csv: line 1: header"):
         read_cohort_csv(path)
 
 

@@ -424,6 +424,24 @@ def test_forward_validation():
         hsp_forward(np.zeros((10, 2)), feats[:, :5], None, SMALL, w)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("levels", 1), ("updates_per_level", 1), ("encode_dim", 8), ("dim_multiplier", 1)],
+)
+def test_forward_rejects_config_that_sizes_other_tensors(field, value):
+    # With levels=1 the pass used to run all of the weights' levels anyway;
+    # with dim_multiplier=1 it failed inside numpy.
+    cloud, feats = forward_inputs(0, 40)
+    with pytest.raises(DimMismatch, match=field):
+        hsp_forward(cloud.xy, feats, cloud.types, replace(SMALL, **{field: value}), small_weights())
+
+
+def test_forward_accepts_config_that_sizes_no_tensor():
+    cloud, feats = forward_inputs(0, 40)
+    config = replace(SMALL, lambda_sim=0.1, initial_anchors=8, n_basic=2)
+    assert hsp_forward(cloud.xy, feats, cloud.types, config, small_weights()).shape == (64,)
+
+
 def test_forward_structure_and_trace():
     cloud, feats = forward_inputs(10, 100)
     w = small_weights(seed=1)
