@@ -7,7 +7,6 @@ clouds for survival analysis (CPS/MCPS, Kaplan-Meier, log-rank, C-index).
 """
 
 from .core import (
-    Cell,
     CellCloud,
     CellCloudError,
     CellType,

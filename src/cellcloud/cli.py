@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -165,18 +166,7 @@ def _write_manifest(args, inputs: list, outputs: list, t0: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_ingest_flags(args) -> None:
-    """Sizes must be positive and finite, distances finite and >= 0."""
-    for flag, value in (("--patch-size", args.patch_size), ("--grid-size", args.grid_size)):
-        if value is not None and not 0 < value < np.inf:
-            raise _UsageError(f"{flag} must be positive and finite, got {value!r}")
-    for flag, value in (("--d-boundary", args.d_boundary), ("--d-merge", args.d_merge)):
-        if not 0 <= value < np.inf:
-            raise _UsageError(f"{flag} must be finite and >= 0, got {value!r}")
-
-
 def _cmd_ingest(args):
-    _check_ingest_flags(args)
     src = Path(args.input)
     if src.is_dir():
         patches = load_patch_dir(src, patch_size=args.patch_size)
@@ -197,19 +187,11 @@ def _cmd_ingest(args):
 
 def _cmd_nie(args):
     params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
-    d_mean = _d_mean_arg(args)
     cloud = _load_valid_cloud(args.input)
-    features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
+    features = embed(cloud, params, d_mean=args.d_mean, threads=args.threads)
     write_features(args.output, features)
     print(f"rows={features.shape[0]} dim={features.shape[1]}")
     return [args.input], [args.output]
-
-
-def _d_mean_arg(args) -> "float | None":
-    """The user's --d-mean, which must be positive and finite when given."""
-    if args.d_mean is not None and not (args.d_mean > 0 and np.isfinite(args.d_mean)):
-        raise _UsageError(f"--d-mean must be positive and finite, got {args.d_mean!r}")
-    return args.d_mean
 
 
 # forward's option for each HspConfig field
@@ -226,7 +208,6 @@ _HSP_FLAGS = {
 
 def _cmd_forward(args):
     params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
-    d_mean = _d_mean_arg(args)
     if not args.weights:
         config = _usage(HspConfig, **{f: getattr(args, dest) for dest, f in _HSP_FLAGS.items()})
     cloud = _load_valid_cloud(args.input)
@@ -234,8 +215,7 @@ def _cmd_forward(args):
     # pins the embedding's radii. It is looked up on nie, the layer whose
     # scale it is, where perfbench's tracer records it as spatial.mean_nn.
     d_cloud = nie.mean_nn_distance(cloud)
-    if d_mean is None:
-        d_mean = d_cloud
+    d_mean = d_cloud if args.d_mean is None else args.d_mean
     features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
     if args.weights:
         weights = load_weights(args.weights)
@@ -298,11 +278,7 @@ def _cmd_km(args):
     if args.split == "median":
         high, low = median_split(cohort)
     else:
-        try:
-            thr = float(args.split)
-        except ValueError:
-            raise _UsageError("--split must be 'median' or a numeric threshold") from None
-        mask = cohort.scores > thr
+        mask = cohort.scores > float(args.split)
         high, low = cohort.subset(mask), cohort.subset(~mask)
     high_path = f"{args.output}_high.csv"
     low_path = f"{args.output}_low.csv"
@@ -322,8 +298,6 @@ def _cmd_cindex(args):
 
 
 def _cmd_synth(args):
-    if args.n < 0:
-        raise _UsageError(f"--n must be >= 0, got {args.n}")
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
@@ -353,15 +327,9 @@ def _cmd_synth(args):
 
 
 def _cmd_bench(args):
-    if args.cells < 2:
-        raise _UsageError(f"--cells must be >= 2, got {args.cells}")
     extent = float(np.sqrt(args.cells)) * args.spacing
-    if not 0 < extent < np.inf:
-        raise _UsageError(
-            f"--spacing must be positive, with sqrt(--cells) * --spacing finite, got {args.spacing!r}"
-        )
-    if args.hsp_cells < 0:
-        raise _UsageError(f"--hsp-cells must be >= 0, got {args.hsp_cells}")
+    if not math.isfinite(extent):
+        raise _UsageError(f"sqrt(--cells) * --spacing must be finite, got --spacing {args.spacing!r}")
     params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     xy = rng.uniform(0.0, extent, size=(args.cells, 2))
@@ -404,6 +372,30 @@ def _cmd_bench(args):
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, ok, what):
+    """An argparse type: ``convert`` the text and refuse a value that is not
+    ``ok``. The parser reports the refusal as a usage error before any
+    subcommand runs."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_AT_LEAST_0 = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cellcloud", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cellcloud {__version__}")
@@ -415,10 +407,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="parse detections, merge patch seams, write CC5B")
     p.add_argument("input", help="cells CSV, CC5B file, or directory of patch_{x}_{y}.csv")
     p.add_argument("-o", "--output", required=True, help="output CC5B path")
-    p.add_argument("--patch-size", type=float, default=512.0, help="patch side in px (default 512)")
-    p.add_argument("--d-boundary", type=float, default=24.0, help="seam band in px (default 24)")
-    p.add_argument("--d-merge", type=float, default=12.0, help="merge distance in px (default 12)")
-    p.add_argument("--grid-size", type=float, default=None,
+    p.add_argument("--patch-size", type=_POSITIVE, default=512.0, help="patch side in px (default 512)")
+    p.add_argument("--d-boundary", type=_NON_NEGATIVE, default=24.0, help="seam band in px (default 24)")
+    p.add_argument("--d-merge", type=_NON_NEGATIVE, default=12.0, help="merge distance in px (default 12)")
+    p.add_argument("--grid-size", type=_POSITIVE, default=None,
                    help="optional per-type grid downsampling bin in px (e.g. 256)")
     add_common(p)
     p.set_defaults(func=_cmd_ingest)
@@ -428,9 +420,9 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="output CCEM path")
     p.add_argument("--lambda-r", type=float, default=4.0, help="radius scale (default 4)")
     p.add_argument("--nd", type=int, default=3, help="radius count (default 3)")
-    p.add_argument("--d-mean", type=float, default=None,
+    p.add_argument("--d-mean", type=_POSITIVE, default=None,
                    help="override mean nearest-neighbor distance (default: per-cloud)")
-    p.add_argument("--threads", type=int, default=_threads_default(),
+    p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
                    help="worker threads (default $CELLCLOUD_THREADS or 1)")
     add_common(p)
     p.set_defaults(func=_cmd_nie)
@@ -440,7 +432,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="output descriptor (CCEM, 1 row)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weights", help="CCWT weight file (config read from file)")
-    group.add_argument("--seed", type=int, help="draw weights from this seed")
+    group.add_argument("--seed", type=_AT_LEAST_0, help="draw weights from this seed")
     p.add_argument("--save-weights", help="also write the used weights as CCWT")
     p.add_argument("--levels", type=int, default=3, help="hierarchy levels L (default 3)")
     p.add_argument("--anchors", type=int, default=2048, help="initial anchors Nk (default 2048)")
@@ -452,11 +444,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--dim-multiplier", type=int, default=2, help="width growth per level (default 2)")
     p.add_argument("--lambda-r", type=float, default=4.0, help="embedding radius scale (default 4)")
     p.add_argument("--nd", type=int, default=3, help="embedding radius count (default 3)")
-    p.add_argument("--d-mean", type=float, default=None, help="override embedding d_mean")
+    p.add_argument("--d-mean", type=_POSITIVE, default=None, help="override embedding d_mean")
     p.add_argument("--appearance", help="optional appearance CCEM to blend in")
-    p.add_argument("--beta", type=float, default=0.5,
+    p.add_argument("--beta", type=_FINITE, default=0.5,
                    help="appearance blend weight (default 0.5, used with --appearance)")
-    p.add_argument("--threads", type=int, default=_threads_default(),
+    p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
                    help="worker threads for the embedding only; the attention pass "
                         "runs on one thread (default $CELLCLOUD_THREADS or 1)")
     add_common(p)
@@ -477,7 +469,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-box", type=int, default=20, help="number of boxes (default 20)")
     p.add_argument("--ratio", default="0.6,1.0",
                    help="per-axis box side ratio range low,high (default 0.6,1.0)")
-    p.add_argument("--seed", type=int, default=0, help="box sampling seed (default 0)")
+    p.add_argument("--seed", type=_AT_LEAST_0, default=0, help="box sampling seed (default 0)")
     p.add_argument("-o", "--output", help="optional CSV score table")
     add_common(p)
     p.set_defaults(func=_cmd_mcps)
@@ -485,6 +477,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("km", help="Kaplan-Meier curves and log-rank test for a cohort CSV")
     p.add_argument("cohort", help="CSV with patient_id,score,time,event")
     p.add_argument("--split", default="median",
+                   type=_checked(str, lambda t: t == "median" or math.isfinite(float(t)),
+                                 "'median' or a finite number"),
                    help="'median' or a numeric score threshold (default median)")
     p.add_argument("-o", "--output", default="km",
                    help="output prefix for <prefix>_high.csv/_low.csv (default 'km')")
@@ -499,8 +493,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="write synthetic fixtures (toy cloud or survival cohort)")
     p.add_argument("--kind", choices=["toy", "cohort"], default="toy")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=200, help="cohort size (default 200)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_AT_LEAST_0, default=200, help="cohort size (default 200)")
+    p.add_argument("--seed", type=_AT_LEAST_0, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -509,15 +503,16 @@ def _build_parser() -> _Parser:
         help="throughput report for counting and the forward pass "
         "(the O(N^2) oracles they must match live in tests/hsp_reference.py)",
     )
-    p.add_argument("--cells", type=int, default=1_000_000, help="bench cloud size (default 1e6)")
-    p.add_argument("--spacing", type=float, default=10.0,
+    p.add_argument("--cells", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
+                   default=1_000_000, help="bench cloud size (default 1e6)")
+    p.add_argument("--spacing", type=_POSITIVE, default=10.0,
                    help="mean cell spacing in px (default 10)")
     p.add_argument("--lambda-r", type=float, default=4.0)
     p.add_argument("--nd", type=int, default=3)
-    p.add_argument("--hsp-cells", type=int, default=0,
+    p.add_argument("--hsp-cells", type=_AT_LEAST_0, default=0,
                    help="also time the forward pass at this size (0 = skip)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_threads_default(),
+    p.add_argument("--seed", type=_AT_LEAST_0, default=0)
+    p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
                    help="worker threads (default $CELLCLOUD_THREADS or 1)")
     add_common(p)
     p.set_defaults(func=_cmd_bench)

@@ -19,14 +19,13 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = [
     "N_TYPES",
     "CellType",
-    "Cell",
     "CellCloud",
     "CellCloudError",
     "EmptyCloud",
@@ -102,12 +101,6 @@ class CellType(IntEnum):
             raise ValueError(f"unknown cell type token: {token!r}") from None
 
 
-class Cell(NamedTuple):
-    x: float
-    y: float
-    kind: CellType
-
-
 def _as_xy(xy: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(xy, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -155,17 +148,6 @@ class CellCloud:
 
     def __len__(self) -> int:
         return self.xy.shape[0]
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Cell], slide_id: str = "") -> "CellCloud":
-        rows = list(cells)
-        xy = np.array([(c.x, c.y) for c in rows], dtype=np.float64).reshape(-1, 2)
-        types = np.array([int(c.kind) for c in rows], dtype=np.uint8)
-        return cls(xy=xy, types=types, slide_id=slide_id)
-
-    def cells(self) -> Iterator[Cell]:
-        for (x, y), t in zip(self.xy, self.types):
-            yield Cell(float(x), float(y), CellType(int(t)))
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """Inclusive (xmin, ymin, xmax, ymax) of the cloud."""

@@ -95,8 +95,7 @@ class SpatialIndex:
 
     Internally the cells are held in CSR-style arrays (``order`` grouped by
     bin with ``starts`` offsets over the sorted, de-duplicated ``bin_ids``),
-    which is what the vectorised queries consume. The ``bins`` mapping view
-    is materialised on demand.
+    which is what the vectorised queries consume.
     """
 
     source: CellCloud
@@ -108,18 +107,6 @@ class SpatialIndex:
     order: np.ndarray = field(repr=False)  # cell indices grouped by bin
     _row_span: tuple[int, int] = field(repr=False)
     _col_span: tuple[int, int] = field(repr=False)
-
-    @property
-    def bins(self) -> dict[tuple[int, int], list[int]]:
-        """Mapping (bin row, bin col) -> cell index list (for inspection)."""
-        out: dict[tuple[int, int], list[int]] = {}
-        n_cols = self._col_span[1] - self._col_span[0] + 1
-        for b in range(self.bin_ids.size):
-            packed = int(self.bin_ids[b])
-            r = packed // n_cols + self._row_span[0]
-            c = packed % n_cols + self._col_span[0]
-            out[(r, c)] = self.order[self.starts[b] : self.starts[b + 1]].tolist()
-        return out
 
 
 def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,14 @@ from cellcloud.clinical import (
     synth_toy_set,
     write_cohort_csv,
 )
-from cellcloud.core import CellCloudError, read_cloud, read_features, write_cells_csv, write_cloud
+from cellcloud.core import (
+    CellCloudError,
+    read_cloud,
+    read_features,
+    write_cells_csv,
+    write_cloud,
+    write_features,
+)
 from cellcloud import spatial
 from cellcloud.hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
@@ -446,26 +453,61 @@ _BAD_FLAGS = [
     ("ingest", "--d-merge", "nan"),
     ("ingest", "--d-merge", "inf"),
     ("ingest", "--d-merge", "-1"),
+    ("nie", "--threads", "0"),
+    ("nie", "--threads", "-2"),
+    ("forward", "--threads", "0"),
+    ("forward", "--threads", "-2"),
+    ("forward", "--seed", "-1"),
+    ("mcps", "--seed", "-1"),
+    ("forward", "--beta", "nan"),
+    ("forward", "--beta", "inf"),
 ]
+
+# Numeric flags whose range a parameter object (NieParams, HspConfig, BoxSpec)
+# checks, for library callers too. Every other numeric flag is range-checked
+# by its argparse type, when parsed.
+PARAM_OBJECT_FLAGS = {
+    "--lambda-r", "--nd", "--levels", "--anchors", "--n-basic", "--lambda-sim",
+    "--updates", "--encode-dim", "--dim-multiplier", "--n-box",
+}
 
 
 @pytest.mark.parametrize(
     "command, flag, value",
     _BAD_FLAGS,
-    # The forward and nie cases keep the ids they had when every value was 0.
-    ids=["-".join(case if case[0] == "ingest" else case[:2]) for case in _BAD_FLAGS],
+    # The parameter-object cases keep the ids they had when every value was 0.
+    ids=["-".join(case[:2] if case[1] in PARAM_OBJECT_FLAGS else case) for case in _BAD_FLAGS],
 )
 def test_bad_config_flag_is_usage_error(capsys, cloud_file, tmp_path, command, flag, value):
     path, _ = cloud_file
     argv = [command, str(path), "-o", str(tmp_path / "d.ccem"), flag, value]
-    if command == "forward":
+    if command == "forward" and flag != "--seed":
         argv += ["--seed", "1"]
+    if flag == "--beta":
+        # an appearance vector that fits the default 512-dim descriptor
+        write_features(tmp_path / "app.ccem", np.ones((1, 512), np.float32))
+        argv += ["--appearance", str(tmp_path / "app.ccem")]
     if command == "ingest":
         # Checked before any input is read: a missing input is not reported.
         argv[1] = str(tmp_path / "missing")
-    code, _, err = run(capsys, argv)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, argv)
     assert code == 1
     assert "error_code=usage" in err
+    # Checked before any work: nothing is printed or written.
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_numeric_flags_are_range_checked_when_parsed():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    raw = {
+        action.option_strings[-1]
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.type in (int, float)
+    }
+    assert raw == PARAM_OBJECT_FLAGS
 
 
 def test_nie_threads_env_fallback(capsys, cloud_file, tmp_path, monkeypatch):
@@ -597,8 +639,6 @@ def test_forward_appearance_blend(capsys, cloud_file, tmp_path):
     rng = np.random.Generator(np.random.Philox(2))
     f_app = rng.normal(size=desc.size).astype(np.float32)
     app_path = tmp_path / "app.ccem"
-    from cellcloud.core import write_features
-
     write_features(app_path, f_app[None, :])
     blended = tmp_path / "blend.ccem"
     code, _, _ = run(
@@ -819,7 +859,16 @@ def test_synth_cohort_outputs_reproducible(capsys, tmp_path):
         ["bench", "--cells", "-5"],
         ["bench", "--cells", "1"],
         ["bench", "--cells", "2000", "--hsp-cells", "-1"],
+        ["bench", "--cells", "2000", "--threads", "0"],
+        ["bench", "--cells", "2000", "--threads", "-2"],
+        ["bench", "--cells", "2000", "--seed", "-1"],
         ["synth", "--kind", "cohort", "-o", "d", "--n", "-1"],
+        ["synth", "--kind", "toy", "-o", "d", "--seed", "-1"],
+        # nothing is read: the cohort file need not exist
+        ["km", "cohort.csv", "--split", "nan"],
+        ["km", "cohort.csv", "--split", "inf"],
+        ["km", "cohort.csv", "--split=-inf"],  # "-inf" alone would parse as an option
+        ["km", "cohort.csv", "--split", "abc"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

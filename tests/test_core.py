@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cellcloud.core import (
     N_TYPES,
-    Cell,
     CellCloud,
     CellType,
     EmptyCloud,
@@ -26,7 +25,7 @@ cell_rows = st.lists(st.tuples(coord, coord, st.integers(0, N_TYPES - 1)), max_s
 
 
 # ---------------------------------------------------------------------------
-# CellType / Cell
+# CellType
 # ---------------------------------------------------------------------------
 
 
@@ -49,10 +48,11 @@ def test_unknown_token_raises():
         CellType.from_token("stromal")
 
 
-def test_from_cells_round_trip():
-    cells = [Cell(1.5, 2.5, CellType.NEOPLASTIC), Cell(3.0, 4.0, CellType.OTHER)]
-    cloud = CellCloud.from_cells(cells, slide_id="s1")
-    assert list(cloud.cells()) == cells
+def test_cloud_arrays_round_trip():
+    cloud = make_cloud([(1.5, 2.5, CellType.NEOPLASTIC), (3.0, 4.0, CellType.OTHER)], slide_id="s1")
+    assert cloud.xy.dtype == np.float64 and cloud.types.dtype == np.uint8
+    assert cloud.xy.tolist() == [[1.5, 2.5], [3.0, 4.0]]
+    assert [CellType(int(t)) for t in cloud.types] == [CellType.NEOPLASTIC, CellType.OTHER]
     assert cloud.slide_id == "s1"
 
 
@@ -62,7 +62,8 @@ def test_from_cells_round_trip():
 
 
 def test_empty_cloud_is_fine():
-    cloud = CellCloud.from_cells([])
+    cloud = make_cloud([])
+    assert cloud.xy.shape == (0, 2) and cloud.types.shape == (0,)
     assert cloud.n_total == 0
     assert len(cloud) == 0
     assert cloud.counts_by_type.tolist() == [0, 0, 0]

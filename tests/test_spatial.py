@@ -49,19 +49,28 @@ def test_counts_radii_must_ascend():
 # ---------------------------------------------------------------------------
 
 
+def bin_members(idx):
+    """(bin row, bin col) -> cell indices, read off the index's CSR arrays."""
+    assert idx.starts[0] == 0 and idx.starts[-1] == idx.order.size
+    assert np.all(np.diff(idx.bin_ids) > 0)  # sorted, de-duplicated
+    assert np.all(np.diff(idx.starts) > 0)  # no empty bin is stored
+    out = {}
+    for b in range(idx.bin_ids.size):
+        members = idx.order[idx.starts[b] : idx.starts[b + 1]].tolist()
+        (key,) = {(int(idx.bin_rows[i]), int(idx.bin_cols[i])) for i in members}
+        out[key] = members
+    assert len(out) == idx.bin_ids.size  # one stored bin per grid bin
+    return out
+
+
 def test_index_bins_match_direct_binning():
     cloud = make_cloud(
         [(0.0, 0.0, 0), (9.9, 9.9, 1), (10.0, 0.0, 2), (25.0, 14.0, 0), (0.0, 10.0, 1)]
     )
     idx = build_index(cloud, bin_size=10.0)
-    assert idx.bins == {
-        (0, 0): [0, 1],
-        (0, 1): [2],
-        (0, 2): [],
-        (1, 0): [4],
-        (1, 1): [],
-        (1, 2): [3],
-    } or idx.bins == {
+    assert idx.bin_rows.tolist() == [0, 0, 0, 1, 1]
+    assert idx.bin_cols.tolist() == [0, 0, 1, 2, 0]
+    assert bin_members(idx) == {
         (0, 0): [0, 1],
         (0, 1): [2],
         (1, 0): [4],
@@ -75,9 +84,10 @@ def test_index_partitions_all_cells(seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
     cloud = random_cloud(rng, n, extent=100.0)
     idx = build_index(cloud, bin_size=7.0)
-    seen = sorted(i for members in idx.bins.values() for i in members)
+    bins = bin_members(idx)
+    seen = sorted(i for members in bins.values() for i in members)
     assert seen == list(range(n))
-    for (r, c), members in idx.bins.items():
+    for (r, c), members in bins.items():
         for i in members:
             assert int(np.floor(cloud.xy[i, 1] / 7.0)) == r
             assert int(np.floor(cloud.xy[i, 0] / 7.0)) == c
@@ -94,7 +104,7 @@ def test_index_rejects_bins_beyond_int64():
         with pytest.raises(GridOverflow, match="int64"):
             build_index(cloud, 1.0)
     wide = build_index(make_cloud([(0.0, 0.0, 0), (1e9, 1e9, 1)]), 1.0)
-    assert wide.bins[(10**9, 10**9)] == [1]
+    assert bin_members(wide)[(10**9, 10**9)] == [1]
 
 
 # ---------------------------------------------------------------------------
