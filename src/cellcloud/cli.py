@@ -214,7 +214,7 @@ def _cmd_forward(args):
     # One mean-NN per run: it scales the level-1 anchors even when --d-mean
     # pins the embedding's radii. It is looked up on nie, the layer whose
     # scale it is, where perfbench's tracer records it as spatial.mean_nn.
-    d_cloud = nie.mean_nn_distance(cloud)
+    d_cloud = nie.mean_nn_distance(cloud, threads=args.threads)
     d_mean = d_cloud if args.d_mean is None else args.d_mean
     features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
     if args.weights:
@@ -335,7 +335,7 @@ def _cmd_bench(args):
     xy = rng.uniform(0.0, extent, size=(args.cells, 2))
     types = rng.integers(0, 3, size=args.cells).astype(np.uint8)
     cloud = CellCloud(xy=xy, types=types, slide_id="bench")
-    d_mean = mean_nn_distance(cloud)
+    d_mean = mean_nn_distance(cloud, threads=args.threads)
     sched = radii_schedule(d_mean, params)
     t_build = time.perf_counter()
     index = build_index(cloud, bin_size=sched.r_max)
@@ -449,8 +449,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=_FINITE, default=0.5,
                    help="appearance blend weight (default 0.5, used with --appearance)")
     p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
-                   help="worker threads for the embedding only; the attention pass "
-                        "runs on one thread (default $CELLCLOUD_THREADS or 1)")
+                   help="worker threads for the mean-NN and the embedding; the "
+                        "attention pass runs on one thread (default $CELLCLOUD_THREADS or 1)")
     add_common(p)
     p.set_defaults(func=_cmd_forward)
 

@@ -126,7 +126,7 @@ def embed(
     if cloud.n_total < 2:
         raise TooFewCells("embedding needs at least 2 cells")
     if d_mean is None:
-        d_mean = mean_nn_distance(cloud)
+        d_mean = mean_nn_distance(cloud, threads=threads)
     sched = radii_schedule(d_mean, params)
     index = build_index(cloud, bin_size=sched.r_max)
     nc = count_in_radii(index, sched.r, threads=threads)

@@ -10,6 +10,12 @@ The workhorse is a uniform grid index. With ``bin_size`` equal to the
 largest query radius, a radius query only ever touches the 3x3 ring of
 bins around the query cell, giving O(N) expected cost for the million-cell
 neighbor-count pass that dominates the pipeline.
+
+Slide detections arrive in no spatial order, so the neighbour queries do
+not walk the cells in input order: the count walks them in bin order and
+the mean-NN query in the k-d tree's leaf order, and each result is written
+back to its cell's input row. Nearby queries then read nearby memory, and
+no result depends on the walk.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ __all__ = [
 ]
 
 # Queries are chunked: gives the thread pool units of work whose results
-# land in disjoint output slices.
+# land in disjoint output rows, and bounds the mean-NN query's workers.
 _QUERY_CHUNK = 65536
 
 # Every query expands its candidates at most this many (query, candidate)
@@ -95,18 +101,20 @@ class SpatialIndex:
 
     Internally the cells are held in CSR-style arrays (``order`` grouped by
     bin with ``starts`` offsets over the sorted, de-duplicated ``bin_ids``),
-    which is what the vectorised queries consume.
+    which is what the vectorised queries consume. ``binned_xy`` and
+    ``binned_types`` hold the cells' coordinates and types in that same bin
+    order, so a query reads a bin's cells from one contiguous run and
+    writes its result back to input row ``order[p]``.
     """
 
     source: CellCloud
     bin_size: float
-    bin_rows: np.ndarray = field(repr=False)
-    bin_cols: np.ndarray = field(repr=False)
     bin_ids: np.ndarray = field(repr=False)  # sorted unique packed ids
     starts: np.ndarray = field(repr=False)
     order: np.ndarray = field(repr=False)  # cell indices grouped by bin
-    _row_span: tuple[int, int] = field(repr=False)
-    _col_span: tuple[int, int] = field(repr=False)
+    binned_xy: np.ndarray = field(repr=False)  # xy[order]
+    binned_types: np.ndarray = field(repr=False)  # types[order]
+    _n_cols: int = field(repr=False)  # bin id = row offset * _n_cols + col offset
 
 
 def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
@@ -148,16 +156,16 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     else:
         bin_ids = np.empty(0, dtype=np.int64)
         starts = np.zeros(1, dtype=np.int64)
+    order = order.astype(np.int64)
     return SpatialIndex(
         source=cloud,
         bin_size=float(bin_size),
-        bin_rows=rows,
-        bin_cols=cols,
         bin_ids=bin_ids,
         starts=starts,
-        order=order.astype(np.int64),
-        _row_span=(r0, r1),
-        _col_span=(c0, c1),
+        order=order,
+        binned_xy=cloud.xy[order],
+        binned_types=cloud.types[order],
+        _n_cols=n_cols,
     )
 
 
@@ -181,54 +189,56 @@ def _ragged(lens: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _count_chunk(
-    index: SpatialIndex,
-    q_idx: np.ndarray,
-    r2: np.ndarray,
-    out: np.ndarray,
+    index: SpatialIndex, s: int, e: int, r2: np.ndarray, counts: np.ndarray
 ) -> None:
-    """Fill ``out`` (len(q_idx), Nd, T) with cumulative counts for a query chunk."""
-    cloud = index.source
-    xy = cloud.xy
-    types = cloud.types
+    """Fill the ``counts`` rows of the cells at bin-order positions [s, e).
+
+    The chunk's cells fill the consecutive bins [b0, b1), so each of a
+    bin's neighbour bins is looked up once for all the cells in it, and a
+    neighbour's cells are the contiguous positions ``seg_start + slot``.
+    """
+    xy = index.binned_xy
+    types = index.binned_types
+    starts = index.starts
     n_d = r2.size
-    r0, _ = index._row_span
-    c0, c1 = index._col_span
-    n_cols = c1 - c0 + 1
+    n_cols = index._n_cols
     ring = int(np.ceil(np.sqrt(r2[-1]) / index.bin_size))
-    qx = xy[q_idx, 0]
-    qy = xy[q_idx, 1]
-    qrow = index.bin_rows[q_idx]
-    qcol = index.bin_cols[q_idx]
-    m = q_idx.size
+    b0 = int(np.searchsorted(starts, s, side="right")) - 1
+    b1 = int(np.searchsorted(starts, e, side="left"))
+    bins = index.bin_ids[b0:b1]
+    bin_col = bins % n_cols
+    q_bin = np.repeat(
+        np.arange(b1 - b0), np.minimum(starts[b0 + 1 : b1 + 1], e) - np.maximum(starts[b0:b1], s)
+    )
+    qx = xy[s:e, 0]
+    qy = xy[s:e, 1]
+    m = e - s
     shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
 
     for dr in range(-ring, ring + 1):
         for dc in range(-ring, ring + 1):
-            packed = (qrow + dr - r0) * n_cols + (qcol + dc - c0)
-            # map each query's neighbor bin onto the CSR table
-            pos = np.searchsorted(index.bin_ids, packed)
-            pos_c = np.minimum(pos, index.bin_ids.size - 1)
-            hit = (index.bin_ids.size > 0) & (index.bin_ids[pos_c] == packed)
-            # out-of-span bins pack to ids that simply miss the table
-            hit &= (qcol + dc >= c0) & (qcol + dc <= c1)
-            qh = np.flatnonzero(hit)
-            seg_start = index.starts[pos_c[qh]]
-            seg_len = index.starts[pos_c[qh] + 1] - seg_start
+            # map each bin's neighbour onto the CSR table; a neighbour off the
+            # grid's rows packs to an id that misses it, one off its columns
+            # is masked out
+            packed = bins + (dr * n_cols + dc)
+            pos = np.minimum(np.searchsorted(index.bin_ids, packed), index.bin_ids.size - 1)
+            hit = (index.bin_ids[pos] == packed) & (bin_col + dc >= 0) & (bin_col + dc < n_cols)
+            seg_start = starts[pos][q_bin]
+            seg_len = np.where(hit, starts[pos + 1] - starts[pos], 0)[q_bin]
             for row, slot in _ragged(seg_len):
-                cand = index.order[seg_start[row] + slot]
-                qg = qh[row]
-                dx = qx[qg] - xy[cand, 0]
-                dy = qy[qg] - xy[cand, 1]
+                cand = seg_start[row] + slot
+                dx = qx[row] - xy[cand, 0]
+                dy = qy[row] - xy[cand, 1]
                 d2 = dx * dx + dy * dy
-                shell = np.searchsorted(r2, d2, side="left")
-                inside = shell < n_d
-                key = (qg[inside] * n_d + shell[inside]) * N_TYPES + types[cand[inside]]
+                inside = np.flatnonzero(d2 <= r2[-1])
+                shell = np.searchsorted(r2, d2[inside], side="left")
+                key = (row[inside] * n_d + shell) * N_TYPES + types[cand[inside]]
                 shell_counts += np.bincount(key, minlength=shell_counts.size)
 
     cum = np.cumsum(shell_counts.reshape(m, n_d, N_TYPES), axis=1)
     # remove the self pair: d2 = 0 lands in the first shell of own type
-    cum[np.arange(m)[:, None], :, types[q_idx][:, None]] -= 1
-    out[:] = cum.astype(np.uint32)
+    cum[np.arange(m)[:, None], :, types[s:e][:, None]] -= 1
+    counts[index.order[s:e]] = cum.astype(np.uint32)
 
 
 def count_in_radii(
@@ -237,8 +247,10 @@ def count_in_radii(
     """Exact cumulative neighbor counts per (cell, radius, type).
 
     Boundary rule is inclusive (d <= r) and the cell itself is excluded.
-    ``threads`` only partitions the query set; each worker writes a disjoint
-    output slice, so results are identical for any thread count.
+    Queries run in chunks of ``_QUERY_CHUNK`` cells taken in the index's bin
+    order, and each chunk writes its counts back to its cells' input rows.
+    ``threads`` only spreads the chunks over workers; each writes disjoint
+    rows, so results are identical for any thread count.
     """
     radii_arr = np.ascontiguousarray(radii, dtype=np.float64)
     if radii_arr.ndim != 1 or radii_arr.size == 0:
@@ -250,8 +262,7 @@ def count_in_radii(
     counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.uint32)
 
     def run(s: int) -> None:
-        e = min(s + _QUERY_CHUNK, n)
-        _count_chunk(index, np.arange(s, e, dtype=np.int64), r2, counts[s:e])
+        _count_chunk(index, s, min(s + _QUERY_CHUNK, n), r2, counts)
 
     starts = range(0, n, _QUERY_CHUNK)
     if threads <= 1 or len(starts) <= 1:
@@ -264,18 +275,33 @@ def count_in_radii(
     return NeighborCounts(radii=radii_arr, counts=counts)
 
 
-def _nn_mean_xy(xy: np.ndarray) -> float:
-    """Mean nearest-neighbor distance of a raw coordinate array (n >= 2)."""
+def _nn_mean_xy(xy: np.ndarray, threads: int = 1) -> float:
+    """Mean nearest-neighbor distance of a raw coordinate array (n >= 2).
+
+    The points are queried in the tree's own leaf order (``tree.indices``)
+    and their distances written back to input order before the mean, so
+    the float sum runs in input order whatever the walk. The query runs on
+    at most one worker per ``_QUERY_CHUNK`` points, so ``threads`` never
+    starts more workers than there are chunks, and a cloud of one chunk
+    stays on one.
+    """
+    n = xy.shape[0]
+    workers = min(threads, -(-n // _QUERY_CHUNK))
     tree = cKDTree(xy)
-    dist, _ = tree.query(xy, k=2)
-    return float(np.mean(dist[:, 1]))
+    dist, _ = tree.query(xy[tree.indices], k=2, workers=workers)
+    nn = np.empty(n)
+    nn[tree.indices] = dist[:, 1]
+    return float(np.mean(nn))
 
 
-def mean_nn_distance(cloud: CellCloud) -> float:
-    """Mean over cells of the distance to the nearest other cell."""
+def mean_nn_distance(cloud: CellCloud, threads: int = 1) -> float:
+    """Mean over cells of the distance to the nearest other cell.
+
+    ``threads`` bounds the query's workers; the value does not depend on it.
+    """
     if cloud.n_total < 2:
         raise TooFewCells("mean nearest-neighbor distance needs at least 2 cells")
-    return _nn_mean_xy(cloud.xy)
+    return _nn_mean_xy(cloud.xy, threads)
 
 
 def _augmented_d2(

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -50,14 +51,23 @@ def test_counts_radii_must_ascend():
 
 
 def bin_members(idx):
-    """(bin row, bin col) -> cell indices, read off the index's CSR arrays."""
+    """(bin row, bin col) -> cell indices, read off the index's CSR arrays.
+
+    Each bin's row and column come from its members' own coordinates, and
+    the bin-ordered copies must hold those members' coordinates and types.
+    """
     assert idx.starts[0] == 0 and idx.starts[-1] == idx.order.size
     assert np.all(np.diff(idx.bin_ids) > 0)  # sorted, de-duplicated
     assert np.all(np.diff(idx.starts) > 0)  # no empty bin is stored
     out = {}
     for b in range(idx.bin_ids.size):
         members = idx.order[idx.starts[b] : idx.starts[b + 1]].tolist()
-        (key,) = {(int(idx.bin_rows[i]), int(idx.bin_cols[i])) for i in members}
+        xy = idx.source.xy[members]
+        assert np.array_equal(idx.binned_xy[idx.starts[b] : idx.starts[b + 1]], xy)
+        assert np.array_equal(
+            idx.binned_types[idx.starts[b] : idx.starts[b + 1]], idx.source.types[members]
+        )
+        (key,) = {(int(r), int(c)) for r, c in np.floor(xy[:, ::-1] / idx.bin_size)}
         out[key] = members
     assert len(out) == idx.bin_ids.size  # one stored bin per grid bin
     return out
@@ -68,8 +78,6 @@ def test_index_bins_match_direct_binning():
         [(0.0, 0.0, 0), (9.9, 9.9, 1), (10.0, 0.0, 2), (25.0, 14.0, 0), (0.0, 10.0, 1)]
     )
     idx = build_index(cloud, bin_size=10.0)
-    assert idx.bin_rows.tolist() == [0, 0, 0, 1, 1]
-    assert idx.bin_cols.tolist() == [0, 0, 1, 2, 0]
     assert bin_members(idx) == {
         (0, 0): [0, 1],
         (0, 1): [2],
@@ -231,6 +239,35 @@ def test_counts_in_small_pair_batches_match_oracle(monkeypatch, threads):
         assert np.array_equal(nc.counts, count_reference(lattice.xy, lattice.types, radii))
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_counts_walk_bin_order_into_input_rows(monkeypatch, threads):
+    # Chunks of a few cells cut through bins and spread over the threads,
+    # which switch often; a random permutation of the cells must permute the
+    # counts and nothing else.
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 16)
+    rng = np.random.Generator(np.random.Philox(47))
+    radii = [3.0, 4.2426406871192855, 6.0]  # exact lattice distances
+    clouds = [
+        lattice_cloud(rng, 150),  # 16 sites: coincident cells of every type
+        lattice_cloud(rng, 200, pitch=12),
+        random_cloud(rng, 200, extent=40.0),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cloud in clouds:
+            want = count_reference(cloud.xy, cloud.types, radii)
+            perm = rng.permutation(cloud.n_total)
+            for bin_size in (2.5, 6.0):
+                base = count_in_radii(build_index(cloud, bin_size), radii, threads=threads)
+                index = build_index(cloud.subset(perm), bin_size)
+                moved = count_in_radii(index, radii, threads=threads)
+                assert np.array_equal(base.counts, want)
+                assert np.array_equal(moved.counts, base.counts[perm])
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_count_memory_bounded_when_cells_share_a_bin(monkeypatch):
     # 1,000 cells in one bin are a million (query, candidate) pairs; expanded
     # all at once they take tens of MB, in batches of 4,096 well under one.
@@ -293,6 +330,35 @@ def test_mean_nn_matches_brute(seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
     cloud = random_cloud(rng, n, extent=100.0)
     assert mean_nn_distance(cloud) == nn_mean_reference(cloud.xy)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_mean_nn_on_threads_matches_brute(monkeypatch, threads):
+    # Chunks of 32 points, so that up to three workers really run.
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 32)
+    rng = np.random.Generator(np.random.Philox(53))
+    for cloud in (lattice_cloud(rng, 150), lattice_cloud(rng, 200, pitch=12),
+                  random_cloud(rng, 200, extent=40.0)):
+        assert mean_nn_distance(cloud, threads=threads) == nn_mean_reference(cloud.xy)
+
+
+@pytest.mark.parametrize("chunk, workers", [(65536, 1), (100, 3)])
+def test_mean_nn_workers_bounded_by_chunks(monkeypatch, chunk, workers):
+    # The tree records the workers asked for and refuses more than one per
+    # chunk before any query runs, so a huge thread count starts no thread.
+    seen = []
+
+    class Recording(spatial.cKDTree):
+        def query(self, x, k=1, workers=1):
+            seen.append(workers)
+            assert workers <= -(-self.n // spatial._QUERY_CHUNK)
+            return super().query(x, k=k, workers=workers)
+
+    monkeypatch.setattr(spatial, "cKDTree", Recording)
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", chunk)
+    cloud = random_cloud(np.random.Generator(np.random.Philox(59)), 300, extent=100.0)
+    assert mean_nn_distance(cloud, threads=10**6) == nn_mean_reference(cloud.xy)
+    assert seen == [workers]
 
 
 # ---------------------------------------------------------------------------
