@@ -268,38 +268,19 @@ def _overlap_candidates(
     """Batches of index pairs (i, j), i < j, that include every intersecting pair.
 
     A pair intersects only if both |dx| and |dy| are below the larger of
-    its two sizes. Positive sizes fall into classes of one binary exponent
-    each, and class c's patches are hashed into square bins of side S_c,
-    the largest size in the class. Every patch of class c or a smaller one
-    is paired with the class-c patches in the bins up to ``_BIN_REACH``
-    away on each axis, so each pair is found once, in the grid of its
-    larger member's class: O(P) pairs on a tiled grid whatever the mix of
-    sizes. A patch of size <= 0 holds no bin of its own but is looked up in
-    every grid. Patches the bins cannot place (non-finite origin or size,
-    or an origin beyond ``_BIN_LIMIT`` bins of their own class's side, the
-    smallest side for a size <= 0) are paired with every patch.
+    its two sizes, so below S, the largest finite size. Origins are hashed
+    into square bins of side S and each patch is paired with the patches
+    in the bins up to ``_BIN_REACH`` away on each axis: O(P) pairs on a
+    tiled grid. Patches the bins cannot place (non-finite origin or size,
+    or an origin beyond ``_BIN_LIMIT`` bins) are paired with every patch.
     """
     n = ox.size
     finite = np.isfinite(size)
-    sized = np.flatnonzero(finite & (size > 0))
-    if sized.size:
-        cls = np.unique(np.frexp(size[sized])[1], return_inverse=True)[1]
-        side = np.zeros(cls.max() + 1)
-        np.maximum.at(side, cls, size[sized])
-        klass = np.full(n, -1)
-        klass[sized] = cls
-        own = side[np.maximum(klass, 0)]
-        # Placed in the bins of its own side, a patch is placed in those of
-        # every larger side too: |origin / side| only shrinks as side grows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            placed = finite & (np.abs(np.floor(ox / own)) < _BIN_LIMIT)
-            placed &= np.abs(np.floor(oy / own)) < _BIN_LIMIT
-        for c in range(side.size):
-            src = np.flatnonzero(placed & (klass <= c))
-            dst = np.flatnonzero(placed & (klass == c))
-            for i, j in _binned_pairs(src, dst, ox, oy, side[c]):
-                keep = (klass[i] < c) | (i < j)
-                yield np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+    s = float(size[finite].max()) if finite.any() else 0.0
+    if s > 0:
+        bx, by = np.floor(ox / s), np.floor(oy / s)
+        placed = finite & (np.abs(bx) < _BIN_LIMIT) & (np.abs(by) < _BIN_LIMIT)
+        yield from _binned_pairs(np.flatnonzero(placed), bx, by)
     else:
         placed = finite  # no two patches of size <= 0 meet
     for f in np.flatnonzero(~placed):
@@ -308,26 +289,26 @@ def _overlap_candidates(
 
 
 def _binned_pairs(
-    src: np.ndarray, dst: np.ndarray, ox: np.ndarray, oy: np.ndarray, side: float
+    idx: np.ndarray, bx: np.ndarray, by: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (i, j), i in ``src``, j in ``dst``, at most ``_BIN_REACH`` bins of ``side`` apart."""
-    if dst.size == 0:
+    """Pairs (i, j), i < j, of patches ``idx`` at most ``_BIN_REACH`` bins apart."""
+    if idx.size == 0:
         return
-    sx, sy = np.floor(ox[src] / side), np.floor(oy[src] / side)
-    ux, rx = np.unique(np.floor(ox[dst] / side), return_inverse=True)
-    uy, ry = np.unique(np.floor(oy[dst] / side), return_inverse=True)
+    ux, rx = np.unique(bx[idx], return_inverse=True)
+    uy, ry = np.unique(by[idx], return_inverse=True)
     order = np.argsort(rx * uy.size + ry, kind="stable")
     cell = (rx * uy.size + ry)[order]
     for dx in range(-_BIN_REACH, _BIN_REACH + 1):
-        cx = _rank(ux, sx + dx)
+        cx = _rank(ux, bx[idx] + dx)
         for dy in range(-_BIN_REACH, _BIN_REACH + 1):
-            cy = _rank(uy, sy + dy)
+            cy = _rank(uy, by[idx] + dy)
             ok = (cx >= 0) & (cy >= 0)
-            i, key = src[ok], cx[ok] * uy.size + cy[ok]
+            src, key = idx[ok], cx[ok] * uy.size + cy[ok]
             lo = np.searchsorted(cell, key, "left")
             count = np.searchsorted(cell, key, "right") - lo
             for row, slot in _ragged(count):
-                yield i[row], dst[order[lo[row] + slot]]
+                i, j = src[row], idx[order[lo[row] + slot]]
+                yield i[i < j], j[i < j]
 
 
 def _rank(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:

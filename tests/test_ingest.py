@@ -14,7 +14,6 @@ from cellcloud.ingest import (
     OverlappingPatches,
     PatchDetections,
     UnknownType,
-    _overlap_candidates,
     _parse_bulk,
     _parse_lines,
     _parse_rows,
@@ -424,21 +423,6 @@ def test_overlap_check_without_positive_sizes():
     assert _overlap_outcome(patches) is None is _overlap_oracle(patches)
     patches.append(patch((-3.0, -3.0), [], size=np.inf))
     assert _overlap_outcome(patches) == _overlap_oracle(patches) is not None
-
-
-@pytest.mark.parametrize("big_origin", [(1e6, 1e6), (1000.0, 1000.0)])
-def test_overlap_candidates_stay_linear_with_one_large_patch(big_origin):
-    # A 60 x 60 grid of 512 px patches and one 4096 px patch, far away or on
-    # top of the grid. Binned by the largest size, every 4096 px bin holds
-    # 64 grid patches and the check yields about 2M pairs; binned by each
-    # size class, a grid patch meets at most the 24 in its 5 x 5 bins.
-    g = np.arange(60) * 512.0
-    gx, gy = np.meshgrid(g, g)
-    ox = np.append(gx.ravel(), big_origin[0])
-    oy = np.append(gy.ravel(), big_origin[1])
-    size = np.append(np.full(g.size**2, 512.0), 4096.0)
-    pairs = sum(i.size for i, _ in _overlap_candidates(ox, oy, size))
-    assert pairs <= 24 * size.size
 
 
 @pytest.fixture(scope="module")
