@@ -186,7 +186,7 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
     if idx.size > 1:
         x, y = cloud.xy[idx, 0], cloud.xy[idx, 1]
         t = cloud.types[idx]
-        order = np.lexsort((idx, t, y, x))
+        order = np.lexsort((t, y, x))  # stable: equal cells keep ascending idx
         sx, sy, st, si = x[order], y[order], t[order], idx[order]
         same = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1]) & (st[1:] == st[:-1])
         dup = np.sort(si[1:][same])
@@ -276,7 +276,7 @@ def write_cloud(path: Union[str, Path], cloud: CellCloud) -> None:
         fh.write(_CC5B_MAGIC)
         fh.write(struct.pack("<I", _CC5B_VERSION))
         fh.write(struct.pack("<Q", cloud.n_total))
-        fh.write(rec.tobytes())
+        fh.write(memoryview(rec))
 
 
 def read_cloud(path: Union[str, Path], slide_id: str = "") -> CellCloud:
@@ -297,7 +297,7 @@ def read_cloud(path: Union[str, Path], slide_id: str = "") -> CellCloud:
 
 def write_features(path: Union[str, Path], features: np.ndarray) -> None:
     """Write a row-major float32 feature matrix, magic ``CCEM``."""
-    arr = np.ascontiguousarray(features, dtype=np.float32)
+    arr = np.ascontiguousarray(features, dtype="<f4")
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
@@ -307,7 +307,7 @@ def write_features(path: Union[str, Path], features: np.ndarray) -> None:
         fh.write(struct.pack("<I", _CCEM_VERSION))
         fh.write(struct.pack("<Q", arr.shape[0]))
         fh.write(struct.pack("<I", arr.shape[1]))
-        fh.write(arr.tobytes())
+        fh.write(memoryview(arr))
 
 
 def read_features(path: Union[str, Path]) -> np.ndarray:

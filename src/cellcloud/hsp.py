@@ -409,7 +409,8 @@ def hsp_forward(
     if differ:
         raise DimMismatch(f"config differs from the weights' config in {', '.join(differ)}")
     w64 = weights.astype(np.float64)
-    feats = feats_in @ w64.encoder_w.T + w64.encoder_b
+    feats = feats_in @ w64.encoder_w.T
+    feats += w64.encoder_b
     labels = None if types is None else np.ascontiguousarray(types)
     n_k = config.initial_anchors
     for lvl, lw in enumerate(w64.levels):
@@ -513,7 +514,7 @@ def save_weights(path: Union[str, Path], weights: HspWeights) -> None:
             arr = np.ascontiguousarray(t, dtype="<f4")
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(memoryview(arr))
 
 
 def load_weights(path: Union[str, Path]) -> HspWeights:

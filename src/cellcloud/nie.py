@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import spatial
 from .core import CellCloud, CellCloudError, N_TYPES, TooFewCells
 from .spatial import NeighborCounts, build_index, count_in_radii, mean_nn_distance
 
@@ -88,22 +89,27 @@ def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> RadiiSched
 def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
     """[local shells || global shells || one-hot type], f32 (n, 2*T*n_d + T).
 
-    Shell (annulus) counts are built once in float64, type-major, and divided
-    by the cell's own outermost count (local) and by the cloud's largest one
+    Shell (annulus) counts are built in float64, type-major, and divided by
+    the cell's own outermost count (local) and by the cloud's largest one
     (global), per type; a zero denominator leaves the block zero, not NaN.
     Each quotient is rounded to float32 as it is written into the output.
+    The shells are built ``spatial._QUERY_CHUNK`` rows at a time, so the
+    float64 scratch stays one block whatever the cloud's size.
     """
     n, n_d = nc.n_cells, nc.n_radii
     counts = np.swapaxes(nc.counts, 1, 2)  # (n, T, n_d)
-    shells = counts.astype(np.float64, order="C")
-    np.subtract(shells[:, :, 1:], counts[:, :, :-1], out=shells[:, :, 1:])
-    outer = counts[:, :, -1:]
+    global_max = counts[:, :, -1:].max(axis=0, initial=0)
     w = N_TYPES * n_d
     out = np.zeros((n, 2 * w + N_TYPES), dtype=np.float32)
-    for k, denom in enumerate((outer, outer.max(axis=0, initial=0))):
-        block = out[:, k * w : (k + 1) * w].reshape(n, N_TYPES, n_d)
-        np.divide(shells, denom, out=block, where=denom > 0, casting="same_kind")
-    out[:, 2 * w :][np.arange(n), types] = 1.0
+    for s in range(0, n, spatial._QUERY_CHUNK):
+        e = min(s + spatial._QUERY_CHUNK, n)
+        part = counts[s:e]
+        shells = part.astype(np.float64, order="C")
+        np.subtract(shells[:, :, 1:], part[:, :, :-1], out=shells[:, :, 1:])
+        for k, denom in enumerate((part[:, :, -1:], global_max)):
+            block = out[s:e, k * w : (k + 1) * w].reshape(e - s, N_TYPES, n_d)
+            np.divide(shells, denom, out=block, where=denom > 0, casting="same_kind")
+        out[s:e, 2 * w :][np.arange(e - s), types[s:e]] = 1.0
     return out
 
 

@@ -48,7 +48,7 @@ _QUERY_CHUNK = 65536
 # Every query expands its candidates at most this many (query, candidate)
 # pairs at a time, or one query's candidates when they alone are more, so
 # a cloud that packs many cells close together costs time, not memory.
-_PAIR_BATCH = 1 << 20
+_PAIR_BATCH = 1 << 16
 
 # Bin rows, columns and packed bin ids must stay below this in magnitude;
 # 2**62 leaves int64 room for the differences between bins.
@@ -156,7 +156,7 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     else:
         bin_ids = np.empty(0, dtype=np.int64)
         starts = np.zeros(1, dtype=np.int64)
-    order = order.astype(np.int64)
+    order = order.astype(np.int64, copy=False)
     return SpatialIndex(
         source=cloud,
         bin_size=float(bin_size),
@@ -232,8 +232,10 @@ def _count_chunk(
                 d2 = dx * dx + dy * dy
                 inside = np.flatnonzero(d2 <= r2[-1])
                 shell = np.searchsorted(r2, d2[inside], side="left")
-                key = (row[inside] * n_d + shell) * N_TYPES + types[cand[inside]]
-                shell_counts += np.bincount(key, minlength=shell_counts.size)
+                # a batch's rows ascend, so its counts fill one slice
+                lo, hi = row[0] * n_d * N_TYPES, (row[-1] + 1) * n_d * N_TYPES
+                key = ((row[inside] - row[0]) * n_d + shell) * N_TYPES + types[cand[inside]]
+                shell_counts[lo:hi] += np.bincount(key, minlength=hi - lo)
 
     cum = np.cumsum(shell_counts.reshape(m, n_d, N_TYPES), axis=1)
     # remove the self pair: d2 = 0 lands in the first shell of own type

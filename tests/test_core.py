@@ -1,4 +1,6 @@
+import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +145,18 @@ def test_validate_reports_every_repeat():
     ]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_validate_identical_triple_in_shuffled_rows(seed):
+    rows = [(float(i), 2.0 * i, i % N_TYPES) for i in range(10)] + [(7.5, 7.5, 1)] * 3
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    cloud = make_cloud([rows[i] for i in perm])
+    second, third = np.sort(np.flatnonzero(perm >= 10))[1:]
+    assert validate_cloud(cloud) == [
+        f"duplicate cell at index {second}",
+        f"duplicate cell at index {third}",
+    ]
+
+
 def test_same_position_different_type_is_not_duplicate():
     cloud = make_cloud([(5, 5, 0), (5, 5, 1)])
     assert validate_cloud(cloud) == []
@@ -260,6 +274,53 @@ def test_features_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ValueError, match="truncated"):
         read_features(path)
+
+
+def test_features_writer_makes_no_copy(tmp_path):
+    mat = np.random.default_rng(0).random((100_000, 21), dtype=np.float32)  # 8.4 MB
+    tracemalloc.start()
+    try:
+        write_features(tmp_path / "big.ccem", mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"write_features allocated {peak / 2**20:.1f} MB"
+    assert np.array_equal(read_features(tmp_path / "big.ccem"), mat)
+
+
+def test_writers_match_packed_reference(tmp_path):
+    # float64 input in Fortran order: the writer converts and lays out rows
+    mat = np.asfortranarray(np.arange(15, dtype=np.float64).reshape(5, 3) / 7)
+    write_features(tmp_path / "f.ccem", mat)
+    want = b"CCEM" + struct.pack("<IQI", 1, 5, 3)
+    want += b"".join(struct.pack("<f", v) for v in mat.ravel())
+    assert (tmp_path / "f.ccem").read_bytes() == want
+    assert np.array_equal(read_features(tmp_path / "f.ccem"), mat.astype(np.float32))
+
+    cloud = make_cloud([(np.pi, np.e, 0), (1.5, 0.0, 2), (1e6, 3.25, 1)])
+    write_cloud(tmp_path / "c.cc5b", cloud)
+    want = b"CC5B" + struct.pack("<IQ", 1, 3)
+    want += b"".join(struct.pack("<ddB", x, y, t) for (x, y), t in zip(cloud.xy, cloud.types))
+    assert (tmp_path / "c.cc5b").read_bytes() == want
+    back = read_cloud(tmp_path / "c.cc5b")
+    assert np.array_equal(back.xy, cloud.xy) and np.array_equal(back.types, cloud.types)
+
+    weights = _tiny_weights()
+    cfg = weights.config
+    tensors = list(weights.tensors())
+    save_weights(tmp_path / "w.ccwt", weights)
+    want = b"CCWT" + struct.pack("<I", 1)
+    want += struct.pack(
+        "<IIIIII", cfg.levels, cfg.initial_anchors, cfg.n_basic,
+        cfg.updates_per_level, cfg.encode_dim, cfg.dim_multiplier,
+    )
+    want += struct.pack("<dII", cfg.lambda_sim, weights.input_dim, len(tensors))
+    for t in tensors:
+        want += struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape)
+        want += struct.pack(f"<{t.size}f", *np.ravel(t))
+    assert (tmp_path / "w.ccwt").read_bytes() == want
+    back = list(load_weights(tmp_path / "w.ccwt").tensors())
+    assert all(np.array_equal(a, b) for a, b in zip(back, tensors))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellcloud import nie
-from cellcloud.core import N_TYPES, TooFewCells
+from cellcloud import nie, spatial
+from cellcloud.core import N_TYPES, CellCloud, TooFewCells
 from cellcloud.nie import (
     DegenerateScale,
     NieParams,
@@ -374,12 +374,9 @@ def test_embed_against_first_principles(seed, n, n_d):
     assert np.array_equal(embed(cloud, params, d_mean=d_mean), expected)
 
 
-def test_embed_peak_memory_per_cell(monkeypatch):
-    # Counts are computed beforehand, so the traced peak is what embed adds
-    # around them: mean-NN, grid index and the embedding itself. The float64
-    # shells and the float32 output are 156 bytes per cell between them.
+def _embed_peak_per_cell(monkeypatch, n):
+    """Traced peak of ``embed`` per cell, with the counts computed beforehand."""
     rng = np.random.Generator(np.random.Philox(15))
-    n = 20_000
     cloud = random_cloud(rng, n, extent=1400.0)
     sched = radii_schedule(mean_nn_distance(cloud))
     nc = count_in_radii(build_index(cloud, sched.r_max), sched.r)
@@ -391,4 +388,51 @@ def test_embed_peak_memory_per_cell(monkeypatch):
     finally:
         tracemalloc.stop()
     assert f.shape == (n, 21)
-    assert peak / n < 250, f"embed peaked at {peak / n:.0f} bytes per cell"
+    return peak / n
+
+
+def test_embed_peak_memory_per_cell(monkeypatch):
+    # Counts are computed beforehand, so the traced peak is what embed adds
+    # around them: mean-NN, grid index and the embedding itself. 20,000
+    # cells are one block, whose float64 shells (72 bytes per cell) and the
+    # float32 output (84) make most of the 168 bytes per cell measured.
+    peak = _embed_peak_per_cell(monkeypatch, 20_000)
+    assert peak < 250, f"embed peaked at {peak:.0f} bytes per cell"
+
+
+def test_embed_peak_memory_per_cell_in_small_blocks(monkeypatch):
+    # In blocks of 2,048 rows the shells are under 8 bytes per cell, so the
+    # float32 output (84) is most of the peak: 101 bytes per cell measured.
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 2048)
+    peak = _embed_peak_per_cell(monkeypatch, 20_000)
+    assert peak < 110, f"embed peaked at {peak:.0f} bytes per cell"
+
+
+def test_blocked_embedding_matches_one_shot_formula(monkeypatch):
+    # Unit lattice with radii exactly 1, 2 and 3, so many neighbours tie on a
+    # radius; type 1 is absent (global max 0) and one far cell counts no
+    # neighbours at all (outer count 0). 43 cells in blocks of 7 rows leave a
+    # last block of one row.
+    gx, gy = np.meshgrid(np.arange(7.0), np.arange(6.0))
+    xy = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), [[500.0, 500.0]]])
+    types = (np.arange(43) % 2 * 2).astype(np.uint8)
+    cloud = CellCloud(xy=xy, types=types)
+    params = NieParams(lambda_r=3.0, n_d=3)
+    radii = radii_schedule(1.0, params).r
+    assert np.array_equal(radii, [1.0, 2.0, 3.0])
+    nc = count_in_radii(build_index(cloud, 3.0), radii)
+    assert nc.counts[:, -1, 1].max() == 0 and not nc.counts[-1].any()
+
+    c = np.swapaxes(nc.counts, 1, 2).astype(np.float64)
+    shells = np.diff(c, axis=2, prepend=0.0)
+    outer = c[:, :, -1:]
+    top = outer.max(axis=0)
+    local = np.divide(shells, outer, out=np.zeros_like(shells), where=outer > 0)
+    glob = np.divide(shells, top, out=np.zeros_like(shells), where=top > 0)
+    expected = np.hstack(
+        [local.reshape(43, -1), glob.reshape(43, -1), np.eye(N_TYPES)[types]]
+    ).astype(np.float32)
+
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 7)
+    got = embed(cloud, params, d_mean=1.0)
+    assert got.tobytes() == expected.tobytes()
