@@ -91,7 +91,9 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
 
     Shell (annulus) counts are built in float64, type-major, and divided by
     the cell's own outermost count (local) and by the cloud's largest one
-    (global), per type; a zero denominator leaves the block zero, not NaN.
+    (global), per type. The counts are cumulative, so a denominator is zero
+    only when every shell it divides is; it is raised to 1, and the block
+    stays +0.0, not NaN.
     Each quotient is rounded to float32 as it is written into the output.
     The shells are built ``spatial._QUERY_CHUNK`` rows at a time, so the
     float64 scratch stays one block whatever the cloud's size.
@@ -108,7 +110,7 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
         np.subtract(shells[:, :, 1:], part[:, :, :-1], out=shells[:, :, 1:])
         for k, denom in enumerate((part[:, :, -1:], global_max)):
             block = out[s:e, k * w : (k + 1) * w].reshape(e - s, N_TYPES, n_d)
-            np.divide(shells, denom, out=block, where=denom > 0, casting="same_kind")
+            np.divide(shells, np.maximum(denom, 1), out=block, casting="same_kind")
         out[s:e, 2 * w :][np.arange(e - s), types[s:e]] = 1.0
     return out
 

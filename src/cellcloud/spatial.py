@@ -306,23 +306,6 @@ def mean_nn_distance(cloud: CellCloud, threads: int = 1) -> float:
     return _nn_mean_xy(cloud.xy, threads)
 
 
-def _augmented_d2(
-    xy: np.ndarray, labels: np.ndarray, p: np.ndarray, p_label, penalty: float
-) -> np.ndarray:
-    """Squared distance from every point to the point ``p`` in the augmented space.
-
-    Differing labels add ``penalty = 2*gamma**2`` (the squared distance
-    between two scaled one-hot corners). Written with the same scalar
-    expression the test oracle uses so both routes round identically.
-    """
-    dx = xy[:, 0] - p[0]
-    dy = xy[:, 1] - p[1]
-    d2 = dx * dx + dy * dy
-    if penalty != 0.0:
-        d2 = d2 + penalty * (labels != p_label)
-    return d2
-
-
 def fps(
     points: np.ndarray,
     labels: Optional[np.ndarray],
@@ -346,8 +329,14 @@ def fps(
     the rounding of sqrt and of the squares, the |x_pick| term the rounding
     of x_pick -/+ r at slide-scale offsets. Points outside it have a
     computed d2 of at least M, which ``np.minimum`` would leave unchanged,
-    and points inside it run :func:`_augmented_d2`'s exact expression, so
-    ``min_d2`` is bitwise the all-points update at every step.
+    and points inside it run the test oracle's scalar expression
+    ``dx*dx + dy*dy``, plus the penalty ``penalty * (label != label_pick)``
+    when there is one, so ``min_d2`` is bitwise the all-points update at
+    every step.
+
+    A pick writes its strip's d2 into two buffers sized once. With at most
+    ``N_TYPES`` distinct labels the penalty is one vector per label,
+    computed once in x order; with more, a pick compares its strip's labels.
     """
     xy = np.ascontiguousarray(points, dtype=np.float64)
     m = xy.shape[0]
@@ -364,21 +353,34 @@ def fps(
     start = int(np.lexsort((lab, xy[:, 1], xy[:, 0]))[0])
     penalty = 0.0 if labels is None else 2.0 * gamma * gamma
     perm = np.argsort(xy[:, 0], kind="stable")
-    sxy = xy[perm]
+    xs = xy[perm, 0]
+    ys = xy[perm, 1]
     slab = lab[perm]
-    xs = sxy[:, 0]
+    # One penalty vector per label while the labels are as few as the cell
+    # types; with more, a pick compares its strip's labels itself.
+    values = np.unique(slab).tolist() if penalty != 0.0 else []
+    pens = {v: penalty * (slab != v) for v in values} if len(values) <= N_TYPES else {}
+    d2_buf = np.empty(m)
+    buf = np.empty(m)
     out = np.empty(n, dtype=np.int64)
     min_d2 = np.full(m, np.inf)
     nxt = start
     for step in range(n):
         out[step] = nxt
         # M is +inf at the start pick, so its strip is the whole cloud.
-        xj = xy[nxt, 0]
+        xj = xy.item(nxt, 0)
         r = math.sqrt(min_d2[nxt]) * (1.0 + 1e-9) + 4e-16 * abs(xj) + 1e-300
-        lo, hi = xs.searchsorted((xj - r, xj + r))
+        lo, hi = xs.searchsorted((xj - r, xj + r)).tolist()
         idx = perm[lo:hi]
-        d2 = _augmented_d2(sxy[lo:hi], slab[lo:hi], xy[nxt], lab[nxt], penalty)
-        min_d2[idx] = np.minimum(min_d2[idx], d2)
+        d2 = np.subtract(xs[lo:hi], xj, out=d2_buf[: hi - lo])
+        np.multiply(d2, d2, out=d2)
+        dy = np.subtract(ys[lo:hi], xy.item(nxt, 1), out=buf[: hi - lo])
+        np.add(d2, np.multiply(dy, dy, out=dy), out=d2)
+        if penalty != 0.0:
+            pen = pens.get(lab.item(nxt))
+            np.add(d2, penalty * (slab[lo:hi] != lab[nxt]) if pen is None else pen[lo:hi], out=d2)
+        cur = min_d2.take(idx, out=buf[: hi - lo])
+        min_d2[idx] = np.minimum(cur, d2, out=cur)
         min_d2[nxt] = -np.inf  # never re-pick a selected point
         nxt = int(min_d2.argmax())  # first occurrence = smallest index
     return out
@@ -392,12 +394,16 @@ def knn_group(
     Rows come back sorted ascending by (distance, index). Points can belong
     to any number of groups.
 
-    A k-d tree finds each anchor's k-th distance and then every point within
-    a hair more than it: a candidate superset that holds all ties at the
-    k-th distance whatever the tree's own rounding. Candidates are ranked on
-    ``dx*dx + dy*dy`` like everywhere else here, then by index, so the rows
-    match the O(N^2) scan bit-for-bit without ever forming the anchor-by-
-    point distance matrix.
+    A k-d tree returns each anchor's k + 4 nearest points, a padded
+    candidate set ranked on ``dx*dx + dy*dy`` like everywhere else here,
+    then by index. The set holds every point within a hair more than the
+    tree's k-th distance, and so every tie at the k-th distance whatever the
+    tree's own rounding, once the tree's last candidate lies beyond that
+    hair: such a row is certified. A row that is not, on a lattice or
+    coincident points, is queried again with twice as many candidates, up
+    to all n. Rows are taken at most ``_PAIR_BATCH`` candidates at a time,
+    and match the O(N^2) scan bit-for-bit without ever forming the anchor-
+    by-point distance matrix.
     """
     anchors = np.ascontiguousarray(anchor_coords, dtype=np.float64).reshape(-1, 2)
     pts = np.ascontiguousarray(point_coords, dtype=np.float64).reshape(-1, 2)
@@ -409,19 +415,28 @@ def knn_group(
     if a == 0:
         return out
     tree = cKDTree(pts)
-    kth, _ = tree.query(anchors, k=[k])
-    radius = kth[:, 0] * (1.0 + 1e-9) + 1e-300
-    # Ball sizes come first so that a degenerate cloud, with many points tied
-    # at the k-th distance, builds its candidate lists a bounded batch at a time.
-    lens = tree.query_ball_point(anchors, radius, return_length=True)
-    for row, slot in _ragged(lens):
-        s, e = row[0], row[-1] + 1
-        balls = tree.query_ball_point(anchors[s:e], radius[s:e])
-        cand = np.concatenate(balls).astype(np.int64, copy=False)
-        dx = anchors[row, 0] - pts[cand, 0]
-        dy = anchors[row, 1] - pts[cand, 1]
-        d2 = dx * dx + dy * dy
-        order = np.lexsort((cand, d2, row))
-        first = np.flatnonzero(slot == 0)  # every ball holds at least k points
-        out[s:e] = cand[order[first[:, None] + np.arange(k)]]
+    rows = np.arange(a)
+    width = min(k + 4, n)
+    while rows.size:
+        uncertified = []
+        step = max(1, _PAIR_BATCH // width)
+        for s in range(0, rows.size, step):
+            sel = rows[s : s + step]
+            dist, cand = tree.query(anchors[sel], k=width)
+            cand = cand.reshape(-1, width)
+            if width < n:
+                dist = dist.reshape(-1, width)
+                ok = dist[:, -1] > dist[:, k - 1] * (1.0 + 1e-9) + 1e-300
+                uncertified.append(sel[~ok])
+                sel, cand = sel[ok], cand[ok]
+            del dist  # freed before the d2 scratch
+            dx = anchors[sel, 0, None] - pts[cand, 0]
+            dy = anchors[sel, 1, None] - pts[cand, 1]
+            dx *= dx
+            dy *= dy
+            dx += dy  # d2, rounded as dx*dx + dy*dy
+            order = np.lexsort((cand, dx), axis=-1)[:, :k]
+            out[sel] = np.take_along_axis(cand, order, axis=-1)
+        rows = np.concatenate(uncertified) if uncertified else rows[:0]
+        width = min(2 * width, n)
     return out

@@ -181,6 +181,49 @@ def test_validate_random_unique_clouds_clean(seed, n):
     assert validate_cloud(random_cloud(rng, n)) == []
 
 
+def validate_oracle(cloud):
+    """The full duplicate scan: one stable (t, y, x) sort over every finite row."""
+    problems = []
+    finite = np.isfinite(cloud.xy).all(axis=1)
+    problems += [f"non-finite coordinate at index {i}" for i in np.flatnonzero(~finite)]
+    negative = finite & (cloud.xy < 0).any(axis=1)
+    problems += [f"negative coordinate at index {i}" for i in np.flatnonzero(negative)]
+    idx = np.flatnonzero(finite)
+    if idx.size > 1:
+        x, y, t = cloud.xy[idx, 0], cloud.xy[idx, 1], cloud.types[idx]
+        order = np.lexsort((t, y, x))
+        sx, sy, st_, si = x[order], y[order], t[order], idx[order]
+        same = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1]) & (st_[1:] == st_[:-1])
+        problems += [f"duplicate cell at index {i}" for i in np.sort(si[1:][same])]
+    return problems
+
+
+# A small alphabet, so rows share x, share (x, y) across types, repeat whole
+# triples, and put -0.0 beside 0.0, among non-finite and negative rows.
+alphabet_x = st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e300, -3.0, np.nan, np.inf])
+alphabet_y = st.sampled_from([0.0, -0.0, 1.0, 7.25, -np.inf, -1.0, np.nan])
+alphabet_rows = st.lists(st.tuples(alphabet_x, alphabet_y, st.integers(0, N_TYPES - 1)), max_size=40)
+
+
+@given(st.data(), alphabet_rows)
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_full_scan(data, rows):
+    repeats = data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+    rows = data.draw(st.permutations(rows + repeats))  # exact triples in shuffled rows
+    cloud = make_cloud(rows)
+    assert validate_cloud(cloud) == validate_oracle(cloud)
+
+
+def test_validate_many_cells_sharing_x():
+    rng = np.random.Generator(np.random.Philox(3))
+    xy = np.column_stack([rng.integers(0, 3, 500) * 1.5, rng.integers(0, 40, 500) * 0.25])
+    xy[rng.integers(0, 500, 50), 0] *= -0.0  # -0.0 beside 0.0
+    cloud = CellCloud(xy=xy, types=rng.integers(0, N_TYPES, 500).astype(np.uint8))
+    problems = validate_cloud(cloud)
+    assert problems == validate_oracle(cloud)
+    assert len(problems) > 100
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------

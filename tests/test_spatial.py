@@ -415,6 +415,17 @@ def test_fps_slide_scale_ties_match_brute(seed, offset, spacing, m, gamma, label
     assert np.array_equal(fps(xy, labels, n, g), fps_reference(xy, labels, n, g))
 
 
+@given(seeds, st.integers(1, 50), st.integers(4, 60))
+@settings(max_examples=40, deadline=None)
+def test_fps_more_labels_than_types_match_brute(seed, m, n_labels):
+    # more distinct labels than cell types: each pick compares its strip's labels
+    rng = np.random.Generator(np.random.Philox(seed))
+    xy = rng.integers(0, 5, size=(m, 2)).astype(np.float64)
+    labels = rng.integers(0, n_labels, size=m).astype(np.int64)
+    n = int(rng.integers(1, m + 1))
+    assert np.array_equal(fps(xy, labels, n, 1.5), fps_reference(xy, labels, n, 1.5))
+
+
 def test_fps_all_points_coincident_slide_scale():
     xy = np.full((9, 2), [3e7, 1e5])
     labels = np.array([2, 0, 1, 0, 2, 1, 0, 0, 1], dtype=np.uint8)
@@ -580,6 +591,66 @@ def test_knn_candidate_batches(monkeypatch):
     anchors = 2e5 + rng.integers(-1, 5, size=(25, 2)) * 0.25
     for k in (1, 7, 33, 60):
         assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
+
+
+class RecordingTree(spatial.cKDTree):
+    """A k-d tree that records the width of every k-nearest query."""
+
+    widths: list = []
+
+    def query(self, x, k=1, **kwargs):
+        RecordingTree.widths.append((len(x), k))
+        return super().query(x, k=k, **kwargs)
+
+
+def widened_cloud():
+    # 20 copies of one point beside a lattice of 0.5 pitch: at every anchor
+    # the k + 4 nearest end inside a run of ties, on the copies or on a ring.
+    site = 1e5 + np.indices((6, 6)).reshape(2, -1).T * 0.5
+    pts = np.vstack([np.full((20, 2), site[14]), site])
+    anchors = np.vstack([site[[14, 0, 35, 8]], site[14] + [0.25, 0.25], site[0] - 3.0])
+    return anchors, pts
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 20, 21, 40, 56])
+def test_knn_widens_uncertified_rows(monkeypatch, k):
+    monkeypatch.setattr(spatial, "cKDTree", RecordingTree)
+    monkeypatch.setattr(RecordingTree, "widths", [])
+    anchors, pts = widened_cloud()
+    assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
+    widths = [w for _, w in RecordingTree.widths]
+    assert widths[0] == min(k + 4, pts.shape[0])
+    if k < 20:
+        # the coincident anchor's k + 4 nearest are all copies at distance 0
+        assert max(widths) > k + 4
+        assert RecordingTree.widths[-1][0] < anchors.shape[0]  # only its rows widen
+
+
+@given(seeds, st.integers(1, 40), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_knn_coincident_copies_match_brute(seed, copies, n_other):
+    rng = np.random.Generator(np.random.Philox(seed))
+    other = rng.integers(0, 3, size=(n_other, 2)) * 0.75
+    pts = rng.permutation(np.vstack([np.full((copies, 2), 0.75), other]))
+    anchors = np.vstack([[0.75, 0.75], other[:3], [[0.5, 1.0]]])
+    for k in {1, 2, copies, min(copies + 4, len(pts)), len(pts)}:
+        assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
+
+
+def test_knn_widening_memory_bounded_on_coincident_points():
+    # 300 anchors over 3,000 coincident points certify only once each row
+    # holds all 3,000 candidates; expanded all at once they take tens of MB.
+    pts = np.full((3000, 2), 5.0)
+    anchors = np.full((300, 2), 5.0)
+    tracemalloc.start()
+    try:
+        got = knn_group(anchors, pts, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (got == np.arange(30)).all()
+    candidate_bytes = 8 * spatial._PAIR_BATCH  # one int64 or float64 per candidate
+    assert peak < 8 * candidate_bytes, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_knn_rows_sorted_by_distance_then_index():
