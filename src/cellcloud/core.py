@@ -173,9 +173,11 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
     triple. For duplicates every occurrence after the first is reported.
     An empty list means the cloud is well formed.
 
-    Two duplicates share x, so the scan sorts the x column alone and sorts
-    full triples only over the rows whose x repeats, in ascending index
-    order: a cloud of distinct x values never pays for a 3-key sort.
+    Two duplicates share x, so the scan argsorts the x column alone and
+    sorts full triples only over the rows in a run of equal x, in ascending
+    index order. A cloud whose x values are all distinct pays one argsort;
+    one whose every x repeats (integer-pixel detections) pays that argsort
+    on top of the full 3-key sort.
     """
     problems: list[str] = []
     finite = np.isfinite(cloud.xy).all(axis=1)
@@ -188,11 +190,15 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
     # so non-finite rows cannot form duplicates anyway.
     idx = np.flatnonzero(finite)
     x = cloud.xy[idx, 0]
-    sx = np.sort(x)
-    repeated = sx[1:][sx[1:] == sx[:-1]]  # ascending, as searchsorted needs
-    if repeated.size:
-        near = np.minimum(np.searchsorted(repeated, x), repeated.size - 1)
-        idx = idx[repeated[near] == x]
+    ox = np.argsort(x)  # any sort: only the runs of equal x are read
+    sx = x[ox]
+    run = np.zeros(idx.size, dtype=bool)  # in x order: x equals a neighbour's
+    np.equal(sx[1:], sx[:-1], out=run[1:])
+    run[:-1] |= run[1:]
+    if run.any():
+        shared = np.empty_like(run)
+        shared[ox] = run
+        idx = idx[shared]  # still ascending
         x, y, t = cloud.xy[idx, 0], cloud.xy[idx, 1], cloud.types[idx]
         order = np.lexsort((t, y, x))  # stable: equal cells keep ascending idx
         sx, sy, st, si = x[order], y[order], t[order], idx[order]

@@ -334,9 +334,8 @@ def fps(
     when there is one, so ``min_d2`` is bitwise the all-points update at
     every step.
 
-    A pick writes its strip's d2 into two buffers sized once. With at most
-    ``N_TYPES`` distinct labels the penalty is one vector per label,
-    computed once in x order; with more, a pick compares its strip's labels.
+    A pick writes its strip's d2, and its label mismatches, into buffers
+    sized once, so memory stays O(m) for any labelling.
     """
     xy = np.ascontiguousarray(points, dtype=np.float64)
     m = xy.shape[0]
@@ -356,12 +355,9 @@ def fps(
     xs = xy[perm, 0]
     ys = xy[perm, 1]
     slab = lab[perm]
-    # One penalty vector per label while the labels are as few as the cell
-    # types; with more, a pick compares its strip's labels itself.
-    values = np.unique(slab).tolist() if penalty != 0.0 else []
-    pens = {v: penalty * (slab != v) for v in values} if len(values) <= N_TYPES else {}
     d2_buf = np.empty(m)
     buf = np.empty(m)
+    mismatch = np.empty(m, dtype=bool) if penalty != 0.0 else None
     out = np.empty(n, dtype=np.int64)
     min_d2 = np.full(m, np.inf)
     nxt = start
@@ -376,9 +372,9 @@ def fps(
         np.multiply(d2, d2, out=d2)
         dy = np.subtract(ys[lo:hi], xy.item(nxt, 1), out=buf[: hi - lo])
         np.add(d2, np.multiply(dy, dy, out=dy), out=d2)
-        if penalty != 0.0:
-            pen = pens.get(lab.item(nxt))
-            np.add(d2, penalty * (slab[lo:hi] != lab[nxt]) if pen is None else pen[lo:hi], out=d2)
+        if mismatch is not None:
+            ne = np.not_equal(slab[lo:hi], lab[nxt], out=mismatch[: hi - lo])
+            np.add(d2, np.multiply(ne, penalty, out=buf[: hi - lo]), out=d2)
         cur = min_d2.take(idx, out=buf[: hi - lo])
         min_d2[idx] = np.minimum(cur, d2, out=cur)
         min_d2[nxt] = -np.inf  # never re-pick a selected point

@@ -418,7 +418,7 @@ def test_fps_slide_scale_ties_match_brute(seed, offset, spacing, m, gamma, label
 @given(seeds, st.integers(1, 50), st.integers(4, 60))
 @settings(max_examples=40, deadline=None)
 def test_fps_more_labels_than_types_match_brute(seed, m, n_labels):
-    # more distinct labels than cell types: each pick compares its strip's labels
+    # int64 labels with more distinct values than there are cell types
     rng = np.random.Generator(np.random.Philox(seed))
     xy = rng.integers(0, 5, size=(m, 2)).astype(np.float64)
     labels = rng.integers(0, n_labels, size=m).astype(np.int64)
