@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, nie
 from .core import (
     CellCloud,
@@ -32,8 +30,7 @@ from .core import (
     write_features,
 )
 from .ingest import grid_sample, load_patch_dir, merge_boundary_cells, parse_cells_csv
-from .spatial import build_index, count_in_radii, mean_nn_distance
-from .nie import NieParams, embed, radii_schedule
+from .nie import NieParams, embed
 from .hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights, save_weights
 from .clinical import (
     ALPHA_PRESETS,
@@ -326,47 +323,6 @@ def _cmd_synth(args):
     return [], outputs
 
 
-def _cmd_bench(args):
-    extent = float(np.sqrt(args.cells)) * args.spacing
-    if not math.isfinite(extent):
-        raise _UsageError(f"sqrt(--cells) * --spacing must be finite, got --spacing {args.spacing!r}")
-    params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    xy = rng.uniform(0.0, extent, size=(args.cells, 2))
-    types = rng.integers(0, 3, size=args.cells).astype(np.uint8)
-    cloud = CellCloud(xy=xy, types=types, slide_id="bench")
-    d_mean = mean_nn_distance(cloud, threads=args.threads)
-    sched = radii_schedule(d_mean, params)
-    t_build = time.perf_counter()
-    index = build_index(cloud, bin_size=sched.r_max)
-    t_count = time.perf_counter()
-    counts = count_in_radii(index, sched.r, threads=args.threads)
-    t_done = time.perf_counter()
-    print(f"cells={args.cells}")
-    print(f"d_mean={d_mean:.4f} r_max={sched.r_max:.4f}")
-    print(f"index_s={t_count - t_build:.3f}")
-    print(f"count_s={t_done - t_count:.3f}")
-    print(f"cells_per_s={args.cells / (t_done - t_count):.0f}")
-    if args.hsp_cells:
-        m = min(args.hsp_cells, cloud.n_total)
-        sub = cloud.subset(np.arange(m))
-        feats = embed(sub, params, threads=args.threads)
-        config = HspConfig()
-        weights = init_weights(config, input_dim=feats.shape[1], seed=args.seed)
-        levels: list = []
-        t4 = time.perf_counter()
-        hsp_forward(sub.xy, feats, sub.types, config, weights, trace=levels)
-        t5 = time.perf_counter()
-        print(f"hsp_cells={m}")
-        print(f"hsp_forward_s={t5 - t4:.3f}")
-        for t in levels:
-            members = t.n_anchors * t.group_size
-            print(f"hsp_l{t.level}_retained_frac={t.retained / members:.4f}")
-            print(f"hsp_l{t.level}_rescued={t.rescued}/{t.n_anchors}")
-    assert counts.n_cells == args.cells
-    return [], []
-
-
 # ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
@@ -497,25 +453,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_AT_LEAST_0, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser(
-        "bench",
-        help="throughput report for counting and the forward pass "
-        "(the O(N^2) oracles they must match live in tests/hsp_reference.py)",
-    )
-    p.add_argument("--cells", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
-                   default=1_000_000, help="bench cloud size (default 1e6)")
-    p.add_argument("--spacing", type=_POSITIVE, default=10.0,
-                   help="mean cell spacing in px (default 10)")
-    p.add_argument("--lambda-r", type=float, default=4.0)
-    p.add_argument("--nd", type=int, default=3)
-    p.add_argument("--hsp-cells", type=_AT_LEAST_0, default=0,
-                   help="also time the forward pass at this size (0 = skip)")
-    p.add_argument("--seed", type=_AT_LEAST_0, default=0)
-    p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
-                   help="worker threads (default $CELLCLOUD_THREADS or 1)")
-    add_common(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

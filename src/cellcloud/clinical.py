@@ -639,11 +639,13 @@ def synth_cohort(
 # cohort / curve file formats
 # ---------------------------------------------------------------------------
 
+_COHORT_HEADER = ["patient_id", "score", "time", "event"]
+
 
 def write_cohort_csv(path: Union[str, Path], cohort: SurvivalCohort) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["patient_id", "score", "time", "event"])
+        w.writerow(_COHORT_HEADER)
         for pid, s, t, e in zip(
             cohort.patient_ids, cohort.scores, cohort.times, cohort.events
         ):
@@ -657,32 +659,30 @@ def read_cohort_csv(path: Union[str, Path]) -> SurvivalCohort:
     events: list[bool] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "patient_id",
-            "score",
-            "time",
-            "event",
-        ]:
-            raise MalformedCohort(f"{path}: line 1: header must be patient_id,score,time,event")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 4 or row[3].strip() not in ("0", "1"):
-                raise MalformedCohort(f"{where}: malformed cohort row {row!r}")
-            try:
-                score, time = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise MalformedCohort(f"{where}: {exc}") from None
-            if not math.isfinite(score):
-                raise MalformedCohort(f"{where}: score must be finite, got {row[1]!r}")
-            if not 0 < time < math.inf:
-                raise MalformedCohort(f"{where}: time must be finite and positive, got {row[2]!r}")
-            ids.append(row[0])
-            scores.append(score)
-            times.append(time)
-            events.append(row[3].strip() == "1")
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header] != _COHORT_HEADER:
+                raise MalformedCohort(f"{path}: line 1: header must be patient_id,score,time,event")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != 4 or row[3].strip() not in ("0", "1"):
+                    raise MalformedCohort(f"{where}: malformed cohort row {row!r}")
+                try:
+                    score, time = float(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise MalformedCohort(f"{where}: {exc}") from None
+                if not math.isfinite(score):
+                    raise MalformedCohort(f"{where}: score must be finite, got {row[1]!r}")
+                if not 0 < time < math.inf:
+                    raise MalformedCohort(f"{where}: time must be finite and positive, got {row[2]!r}")
+                ids.append(row[0])
+                scores.append(score)
+                times.append(time)
+                events.append(row[3].strip() == "1")
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedCohort(f"{path}: line {reader.line_num}: {exc}") from None
     return SurvivalCohort(
         scores=np.asarray(scores, dtype=np.float64),
         times=np.asarray(times, dtype=np.float64),

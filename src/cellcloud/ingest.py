@@ -38,25 +38,30 @@ __all__ = [
 _PATCH_NAME = re.compile(r"^patch_(-?\d+)_(-?\d+)\.csv$")
 
 
-class MalformedRow(CellCloudError):
+class _LineError(CellCloudError):
+    """An error at one line of a cells CSV; the message names the file when given."""
+
+    def __init__(self, line_no: int, message: str, path: Union[str, Path, None] = None):
+        self.line_no = line_no
+        super().__init__(("" if path is None else f"{path}: ") + f"line {line_no}: {message}")
+
+
+class MalformedRow(_LineError):
     error_code = "malformed_row"
 
-    def __init__(self, line_no: int, detail: str = ""):
-        self.line_no = line_no
-        msg = f"line {line_no}: malformed row"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
+    def __init__(self, line_no: int, detail: str = "", path: Union[str, Path, None] = None):
+        super().__init__(line_no, "malformed row" + (f" ({detail})" if detail else ""), path)
 
 
-class UnknownType(CellCloudError):
+class UnknownType(_LineError):
     error_code = "unknown_type"
 
-    def __init__(self, line_no: int, token: str = ""):
-        self.line_no = line_no
+    def __init__(self, line_no: int, token: str = "", path: Union[str, Path, None] = None):
         self.token = token
-        super().__init__(f"line {line_no}: unknown cell type {token!r}")
+        super().__init__(line_no, f"unknown cell type {token!r}", path)
 
 
-class DuplicateCell(CellCloudError):
+class DuplicateCell(_LineError):
     """Exact (x, y, type) duplicate inside one input file.
 
     Duplicates are rejected up front so that the only de-duplication
@@ -65,9 +70,8 @@ class DuplicateCell(CellCloudError):
 
     error_code = "duplicate_cell"
 
-    def __init__(self, line_no: int):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: duplicate cell")
+    def __init__(self, line_no: int, path: Union[str, Path, None] = None):
+        super().__init__(line_no, "duplicate cell", path)
 
 
 class OverlappingPatches(CellCloudError):
@@ -105,11 +109,11 @@ class PatchDetections:
 
 
 def _body_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every non-blank row after the header."""
-    for line_no, row in enumerate(reader, start=2):
+    """(number of its last line, fields) of every non-blank row after the header."""
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # ignore blank lines
-        yield line_no, row
+        yield reader.line_num, row
 
 
 def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
@@ -121,32 +125,31 @@ def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "missing header") from None
-        if [h.strip().lower() for h in header] != ["x", "y", "type"]:
-            raise MalformedRow(1, "header must be x,y,type")
-        for line_no, row in _body_rows(reader):
-            if len(row) != 3:
-                raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                x = float(row[0])
-                y = float(row[1])
-            except ValueError:
-                raise MalformedRow(line_no, "non-numeric coordinate") from None
-            if not (np.isfinite(x) and np.isfinite(y)):
-                raise MalformedRow(line_no, "non-finite coordinate")
-            try:
-                kind = CellType.from_token(row[2])
-            except ValueError:
-                raise UnknownType(line_no, row[2].strip()) from None
-            key = (x, y, int(kind))
-            if key in seen:
-                raise DuplicateCell(line_no)
-            seen.add(key)
-            xs.append(x)
-            ys.append(y)
-            ts.append(int(kind))
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header] != ["x", "y", "type"]:
+                raise MalformedRow(1, "header must be x,y,type", path)
+            for line_no, row in _body_rows(reader):
+                if len(row) != 3:
+                    raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}", path)
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except ValueError:
+                    raise MalformedRow(line_no, "non-numeric coordinate", path) from None
+                if not (np.isfinite(x) and np.isfinite(y)):
+                    raise MalformedRow(line_no, "non-finite coordinate", path)
+                try:
+                    kind = CellType.from_token(row[2])
+                except ValueError:
+                    raise UnknownType(line_no, row[2].strip(), path) from None
+                key = (x, y, int(kind))
+                if key in seen:
+                    raise DuplicateCell(line_no, path)
+                seen.add(key)
+                xs.append(x)
+                ys.append(y)
+                ts.append(int(kind))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedRow(reader.line_num, str(exc), path) from None
     xy = np.column_stack([xs, ys]) if xs else np.empty((0, 2), dtype=np.float64)
     return xy.astype(np.float64), np.asarray(ts, dtype=np.uint8)
 

@@ -197,7 +197,6 @@ def test_manifest_config_is_every_parsed_option(capsys, cloud_file, cohort_file,
         "km": [str(cohort), "-o", "km"],
         "cindex": [str(cohort)],
         "synth": ["--kind", "cohort", "--n", "2", "--seed", "2", "-o", "syn"],
-        "bench": ["--cells", "2000"],
     }
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -430,6 +429,37 @@ def test_ingest_out_of_patch_is_data_error(capsys, tmp_path):
     assert code == 2
     assert "error_code=out_of_patch" in err
     assert "patch_0_0.csv: line 3: patch-local" in err
+
+
+@pytest.mark.parametrize(
+    "argv, error_code",
+    [
+        (["ingest", "long.csv", "-o", "o.cc5b"], "malformed_row"),
+        (["cps", "long.csv"], "malformed_row"),
+        (["km", "cohort_long.csv"], "malformed_cohort"),
+        (["cindex", "cohort_long.csv"], "malformed_cohort"),
+    ],
+    ids=["ingest", "cps", "km", "cindex"],
+)
+def test_oversized_csv_field_is_data_error(tmp_path, argv, error_code):
+    # csv.reader refuses a field over csv.field_size_limit() (131,072 characters)
+    long = "0" * 200_000
+    (tmp_path / "long.csv").write_text(f"x,y,type\n1,1,other\n{long}1,2,other\n")
+    (tmp_path / "cohort_long.csv").write_text(
+        f"patient_id,score,time,event\np0,0.5,2.0,1\np{long},0.5,2.0,1\n"
+    )
+    package_root = str(Path(cellcloud.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellcloud.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert f"error_code={error_code}" in proc.stderr
+    assert f"{argv[1]}: line 3:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _BAD_FLAGS = [
@@ -816,7 +846,7 @@ def test_cindex_no_comparable_pairs(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# synth / bench
+# synth
 # ---------------------------------------------------------------------------
 
 
@@ -850,18 +880,6 @@ def test_synth_cohort_outputs_reproducible(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--cells", "2000", "--spacing", "nan"],
-        ["bench", "--cells", "2000", "--spacing", "inf"],
-        ["bench", "--cells", "2000", "--spacing", "-1"],
-        ["bench", "--cells", "2000", "--spacing", "0"],
-        # finite, but the cloud's side sqrt(2000) * 1e307 is not
-        ["bench", "--cells", "2000", "--spacing", "1e307"],
-        ["bench", "--cells", "-5"],
-        ["bench", "--cells", "1"],
-        ["bench", "--cells", "2000", "--hsp-cells", "-1"],
-        ["bench", "--cells", "2000", "--threads", "0"],
-        ["bench", "--cells", "2000", "--threads", "-2"],
-        ["bench", "--cells", "2000", "--seed", "-1"],
         ["synth", "--kind", "cohort", "-o", "d", "--n", "-1"],
         ["synth", "--kind", "toy", "-o", "d", "--seed", "-1"],
         # nothing is read: the cohort file need not exist
@@ -872,27 +890,10 @@ def test_synth_cohort_outputs_reproducible(capsys, tmp_path):
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
-def test_bench_and_synth_range_is_usage_error(capsys, tmp_path, argv):
+def test_synth_and_km_range_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert "error_code=usage" in err
     # Checked before any work: nothing is printed or written.
     assert out == ""
     assert list(tmp_path.iterdir()) == []
-
-
-def test_bench_small_run(capsys):
-    code, stdout, _ = run(
-        capsys,
-        ["bench", "--cells", "2000", "--hsp-cells", "300"],
-    )
-    assert code == 0
-    assert "cells=2000" in stdout
-    assert "hsp_cells=300" in stdout
-    # Default config on 300 cells: 300, 128 and 8 groups of k = 2, 4 and 32.
-    # No member clears lambda_sim = 0.5, so each group keeps one member.
-    lines = dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
-    for level, groups, k in ((1, 300, 2), (2, 128, 4), (3, 8, 32)):
-        assert lines[f"hsp_l{level}_retained_frac"] == f"{1 / k:.4f}"
-        assert lines[f"hsp_l{level}_rescued"] == f"{groups}/{groups}"
-    assert "hsp_l4_rescued" not in lines

@@ -474,6 +474,21 @@ def test_forward_structure_and_trace():
     assert trace[0].retained == kept.sum()
     assert trace[0].rescued == (scores.max(axis=1) <= lam).sum()
 
+    # The default config on fewer cells than its 2,048 anchors: 300, 128 and
+    # 8 groups of k = 2, 4 and 32. No member clears lambda_sim = 0.5, so each
+    # group keeps one member.
+    cloud, feats = forward_inputs(10, 300)
+    config = HspConfig()
+    trace = []
+    out = hsp_forward(cloud.xy, feats, cloud.types, config,
+                      init_weights(config, feats.shape[1], 0), trace=trace)
+    assert out.shape == (512,) and np.isfinite(out).all()
+    assert [t.level for t in trace] == [1, 2, 3]
+    assert [t.n_points for t in trace] == [300, 300, 128]
+    assert [(t.n_anchors, t.group_size) for t in trace] == [(300, 2), (128, 4), (8, 32)]
+    assert [t.retained for t in trace] == [300, 128, 8]
+    assert [t.rescued for t in trace] == [300, 128, 8]
+
 
 def test_forward_deterministic():
     cloud, feats = forward_inputs(11, 80)

@@ -1,4 +1,3 @@
-import csv
 import time
 
 import numpy as np
@@ -51,6 +50,11 @@ def test_parse_unknown_type_line_number(tmp_path):
         parse_cells_csv(p)
     assert exc.value.line_no == 2
     assert exc.value.token == "tumour"
+    # a quoted field may span lines: the bad row below is the file's line 4
+    p = write_csv(tmp_path / "k.csv", 'x,y,type\n"1\n",2,other\n3,4,tumour\n')
+    with pytest.raises(UnknownType, match=r"k.csv: line 4: unknown cell type 'tumour'") as exc:
+        parse_cells_csv(p)
+    assert exc.value.line_no == 4
 
 
 def test_parse_preserves_file_order(tmp_path):
@@ -199,10 +203,13 @@ def test_bulk_parse_takes_plain_files(tmp_path):
 
 
 def test_bulk_parse_leaves_long_fields_to_csv(tmp_path):
-    # csv.reader refuses fields over its size limit; the bulk pass must not accept them
+    # csv.reader refuses fields over its size limit; the bulk pass must not
+    # accept them, and the line parser reports them as a malformed row
     p = write_csv(tmp_path / "long.csv", "x,y,type\n" + "0" * 200_000 + "1,2,other\n")
     assert _parse_bulk(p.read_text()) is None
-    assert _outcome(_parse_rows, p)[0] is csv.Error
+    kind, line_no, message = _outcome(_parse_rows, p)
+    assert (kind, line_no) == (MalformedRow, 2)
+    assert message.startswith(f"{p}: line 2: malformed row (field larger than field limit")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,24 @@ def test_load_patch_dir_names_out_of_patch_line(tmp_path):
     write_csv(tmp_path / "patch_512_0.csv", "x,y,type\n1,1,other\n300,2,other\n")
     with pytest.raises(OutOfPatch, match=r"line 3: .*\[0, 256.0\)"):
         load_patch_dir(tmp_path, patch_size=256.0)
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("2,2,oth\x00er", UnknownType, "unknown cell type 'oth\\x00er'"),
+        ("2,2", MalformedRow, "malformed row (expected 3 fields, got 2)"),
+        ("1,1,other", DuplicateCell, "duplicate cell"),
+    ],
+    ids=["unknown_type", "malformed_row", "duplicate_cell"],
+)
+def test_load_patch_dir_names_file_of_bad_row(tmp_path, row, error, message):
+    write_csv(tmp_path / "patch_0_0.csv", "x,y,type\n1,1,other\n")
+    write_csv(tmp_path / "patch_512_0.csv", f"x,y,type\n1,1,other\n{row}\n")
+    with pytest.raises(error) as exc:
+        load_patch_dir(tmp_path)
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"{tmp_path / 'patch_512_0.csv'}: line 3: {message}"
 
 
 def test_load_patch_dir_names_and_order(tmp_path):
