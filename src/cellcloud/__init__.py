@@ -19,7 +19,6 @@ from .core import (
     read_cloud,
     read_features,
     validate_cloud,
-    write_cells_csv,
     write_cloud,
     write_features,
 )
@@ -45,7 +44,7 @@ from .spatial import (
     knn_group,
     mean_nn_distance,
 )
-from .nie import DegenerateScale, NieParams, RadiiSchedule, embed, embed_dim, radii_schedule
+from .nie import DegenerateScale, NieParams, embed, radii_schedule
 from .hsp import (
     BlockWeights,
     HspConfig,
@@ -68,7 +67,6 @@ from .clinical import (
     DegenerateRatio,
     EmptyCohort,
     ExhaustedResampling,
-    GaussianComponent,
     KMeansResult,
     KmPoint,
     MalformedCohort,
@@ -85,7 +83,6 @@ from .clinical import (
     read_cohort_csv,
     silhouette,
     synth_cohort,
-    synth_gaussian_cloud,
     synth_toy_set,
     write_cohort_csv,
     write_km_csv,

@@ -65,14 +65,6 @@ class _InvalidCloud(CellCloudError):
     error_code = "invalid_cloud"
 
 
-def _threads_default() -> int:
-    env = os.environ.get("CELLCLOUD_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _load_cloud(path: str) -> CellCloud:
     p = Path(path)
     if not p.exists():
@@ -356,6 +348,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cellcloud", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cellcloud {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default through the flag's type, so a bad
+    # $CELLCLOUD_THREADS is a usage error, as a bad --threads is.
+    env_threads = os.environ.get("CELLCLOUD_THREADS") or "1"
 
     def add_common(p):
         p.add_argument("--manifest", help="manifest path (default: derived from output)")
@@ -378,7 +373,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nd", type=int, default=3, help="radius count (default 3)")
     p.add_argument("--d-mean", type=_POSITIVE, default=None,
                    help="override mean nearest-neighbor distance (default: per-cloud)")
-    p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
+    p.add_argument("--threads", type=_AT_LEAST_1, default=env_threads,
                    help="worker threads (default $CELLCLOUD_THREADS or 1)")
     add_common(p)
     p.set_defaults(func=_cmd_nie)
@@ -404,7 +399,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--appearance", help="optional appearance CCEM to blend in")
     p.add_argument("--beta", type=_FINITE, default=0.5,
                    help="appearance blend weight (default 0.5, used with --appearance)")
-    p.add_argument("--threads", type=_AT_LEAST_1, default=_threads_default(),
+    p.add_argument("--threads", type=_AT_LEAST_1, default=env_threads,
                    help="worker threads for the mean-NN and the embedding; the "
                         "attention pass runs on one thread (default $CELLCLOUD_THREADS or 1)")
     add_common(p)

@@ -44,8 +44,6 @@ __all__ = [
     "kmeans",
     "silhouette",
     "median_split",
-    "GaussianComponent",
-    "synth_gaussian_cloud",
     "synth_toy_set",
     "synth_cohort",
     "read_cohort_csv",
@@ -352,6 +350,11 @@ def logrank(a: SurvivalCohort, b: SurvivalCohort) -> float:
     return math.erfc(math.sqrt(chi2 / 2.0))
 
 
+# c_index compares this many patients at a time against the whole cohort, so
+# its boolean pair matrices hold at most _C_INDEX_ROWS * n entries.
+_C_INDEX_ROWS = 256
+
+
 def c_index(cohort: SurvivalCohort) -> float:
     """Harrell's concordance index of scores against survival.
 
@@ -362,12 +365,15 @@ def c_index(cohort: SurvivalCohort) -> float:
     t = cohort.times
     e = cohort.events
     s = cohort.scores
-    earlier = (t[:, None] < t[None, :]) & e[:, None]  # i fails first, observed
-    n_comp = int(np.count_nonzero(earlier))
+    n_comp = conc = tied = 0
+    for a in range(0, len(t), _C_INDEX_ROWS):
+        b = a + _C_INDEX_ROWS
+        earlier = (t[a:b, None] < t[None, :]) & e[a:b, None]  # i fails first, observed
+        n_comp += int(np.count_nonzero(earlier))
+        conc += int(np.count_nonzero(earlier & (s[a:b, None] > s[None, :])))
+        tied += int(np.count_nonzero(earlier & (s[a:b, None] == s[None, :])))
     if n_comp == 0:
         raise NoComparablePairs("no comparable pairs in cohort")
-    conc = np.count_nonzero(earlier & (s[:, None] > s[None, :]))
-    tied = np.count_nonzero(earlier & (s[:, None] == s[None, :]))
     return (conc + 0.5 * tied) / n_comp
 
 
@@ -444,7 +450,6 @@ def silhouette(features: np.ndarray, labels: np.ndarray) -> float:
     uniq = np.unique(lab)
     if uniq.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
     vals = np.empty(n, dtype=np.float64)
     for i in range(n):
         same = lab == lab[i]
@@ -452,8 +457,9 @@ def silhouette(features: np.ndarray, labels: np.ndarray) -> float:
         if n_same <= 1:
             vals[i] = 0.0
             continue
-        a = d[i, same].sum() / (n_same - 1)
-        b = min(d[i, lab == c].mean() for c in uniq if c != lab[i])
+        d = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+        a = d[same].sum() / (n_same - 1)
+        b = min(d[lab == c].mean() for c in uniq if c != lab[i])
         vals[i] = (b - a) / max(a, b)
     return float(vals.mean())
 
@@ -461,40 +467,6 @@ def silhouette(features: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------
-
-
-class GaussianComponent(NamedTuple):
-    center: tuple[float, float]
-    stdev: float
-    count: int
-    kind: CellType
-
-
-def synth_gaussian_cloud(
-    components: Sequence[GaussianComponent], seed: int = 0, slide_id: str = "toy"
-) -> CellCloud:
-    """Sample a typed Gaussian-mixture cloud, component by component.
-
-    Cells are emitted in component order, so slicing by cumulative counts
-    recovers the generating component of every cell.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xy_parts = []
-    type_parts = []
-    for comp in components:
-        comp = GaussianComponent(*comp)
-        if comp.count <= 0 or comp.stdev <= 0:
-            raise ValueError("component counts and stdevs must be positive")
-        pts = np.asarray(comp.center, dtype=np.float64) + comp.stdev * rng.standard_normal(
-            (comp.count, 2)
-        )
-        xy_parts.append(pts)
-        type_parts.append(np.full(comp.count, int(comp.kind), dtype=np.uint8))
-    return CellCloud(
-        xy=np.concatenate(xy_parts) if xy_parts else np.empty((0, 2)),
-        types=np.concatenate(type_parts) if type_parts else np.empty(0, dtype=np.uint8),
-        slide_id=slide_id,
-    )
 
 
 def synth_toy_set(seed: int = 0) -> tuple[CellCloud, np.ndarray]:
@@ -519,11 +491,12 @@ def synth_toy_set(seed: int = 0) -> tuple[CellCloud, np.ndarray]:
     n_fringe, s_fringe = 110, 220.0
     n_out, exclusion, separation = 24, 800.0, 300.0
     centers = [(1000.0, 1000.0), (3200.0, 1200.0), (2000.0, 3200.0)]
-    comps = []
-    for c in centers:
-        comps.append(GaussianComponent(c, s_core, n_core, CellType.NEOPLASTIC))
-        comps.append(GaussianComponent(c, s_fringe, n_fringe, CellType.NEOPLASTIC))
-    cloud_blobs = synth_gaussian_cloud(comps, seed=seed, slide_id=f"toy-{seed}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    blobs = [
+        np.asarray(c) + stdev * rng.standard_normal((count, 2))
+        for c in centers
+        for stdev, count in ((s_core, n_core), (s_fringe, n_fringe))
+    ]
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     )
@@ -535,16 +508,11 @@ def synth_toy_set(seed: int = 0) -> tuple[CellCloud, np.ndarray]:
         if any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= separation**2 for q in out_pts):
             continue
         out_pts.append(p)
-    out_xy = np.asarray(out_pts)
-    out_types = np.full(n_out, int(CellType.INFLAMMATORY), dtype=np.uint8)
-    xy = np.clip(np.concatenate([cloud_blobs.xy, out_xy]), 0.0, None)
-    types = np.concatenate([cloud_blobs.types, out_types])
-    labels = np.full(xy.shape[0], 2, dtype=np.int64)
-    per_blob = n_core + n_fringe
-    for b in range(len(centers)):
-        labels[b * per_blob : b * per_blob + n_core] = 0
-        labels[b * per_blob + n_core : (b + 1) * per_blob] = 1
-    cloud = CellCloud(xy=xy, types=types, slide_id=cloud_blobs.slide_id)
+    xy = np.clip(np.concatenate([*blobs, out_pts]), 0.0, None)
+    sizes = [n_core, n_fringe] * len(centers) + [n_out]
+    labels = np.repeat(np.array([0, 1] * len(centers) + [2], dtype=np.int64), sizes)
+    types = np.where(labels == 2, CellType.INFLAMMATORY, CellType.NEOPLASTIC).astype(np.uint8)
+    cloud = CellCloud(xy=xy, types=types, slide_id=f"toy-{seed}")
     return cloud, labels
 
 

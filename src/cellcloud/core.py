@@ -5,16 +5,16 @@ coordinates (40x magnification) where every cell carries one of three type
 tags: neoplastic, inflammatory, or other. Clouds are stored as parallel
 numpy arrays so the geometric and statistical stages can stay vectorised.
 
-Two canonical on-disk forms are defined here:
+Two canonical on-disk forms are used:
 
-* a UTF-8 CSV with header ``x,y,type`` (type as lowercase token), and
-* a little-endian binary cache, magic ``CC5B``, holding packed
-  ``(float64 x, float64 y, uint8 type)`` records.
+* a UTF-8 CSV with header ``x,y,type`` (type as lowercase token), read by
+  :mod:`cellcloud.ingest`, and
+* a little-endian binary cache, defined here, magic ``CC5B``, holding
+  packed ``(float64 x, float64 y, uint8 type)`` records.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -36,7 +36,6 @@ __all__ = [
     "validate_cloud",
     "read_cloud",
     "write_cloud",
-    "write_cells_csv",
     "read_features",
     "write_features",
 ]
@@ -268,15 +267,6 @@ class _Container:
 # ---------------------------------------------------------------------------
 # canonical cell file formats
 # ---------------------------------------------------------------------------
-
-
-def write_cells_csv(path: Union[str, Path], cloud: CellCloud) -> None:
-    """Write the canonical ``x,y,type`` CSV (floats via repr round-trip)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "type"])
-        for (x, y), t in zip(cloud.xy, cloud.types):
-            w.writerow([repr(float(x)), repr(float(y)), CellType(int(t)).token])
 
 
 def write_cloud(path: Union[str, Path], cloud: CellCloud) -> None:

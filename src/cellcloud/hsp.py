@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -134,15 +134,14 @@ class BlockWeights:
     w_att2: np.ndarray
     b_att2: np.ndarray
 
-    def tensors(self) -> Iterator[np.ndarray]:
-        yield from (
-            self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v,
-            self.w_pos, self.b_pos, self.w_att1, self.b_att1,
-            self.w_att2, self.b_att2,
-        )
 
-    def astype(self, dtype) -> "BlockWeights":
-        return BlockWeights(*(t.astype(dtype) for t in self.tensors()))
+def _block_shapes(d: int) -> list[tuple[int, ...]]:
+    """Shapes of one :class:`BlockWeights` at width ``d``, in field order:
+    the Q/K/V affines, the 2->D position lift, the two-layer perceptron."""
+    return [(d, d), (d,)] * 3 + [(d, 2), (d,)] + [(d, d), (d,)] * 2
+
+
+_BLOCK_TENSORS = len(_block_shapes(1))
 
 
 @dataclass(frozen=True)
@@ -150,19 +149,6 @@ class LevelWeights:
     blocks: tuple[BlockWeights, ...]
     w_agg: np.ndarray
     b_agg: np.ndarray
-
-    def tensors(self) -> Iterator[np.ndarray]:
-        for blk in self.blocks:
-            yield from blk.tensors()
-        yield self.w_agg
-        yield self.b_agg
-
-    def astype(self, dtype) -> "LevelWeights":
-        return LevelWeights(
-            blocks=tuple(b.astype(dtype) for b in self.blocks),
-            w_agg=self.w_agg.astype(dtype),
-            b_agg=self.b_agg.astype(dtype),
-        )
 
 
 @dataclass(frozen=True)
@@ -178,16 +164,14 @@ class HspWeights:
         yield self.encoder_w
         yield self.encoder_b
         for lw in self.levels:
-            yield from lw.tensors()
+            for blk in lw.blocks:
+                yield from (getattr(blk, f.name) for f in fields(blk))
+            yield lw.w_agg
+            yield lw.b_agg
 
     def astype(self, dtype) -> "HspWeights":
-        return HspWeights(
-            config=self.config,
-            input_dim=self.input_dim,
-            encoder_w=self.encoder_w.astype(dtype),
-            encoder_b=self.encoder_b.astype(dtype),
-            levels=tuple(lw.astype(dtype) for lw in self.levels),
-        )
+        flat = [t.astype(dtype) for t in self.tensors()]
+        return _assemble(self.config, self.input_dim, flat)
 
 
 def _weight_count(config: HspConfig, limit: int) -> int:
@@ -195,15 +179,16 @@ def _weight_count(config: HspConfig, limit: int) -> int:
     ``limit``. Past ``limit`` it returns some larger count, after a number
     of steps that stays small for any config.
 
-    Per level of width d: each update block holds 5d^2 + 8d weights (see
-    :func:`_tensor_shapes`) and the aggregation m(d^2 + d).
+    Per level of width d: ``updates_per_level`` blocks of
+    :func:`_block_shapes` and the aggregation m(d^2 + d).
     """
     m = config.dim_multiplier
     total = config.encode_dim  # the encoder bias
     # With m == 1 every level has the same width, so one step counts them all.
     for level in range(config.levels if m > 1 else 1):
         d = config.level_dim(level)
-        per_level = config.updates_per_level * (5 * d * d + 8 * d) + m * (d * d + d)
+        block = sum(math.prod(shape) for shape in _block_shapes(d))
+        per_level = config.updates_per_level * block + m * (d * d + d)
         total += per_level if m > 1 else per_level * config.levels
         if total > limit:
             break
@@ -218,10 +203,7 @@ def _tensor_shapes(config: HspConfig, input_dim: int) -> Iterator[tuple[int, ...
     for lvl in range(config.levels):
         d = config.level_dim(lvl)
         for _ in range(config.updates_per_level):
-            for _ in ("q", "k", "v"):
-                yield from [(d, d), (d,)]
-            yield from [(d, 2), (d,)]          # position lift
-            yield from [(d, d), (d,), (d, d), (d,)]  # two-layer perceptron
+            yield from _block_shapes(d)
         yield from [(d * config.dim_multiplier, d), (d * config.dim_multiplier,)]
 
 
@@ -251,21 +233,14 @@ def _assemble(config: HspConfig, input_dim: int, flat: Sequence[np.ndarray]) -> 
     enc_w, enc_b = next(it), next(it)
     levels = []
     for _ in range(config.levels):
-        blocks = []
-        for _ in range(config.updates_per_level):
-            blocks.append(BlockWeights(*(next(it) for _ in range(12))))
-        w_agg, b_agg = next(it), next(it)
-        levels.append(LevelWeights(blocks=tuple(blocks), w_agg=w_agg, b_agg=b_agg))
-    leftover = list(it)
-    if leftover:
+        blocks = tuple(
+            BlockWeights(*(next(it) for _ in range(_BLOCK_TENSORS)))
+            for _ in range(config.updates_per_level)
+        )
+        levels.append(LevelWeights(blocks, w_agg=next(it), b_agg=next(it)))
+    if next(it, None) is not None:
         raise ValueError("too many tensors for config")
-    return HspWeights(
-        config=config,
-        input_dim=input_dim,
-        encoder_w=enc_w,
-        encoder_b=enc_b,
-        levels=tuple(levels),
-    )
+    return HspWeights(config, input_dim, enc_w, enc_b, tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +500,7 @@ def load_weights(path: Union[str, Path]) -> HspWeights:
         # Bound the header before anything is sized by it: the config fixes
         # the tensor count, and every tensor record (rank, dims, float32
         # data) takes at least 12 bytes.
-        expect = 2 + levels * (12 * updates + 2)
+        expect = 2 + levels * (_BLOCK_TENSORS * updates + 2)
         if n_tensors != expect:
             raise ValueError(f"{path}: expected {expect} tensors, file has {n_tensors}")
         if 12 * n_tensors > box.remaining:

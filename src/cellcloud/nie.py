@@ -27,15 +27,14 @@ from .spatial import NeighborCounts, build_index, count_in_radii, mean_nn_distan
 __all__ = [
     "DegenerateScale",
     "NieParams",
-    "RadiiSchedule",
     "radii_schedule",
     "embed",
-    "embed_dim",
 ]
 
 
 class DegenerateScale(CellCloudError, ValueError):
-    """A radius scale d_mean that is not positive and finite.
+    """A radius scale d_mean that is not positive, or so large that the
+    squared outer radius overflows float64.
 
     A cloud's own mean nearest-neighbor distance is 0 when all its cells
     coincide, and inf when the distance to a far cell overflows float64.
@@ -58,32 +57,17 @@ class NieParams:
             raise ValueError("n_d must be at least 1")
 
 
-@dataclass(frozen=True)
-class RadiiSchedule:
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.ascontiguousarray(self.r, dtype=np.float64)
-        if r.ndim != 1 or r.size == 0 or r[0] <= 0 or np.any(np.diff(r) <= 0):
-            raise ValueError("radii must be ascending and positive")
-        r.setflags(write=False)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
-
-
-def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> RadiiSchedule:
-    """Uniform schedule [r_max/n_d, 2*r_max/n_d, ..., r_max]."""
-    if not (d_mean > 0 and np.isfinite(d_mean)):
+def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> np.ndarray:
+    """Uniform float64 radii [r_max/n_d, 2*r_max/n_d, ..., r_max]."""
+    r_max = params.lambda_r * d_mean
+    if not (d_mean > 0 and r_max < spatial._MAX_RADIUS):
         raise DegenerateScale(
             "radius scale d_mean (by default the cloud's mean nearest-neighbor "
-            f"distance) must be positive and finite, got {d_mean!r}"
+            "distance) must be positive, and lambda_r * d_mean below "
+            f"{spatial._MAX_RADIUS!r}, got {d_mean!r}"
         )
-    r_max = params.lambda_r * d_mean
     j = np.arange(1, params.n_d + 1, dtype=np.float64)
-    return RadiiSchedule(r=j * r_max / params.n_d)
+    return j * r_max / params.n_d
 
 
 def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
@@ -115,10 +99,6 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_dim(params: NieParams = NieParams()) -> int:
-    return 2 * params.n_d * N_TYPES + N_TYPES
-
-
 def embed(
     cloud: CellCloud,
     params: NieParams = NieParams(),
@@ -135,8 +115,8 @@ def embed(
         raise TooFewCells("embedding needs at least 2 cells")
     if d_mean is None:
         d_mean = mean_nn_distance(cloud, threads=threads)
-    sched = radii_schedule(d_mean, params)
-    index = build_index(cloud, bin_size=sched.r_max)
-    nc = count_in_radii(index, sched.r, threads=threads)
+    radii = radii_schedule(d_mean, params)
+    index = build_index(cloud, bin_size=float(radii[-1]))
+    nc = count_in_radii(index, radii, threads=threads)
     del index
     return _embedding(nc, cloud.types)

@@ -54,6 +54,10 @@ _PAIR_BATCH = 1 << 16
 # 2**62 leaves int64 room for the differences between bins.
 _GRID_LIMIT = 2.0**62
 
+# The largest radius whose square is a finite float64; counting compares
+# squared distances against squared radii.
+_MAX_RADIUS = math.sqrt(np.finfo(np.float64).max)
+
 
 class GridOverflow(CellCloudError):
     """The cloud spans more grid bins than int64 bin ids can address."""
@@ -257,8 +261,8 @@ def count_in_radii(
     radii_arr = np.ascontiguousarray(radii, dtype=np.float64)
     if radii_arr.ndim != 1 or radii_arr.size == 0:
         raise ValueError("radii must be a non-empty 1-D sequence")
-    if radii_arr[0] <= 0 or np.any(np.diff(radii_arr) <= 0):
-        raise ValueError("radii must be strictly ascending and positive")
+    if not (0 < radii_arr[0] and radii_arr[-1] <= _MAX_RADIUS and np.all(np.diff(radii_arr) > 0)):
+        raise ValueError(f"radii must be positive, strictly ascending and at most {_MAX_RADIUS!r}")
     n = index.source.n_total
     r2 = radii_arr * radii_arr
     counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.uint32)

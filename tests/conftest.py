@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import csv
+
 import numpy as np
 
-from cellcloud.core import CellCloud
+from cellcloud.core import CellCloud, CellType
 
 
 def make_cloud(rows, slide_id=""):
@@ -18,3 +20,12 @@ def random_cloud(rng, n, extent=1000.0, n_types=3):
     xy = rng.uniform(0.0, extent, size=(n, 2))
     types = rng.integers(0, n_types, size=n).astype(np.uint8)
     return CellCloud(xy=xy, types=types)
+
+
+def write_cells_csv(path, cloud):
+    """Write ``cloud`` as the canonical ``x,y,type`` CSV (floats via repr round-trip)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "type"])
+        for (x, y), t in zip(cloud.xy, cloud.types):
+            w.writerow([repr(float(x)), repr(float(y)), CellType(int(t)).token])

@@ -436,25 +436,25 @@ def test_c11_counting_performance():
     xy = rng.uniform(0.0, 20_000.0, size=(n, 2))
     types = rng.integers(0, 3, size=n).astype(np.uint8)
     cloud = CellCloud(xy=xy, types=types)
-    sched = radii_schedule(10.0, NieParams())
+    radii = radii_schedule(10.0, NieParams())
 
     t0 = time.monotonic()
-    index = build_index(cloud, sched.r_max)
-    single = count_in_radii(index, sched.r, threads=1)
+    index = build_index(cloud, radii[-1])
+    single = count_in_radii(index, radii, threads=1)
     t_single = time.monotonic() - t0
     if t_single >= 30.0:
         problems.append(f"1M-cell count took {t_single:.1f}s >= 30s")
 
-    threaded = count_in_radii(index, sched.r, threads=8)
+    threaded = count_in_radii(index, radii, threads=8)
     if not np.array_equal(single.counts, threaded.counts):
         problems.append("threads=8 output differs from threads=1")
 
     sub = cloud.subset(np.arange(100_000))
     t1 = time.monotonic()
-    fast = count_in_radii(build_index(sub, sched.r_max), sched.r)
+    fast = count_in_radii(build_index(sub, radii[-1]), radii)
     t_fast = time.monotonic() - t1
     t2 = time.monotonic()
-    brute = count_reference(sub.xy, sub.types, sched.r)
+    brute = count_reference(sub.xy, sub.types, radii)
     t_brute = time.monotonic() - t2
     if not np.array_equal(fast.counts, brute):
         problems.append("fast and brute counts diverge at 100k cells")

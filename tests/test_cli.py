@@ -27,7 +27,6 @@ from cellcloud.core import (
     CellCloudError,
     read_cloud,
     read_features,
-    write_cells_csv,
     write_cloud,
     write_features,
 )
@@ -36,7 +35,7 @@ from cellcloud.hsp import HspConfig, combine_appearance, hsp_forward, init_weigh
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
 from cellcloud.nie import embed
 
-from conftest import make_cloud, random_cloud
+from conftest import make_cloud, random_cloud, write_cells_csv
 
 SMALL_FWD = [
     "--levels", "2", "--anchors", "16", "--n-basic", "4", "--encode-dim", "16",
@@ -551,6 +550,22 @@ def test_nie_threads_env_fallback(capsys, cloud_file, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
     manifest = json.loads((tmp_path / "b.ccem.manifest.json").read_text())
     assert manifest["config"]["threads"] == 4
+    # an explicit flag wins over the variable, and an empty one means 1
+    code, _, _ = run(capsys, ["nie", str(path), "-o", str(b), "--threads", "2"])
+    assert code == 0
+    assert json.loads((tmp_path / "b.ccem.manifest.json").read_text())["config"]["threads"] == 2
+    monkeypatch.setenv("CELLCLOUD_THREADS", "")
+    code, _, _ = run(capsys, ["nie", str(path), "-o", str(b)])
+    assert code == 0
+    assert json.loads((tmp_path / "b.ccem.manifest.json").read_text())["config"]["threads"] == 1
+    # a bad value is a usage error, as the same --threads value is
+    for bad in ("0", "-3", "two"):
+        monkeypatch.setenv("CELLCLOUD_THREADS", bad)
+        for argv in (["nie", str(path)], ["forward", str(path), "--seed", "1"]):
+            code, _, err = run(capsys, [*argv, "-o", str(tmp_path / "c.ccem")])
+            assert code == 1
+            assert "error_code=usage" in err
+            assert not (tmp_path / "c.ccem").exists()
 
 
 # ---------------------------------------------------------------------------

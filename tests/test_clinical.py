@@ -12,7 +12,6 @@ from cellcloud.clinical import (
     DegenerateRatio,
     EmptyCohort,
     ExhaustedResampling,
-    GaussianComponent,
     KmPoint,
     MalformedCohort,
     NoComparablePairs,
@@ -28,11 +27,11 @@ from cellcloud.clinical import (
     read_cohort_csv,
     silhouette,
     synth_cohort,
-    synth_gaussian_cloud,
     synth_toy_set,
     write_cohort_csv,
     write_km_csv,
 )
+from cellcloud import clinical
 from cellcloud.core import CellType, EmptyCloud
 
 from conftest import make_cloud, random_cloud
@@ -440,6 +439,18 @@ def test_c_index_matches_exhaustive_enumeration(seed, n):
     assert c_index(cohort) == c_index_oracle(cohort)
 
 
+def test_c_index_in_row_blocks_matches_enumeration(monkeypatch):
+    monkeypatch.setattr(clinical, "_C_INDEX_ROWS", 3)
+    rng = np.random.Generator(np.random.Philox(23))
+    n = 20
+    cohort = make_cohort(
+        rng.integers(1, 8, n).astype(float),
+        rng.uniform(size=n) < 0.6,
+        scores=rng.integers(0, 4, n).astype(float),
+    )
+    assert c_index(cohort) == c_index_oracle(cohort)
+
+
 def test_c_index_complement_without_ties():
     rng = np.random.Generator(np.random.Philox(17))
     n = 40
@@ -540,6 +551,24 @@ def test_silhouette_hand_case():
     assert got > 0.8
 
 
+def test_silhouette_matches_full_distance_matrix():
+    rng = np.random.Generator(np.random.Philox(21))
+    x = rng.normal(size=(60, 5))
+    labels = rng.integers(0, 3, size=60)
+    labels[0] = 3  # a singleton cluster
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    vals = []
+    for i in range(60):
+        same = labels == labels[i]
+        if same.sum() == 1:
+            vals.append(0.0)
+            continue
+        a = d[i, same].sum() / (same.sum() - 1)
+        b = min(d[i, labels == c].mean() for c in np.unique(labels) if c != labels[i])
+        vals.append((b - a) / max(a, b))
+    assert silhouette(x, labels) == float(np.mean(vals))
+
+
 def test_silhouette_singletons_contribute_zero():
     x = np.array([[0.0, 0.0], [5.0, 5.0]])
     assert silhouette(x, np.array([0, 1])) == 0.0
@@ -553,33 +582,6 @@ def test_silhouette_needs_two_clusters():
 # ---------------------------------------------------------------------------
 # synthetic generators
 # ---------------------------------------------------------------------------
-
-
-def test_synth_gaussian_components():
-    comps = [
-        GaussianComponent((0.0, 0.0), 1e-6, 10, CellType.NEOPLASTIC),
-        GaussianComponent((50.0, 50.0), 2.0, 20, CellType.INFLAMMATORY),
-    ]
-    cloud = synth_gaussian_cloud(comps, seed=0)
-    again = synth_gaussian_cloud(comps, seed=0)
-    assert np.array_equal(cloud.xy, again.xy)
-    assert cloud.counts_by_type.tolist() == [10, 20, 0]
-    assert np.abs(cloud.xy[:10]).max() < 6e-6
-    assert np.all(cloud.types[:10] == 0) and np.all(cloud.types[10:] == 1)
-
-
-def test_synth_gaussian_sample_mean_near_center():
-    comps = [GaussianComponent((100.0, 200.0), 5.0, 400, CellType.OTHER)]
-    cloud = synth_gaussian_cloud(comps, seed=1)
-    err = np.abs(cloud.xy.mean(axis=0) - [100.0, 200.0])
-    assert (err < 3 * 5.0 / np.sqrt(400)).all()
-
-
-def test_synth_gaussian_validation():
-    with pytest.raises(ValueError):
-        synth_gaussian_cloud([GaussianComponent((0, 0), 0.0, 5, CellType.OTHER)])
-    with pytest.raises(ValueError):
-        synth_gaussian_cloud([GaussianComponent((0, 0), 1.0, 0, CellType.OTHER)])
 
 
 def test_synth_toy_set_structure():

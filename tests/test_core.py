@@ -14,13 +14,12 @@ from cellcloud.core import (
     read_cloud,
     read_features,
     validate_cloud,
-    write_cells_csv,
     write_cloud,
     write_features,
 )
 from cellcloud.hsp import HspConfig, init_weights, load_weights, save_weights
 
-from conftest import make_cloud, random_cloud
+from conftest import make_cloud, random_cloud, write_cells_csv
 
 coord = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False, width=64)
 cell_rows = st.lists(st.tuples(coord, coord, st.integers(0, N_TYPES - 1)), max_size=50)

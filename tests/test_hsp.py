@@ -42,7 +42,7 @@ def small_weights(seed=0, input_dim=21):
 
 def small_block(i=0):
     """A level-1 attention block in float64, as the forward pass runs it."""
-    return small_weights().levels[0].blocks[i].astype(np.float64)
+    return small_weights().astype(np.float64).levels[0].blocks[i]
 
 
 def make_group(rng, k=6, dim=8):
@@ -374,8 +374,8 @@ def test_group_stage_independent_of_batch_size(k, dim):
     feats[:4] *= 0.1  # these groups score a hundredth of the rest
     coords = rng.uniform(0.0, 50.0, size=(b, k, 2))
     anchors = coords[:, 0] + rng.normal(0.0, 1.0, size=(b, 2))
-    level = init_weights(HspConfig(), 8, seed=dim).levels[int(np.log2(dim // 64))]
-    blocks = [blk.astype(np.float64) for blk in level.blocks]
+    weights = init_weights(HspConfig(), 8, seed=dim).astype(np.float64)
+    blocks = weights.levels[int(np.log2(dim // 64))].blocks
 
     # a threshold that masks members and leaves the damped groups to the rescue
     lam = float(np.quantile(similarity_scores(feats, coords, anchors)[0], 0.75))

@@ -9,10 +9,8 @@ from cellcloud.core import N_TYPES, CellCloud, TooFewCells
 from cellcloud.nie import (
     DegenerateScale,
     NieParams,
-    RadiiSchedule,
     _embedding,
     embed,
-    embed_dim,
     radii_schedule,
 )
 from cellcloud.spatial import NeighborCounts, build_index, count_in_radii, mean_nn_distance
@@ -86,28 +84,20 @@ def test_params_validation():
         NieParams(n_d=0)
 
 
-def test_schedule_class_validation():
-    with pytest.raises(ValueError):
-        RadiiSchedule(r=np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        RadiiSchedule(r=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        RadiiSchedule(r=np.array([]))
-    with pytest.raises(ValueError):
-        RadiiSchedule(r=np.array([1.0, 1.0]))
-
-
 def test_schedule_hand_values():
-    assert np.array_equal(radii_schedule(3.0).r, [4.0, 8.0, 12.0])
-    assert np.array_equal(radii_schedule(1.0, NieParams(lambda_r=1, n_d=1)).r, [1.0])
-    assert np.allclose(radii_schedule(2.5).r, [10 / 3, 20 / 3, 10.0], rtol=1e-15)
-    assert radii_schedule(3.0).r_max == 12.0
+    assert np.array_equal(radii_schedule(3.0), [4.0, 8.0, 12.0])
+    assert radii_schedule(3.0).dtype == np.float64
+    assert np.array_equal(radii_schedule(1.0, NieParams(lambda_r=1, n_d=1)), [1.0])
+    assert np.allclose(radii_schedule(2.5), [10 / 3, 20 / 3, 10.0], rtol=1e-15)
 
 
 def test_schedule_rejects_bad_d_mean():
-    for bad in (0.0, -2.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    # finite scales whose outer radius, or its square, overflows float64
+    for bad in (0.0, -2.0, np.nan, np.inf, 1e308, 1e154):
+        with pytest.raises(DegenerateScale):
             radii_schedule(bad)
+    radii = radii_schedule(1e153)
+    assert np.isfinite(radii * radii).all()
 
 
 def test_degenerate_cloud_scale_is_coded():
@@ -124,18 +114,11 @@ def test_degenerate_cloud_scale_is_coded():
     st.integers(1, 8),
 )
 def test_schedule_uniform_spacing(d_mean, lambda_r, n_d):
-    sched = radii_schedule(d_mean, NieParams(lambda_r=lambda_r, n_d=n_d))
-    assert sched.r.shape == (n_d,)
-    assert np.isclose(sched.r_max, lambda_r * d_mean, rtol=1e-12)
+    radii = radii_schedule(d_mean, NieParams(lambda_r=lambda_r, n_d=n_d))
+    assert radii.shape == (n_d,)
+    assert np.isclose(radii[-1], lambda_r * d_mean, rtol=1e-12)
     expected = np.arange(1, n_d + 1) * (lambda_r * d_mean) / n_d
-    assert np.array_equal(sched.r, expected)
-    assert sched.r_max == expected[-1]
-
-
-def test_embed_dim_values():
-    assert embed_dim() == 21
-    assert embed_dim(NieParams(n_d=1)) == 9
-    assert embed_dim(NieParams(n_d=5)) == 33
+    assert np.array_equal(radii, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +244,9 @@ def test_embed_two_cell_symmetry():
     expected[12] = 1.0  # global, type 1, first shell
     expected[19] = 1.0  # one-hot type 1
     assert np.array_equal(f[0], expected)
+    # width 2 * n_d * T + T
+    assert embed(cloud, NieParams(n_d=1)).shape == (2, 9)
+    assert embed(cloud, NieParams(n_d=5)).shape == (2, 33)
 
 
 def test_embed_matches_hand_layout():
@@ -378,8 +364,8 @@ def _embed_peak_per_cell(monkeypatch, n):
     """Traced peak of ``embed`` per cell, with the counts computed beforehand."""
     rng = np.random.Generator(np.random.Philox(15))
     cloud = random_cloud(rng, n, extent=1400.0)
-    sched = radii_schedule(mean_nn_distance(cloud))
-    nc = count_in_radii(build_index(cloud, sched.r_max), sched.r)
+    radii = radii_schedule(mean_nn_distance(cloud))
+    nc = count_in_radii(build_index(cloud, radii[-1]), radii)
     monkeypatch.setattr(nie, "count_in_radii", lambda *args, **kwargs: nc)
     tracemalloc.start()
     try:
@@ -418,7 +404,7 @@ def test_blocked_embedding_matches_one_shot_formula(monkeypatch):
     types = (np.arange(43) % 2 * 2).astype(np.uint8)
     cloud = CellCloud(xy=xy, types=types)
     params = NieParams(lambda_r=3.0, n_d=3)
-    radii = radii_schedule(1.0, params).r
+    radii = radii_schedule(1.0, params)
     assert np.array_equal(radii, [1.0, 2.0, 3.0])
     nc = count_in_radii(build_index(cloud, 3.0), radii)
     assert nc.counts[:, -1, 1].max() == 0 and not nc.counts[-1].any()

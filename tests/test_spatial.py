@@ -203,12 +203,13 @@ def test_counts_cumulative_monotone():
 
 def test_counts_radii_validation():
     idx = build_index(make_cloud([(0, 0, 0), (1, 1, 1)]), 1.0)
-    with pytest.raises(ValueError):
-        count_in_radii(idx, [])
-    with pytest.raises(ValueError):
-        count_in_radii(idx, [3.0, 2.0])
-    with pytest.raises(ValueError):
-        count_in_radii(idx, [-1.0, 2.0])
+    bad_radii = (
+        [], [3.0, 2.0], [-1.0, 2.0], [0.0, 1.0], [1.0, 1.0],
+        [1.0, np.inf], [np.inf, np.inf], [np.nan, 1.0], [1.0, 1e155],
+    )
+    for radii in bad_radii:
+        with pytest.raises(ValueError, match="radii must"):
+            count_in_radii(idx, radii)
 
 
 def test_counts_permutation_equivariant():
