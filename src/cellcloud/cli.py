@@ -72,8 +72,8 @@ def _load_cloud(path: str) -> CellCloud:
     with open(p, "rb") as fh:
         magic = fh.read(4)
     if magic == b"CC5B":
-        return read_cloud(p, slide_id=p.stem)
-    return parse_cells_csv(p, slide_id=p.stem)
+        return read_cloud(p)
+    return parse_cells_csv(p)
 
 
 def _load_valid_cloud(path: str) -> CellCloud:
@@ -159,12 +159,7 @@ def _cmd_ingest(args):
     src = Path(args.input)
     if src.is_dir():
         patches = load_patch_dir(src, patch_size=args.patch_size)
-        cloud = merge_boundary_cells(
-            patches,
-            d_boundary=args.d_boundary,
-            d_merge=args.d_merge,
-            slide_id=src.name,
-        )
+        cloud = merge_boundary_cells(patches, d_boundary=args.d_boundary, d_merge=args.d_merge)
     else:
         cloud = _load_cloud(args.input)
     if args.grid_size is not None:
@@ -183,7 +178,8 @@ def _cmd_nie(args):
     return [args.input], [args.output]
 
 
-# forward's option for each HspConfig field
+# forward's option for each HspConfig field. Each defaults to None: a flag
+# left out takes HspConfig's default, or under --weights the file's value.
 _HSP_FLAGS = {
     "levels": "levels",
     "anchors": "initial_anchors",
@@ -197,8 +193,24 @@ _HSP_FLAGS = {
 
 def _cmd_forward(args):
     params = _usage(NieParams, lambda_r=args.lambda_r, n_d=args.nd)
-    if not args.weights:
-        config = _usage(HspConfig, **{f: getattr(args, dest) for dest, f in _HSP_FLAGS.items()})
+    given = {dest: v for dest in _HSP_FLAGS if (v := getattr(args, dest)) is not None}
+    if args.weights:
+        # The file is the model: a flag may only repeat its value, as a
+        # replayed manifest does.
+        weights = load_weights(args.weights)
+        config = weights.config
+        for dest, v in given.items():
+            if v != (held := getattr(config, _HSP_FLAGS[dest])):
+                raise _UsageError(f"--{dest.replace('_', '-')} {v} differs from {args.weights}'s {held}")
+    else:
+        config = _usage(HspConfig, **{_HSP_FLAGS[dest]: v for dest, v in given.items()})
+    if args.appearance:
+        f_app = read_features(args.appearance)
+        if f_app.shape != (1, config.output_dim):
+            raise DimMismatch(
+                f"{args.appearance}: appearance CCEM is {f_app.shape[0]} x {f_app.shape[1]}, "
+                f"the descriptor 1 x {config.output_dim}"
+            )
     cloud = _load_valid_cloud(args.input)
     # One mean-NN per run: it scales the level-1 anchors even when --d-mean
     # pins the embedding's radii. It is looked up on nie, the layer whose
@@ -206,20 +218,11 @@ def _cmd_forward(args):
     d_cloud = nie.mean_nn_distance(cloud, threads=args.threads)
     d_mean = d_cloud if args.d_mean is None else args.d_mean
     features = embed(cloud, params, d_mean=d_mean, threads=args.threads)
-    if args.weights:
-        weights = load_weights(args.weights)
-        config = weights.config
-        if weights.input_dim != features.shape[1]:
-            raise DimMismatch(
-                f"weight file expects input dim {weights.input_dim}, "
-                f"embedding has {features.shape[1]}"
-            )
-    else:
+    if not args.weights:
         weights = init_weights(config, input_dim=features.shape[1], seed=args.seed)
-    descriptor = hsp_forward(cloud.xy, features, cloud.types, config, weights, gamma=d_cloud)
+    descriptor = hsp_forward(cloud.xy, features, cloud.types, weights, gamma=d_cloud)
     if args.appearance:
-        f_app = read_features(args.appearance).ravel()
-        descriptor = combine_appearance(descriptor, f_app, args.beta)
+        descriptor = combine_appearance(descriptor, f_app[0], args.beta)
     write_features(args.output, descriptor[None, :])
     if args.save_weights:
         save_weights(args.save_weights, weights)
@@ -385,14 +388,17 @@ def _build_parser() -> _Parser:
     group.add_argument("--weights", help="CCWT weight file (config read from file)")
     group.add_argument("--seed", type=_AT_LEAST_0, help="draw weights from this seed")
     p.add_argument("--save-weights", help="also write the used weights as CCWT")
-    p.add_argument("--levels", type=int, default=3, help="hierarchy levels L (default 3)")
-    p.add_argument("--anchors", type=int, default=2048, help="initial anchors Nk (default 2048)")
-    p.add_argument("--n-basic", type=int, default=16, help="anchor divisor Nbasic (default 16)")
-    p.add_argument("--lambda-sim", type=float, default=0.5,
-                   help="filter threshold lambda_sim (default 0.5)")
-    p.add_argument("--updates", type=int, default=2, help="attention rounds per level (default 2)")
-    p.add_argument("--encode-dim", type=int, default=64, help="encoder width D0 (default 64)")
-    p.add_argument("--dim-multiplier", type=int, default=2, help="width growth per level (default 2)")
+    hsp = HspConfig()
+    p.add_argument("--levels", type=int, help=f"hierarchy levels L (default {hsp.levels})")
+    p.add_argument("--anchors", type=int, help=f"initial anchors Nk (default {hsp.initial_anchors})")
+    p.add_argument("--n-basic", type=int, help=f"anchor divisor Nbasic (default {hsp.n_basic})")
+    p.add_argument("--lambda-sim", type=float,
+                   help=f"filter threshold lambda_sim (default {hsp.lambda_sim})")
+    p.add_argument("--updates", type=int,
+                   help=f"attention rounds per level (default {hsp.updates_per_level})")
+    p.add_argument("--encode-dim", type=int, help=f"encoder width D0 (default {hsp.encode_dim})")
+    p.add_argument("--dim-multiplier", type=int,
+                   help=f"width growth per level (default {hsp.dim_multiplier})")
     p.add_argument("--lambda-r", type=float, default=4.0, help="embedding radius scale (default 4)")
     p.add_argument("--nd", type=int, default=3, help="embedding radius count (default 3)")
     p.add_argument("--d-mean", type=_POSITIVE, default=None, help="override embedding d_mean")

@@ -391,6 +391,10 @@ def median_split(cohort: SurvivalCohort) -> tuple[SurvivalCohort, SurvivalCohort
 # ---------------------------------------------------------------------------
 
 
+# Lloyd iterations kmeans runs at most before it stops unconverged.
+_KMEANS_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class KMeansResult:
     labels: np.ndarray
@@ -398,9 +402,7 @@ class KMeansResult:
     n_iter: int
 
 
-def kmeans(
-    features: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
-) -> KMeansResult:
+def kmeans(features: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with seeded farthest-point-style initialization.
 
     The first centroid is a seeded random row; each further centroid is the
@@ -426,7 +428,7 @@ def kmeans(
         min_d2[nxt] = -np.inf
     centroids = x[chosen].copy()
     labels = np.full(n, -1, dtype=np.int64)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _KMEANS_MAX_ITER + 1):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         if np.array_equal(new_labels, labels):
@@ -436,7 +438,7 @@ def kmeans(
             members = labels == c
             if members.any():
                 centroids[c] = x[members].mean(axis=0)
-    return KMeansResult(labels=labels, centroids=centroids, n_iter=max_iter)
+    return KMeansResult(labels=labels, centroids=centroids, n_iter=_KMEANS_MAX_ITER)
 
 
 def silhouette(features: np.ndarray, labels: np.ndarray) -> float:
@@ -512,11 +514,11 @@ def synth_toy_set(seed: int = 0) -> tuple[CellCloud, np.ndarray]:
     sizes = [n_core, n_fringe] * len(centers) + [n_out]
     labels = np.repeat(np.array([0, 1] * len(centers) + [2], dtype=np.int64), sizes)
     types = np.where(labels == 2, CellType.INFLAMMATORY, CellType.NEOPLASTIC).astype(np.uint8)
-    cloud = CellCloud(xy=xy, types=types, slide_id=f"toy-{seed}")
+    cloud = CellCloud(xy=xy, types=types)
     return cloud, labels
 
 
-def _patient_cloud(rng: np.random.Generator, extent: float = 4096.0) -> tuple[CellCloud, float]:
+def _patient_cloud(rng: np.random.Generator) -> tuple[CellCloud, float]:
     """One synthetic patient; returns (cloud, risk ratio).
 
     Neoplastic nests sit in the slide interior. A patient-specific fraction
@@ -531,6 +533,7 @@ def _patient_cloud(rng: np.random.Generator, extent: float = 4096.0) -> tuple[Ce
     n_neo = int(rng.integers(80, 400))
     n_inf = int(rng.integers(40, 160))
     n_other = int(rng.integers(100, 1500))
+    extent = 4096.0  # side of the square slide, px
     margin = 600.0
     band = 120.0
     parts_xy = []
@@ -567,9 +570,7 @@ def _patient_cloud(rng: np.random.Generator, extent: float = 4096.0) -> tuple[Ce
     return cloud, n_neo / n_infil
 
 
-def synth_cohort(
-    n: int, seed: int = 0, extent: float = 4096.0
-) -> tuple[list[CellCloud], SurvivalCohort]:
+def synth_cohort(n: int, seed: int = 0) -> tuple[list[CellCloud], SurvivalCohort]:
     """Synthetic patients whose spatial composition drives their survival.
 
     Each patient's hazard is rate = 0.1 * (1 + ratio) where ratio is the
@@ -587,7 +588,7 @@ def synth_cohort(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         )
-        cloud, ratio = _patient_cloud(rng, extent=extent)
+        cloud, ratio = _patient_cloud(rng)
         clouds.append(cloud)
         rate = 0.1 * (1.0 + ratio)
         t_event = rng.exponential(1.0 / rate)

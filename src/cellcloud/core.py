@@ -127,7 +127,6 @@ class CellCloud:
 
     xy: np.ndarray
     types: np.ndarray
-    slide_id: str = ""
     counts_by_type: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -157,11 +156,7 @@ class CellCloud:
         return float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1])
 
     def subset(self, mask_or_idx: np.ndarray) -> "CellCloud":
-        return CellCloud(
-            xy=self.xy[mask_or_idx],
-            types=self.types[mask_or_idx],
-            slide_id=self.slide_id,
-        )
+        return CellCloud(xy=self.xy[mask_or_idx], types=self.types[mask_or_idx])
 
 
 def validate_cloud(cloud: CellCloud) -> list[str]:
@@ -208,7 +203,7 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# binary container reader
+# binary container reader and writer
 # ---------------------------------------------------------------------------
 
 
@@ -264,6 +259,20 @@ class _Container:
         return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
 
 
+def _write_container(path: Union[str, Path], magic: bytes, version: int, *parts) -> None:
+    """Write one container: the 4-byte magic, the u32 version, then each of
+    ``parts`` (bytes or a buffer such as a contiguous array) in order.
+
+    Every binary writer goes through this function, the mirror of
+    :class:`_Container`.
+    """
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", version))
+        for part in parts:
+            fh.write(part)
+
+
 # ---------------------------------------------------------------------------
 # canonical cell file formats
 # ---------------------------------------------------------------------------
@@ -275,14 +284,10 @@ def write_cloud(path: Union[str, Path], cloud: CellCloud) -> None:
     rec["x"] = cloud.xy[:, 0]
     rec["y"] = cloud.xy[:, 1]
     rec["t"] = cloud.types
-    with open(path, "wb") as fh:
-        fh.write(_CC5B_MAGIC)
-        fh.write(struct.pack("<I", _CC5B_VERSION))
-        fh.write(struct.pack("<Q", cloud.n_total))
-        fh.write(memoryview(rec))
+    _write_container(path, _CC5B_MAGIC, _CC5B_VERSION, struct.pack("<Q", cloud.n_total), memoryview(rec))
 
 
-def read_cloud(path: Union[str, Path], slide_id: str = "") -> CellCloud:
+def read_cloud(path: Union[str, Path]) -> CellCloud:
     """Read a ``CC5B`` cache back into a :class:`CellCloud`."""
     with _Container(path, _CC5B_MAGIC, _CC5B_VERSION, "CC5B cell cache") as box:
         (count,) = box.unpack("<Q")
@@ -290,7 +295,7 @@ def read_cloud(path: Union[str, Path], slide_id: str = "") -> CellCloud:
     xy = np.empty((count, 2), dtype=np.float64)
     xy[:, 0] = rec["x"]
     xy[:, 1] = rec["y"]
-    return CellCloud(xy=xy, types=rec["t"].copy(), slide_id=slide_id)
+    return CellCloud(xy=xy, types=rec["t"].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +310,7 @@ def write_features(path: Union[str, Path], features: np.ndarray) -> None:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_CCEM_MAGIC)
-        fh.write(struct.pack("<I", _CCEM_VERSION))
-        fh.write(struct.pack("<Q", arr.shape[0]))
-        fh.write(struct.pack("<I", arr.shape[1]))
-        fh.write(memoryview(arr))
+    _write_container(path, _CCEM_MAGIC, _CCEM_VERSION, struct.pack("<QI", *arr.shape), memoryview(arr))
 
 
 def read_features(path: Union[str, Path]) -> np.ndarray:

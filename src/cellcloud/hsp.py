@@ -44,7 +44,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DimMismatch, EmptyGroup, TooFewPoints, _Container
+from .core import DimMismatch, EmptyGroup, TooFewPoints, _Container, _write_container
 from .spatial import fps, knn_group, _nn_mean_xy
 
 __all__ = [
@@ -65,6 +65,9 @@ __all__ = [
 
 _CCWT_MAGIC = b"CCWT"
 _CCWT_VERSION = 1
+# levels, initial_anchors, n_basic, updates_per_level, encode_dim,
+# dim_multiplier, lambda_sim, input dim, tensor count
+_CCWT_HEADER = "<IIIIIIdII"
 
 # Group batches are sized so one (batch, k, k, D) scratch tensor stays near
 # this many float64 elements; attention allocates a handful of them, over
@@ -153,11 +156,16 @@ class LevelWeights:
 
 @dataclass(frozen=True)
 class HspWeights:
+    """The whole model: its config and every tensor that config sizes."""
+
     config: HspConfig
-    input_dim: int
     encoder_w: np.ndarray
     encoder_b: np.ndarray
     levels: tuple[LevelWeights, ...]
+
+    @property
+    def input_dim(self) -> int:
+        return self.encoder_w.shape[1]
 
     def tensors(self) -> Iterator[np.ndarray]:
         """All tensors in the canonical (file) order."""
@@ -171,7 +179,7 @@ class HspWeights:
 
     def astype(self, dtype) -> "HspWeights":
         flat = [t.astype(dtype) for t in self.tensors()]
-        return _assemble(self.config, self.input_dim, flat)
+        return _assemble(self.config, flat)
 
 
 def _weight_count(config: HspConfig, limit: int) -> int:
@@ -225,10 +233,10 @@ def init_weights(config: HspConfig, input_dim: int, seed: int) -> HspWeights:
             fan_in = shape[1]
         bound = 1.0 / np.sqrt(fan_in)
         flat.append(rng.uniform(-bound, bound, size=shape).astype(np.float32))
-    return _assemble(config, input_dim, flat)
+    return _assemble(config, flat)
 
 
-def _assemble(config: HspConfig, input_dim: int, flat: Sequence[np.ndarray]) -> HspWeights:
+def _assemble(config: HspConfig, flat: Sequence[np.ndarray]) -> HspWeights:
     it = iter(flat)
     enc_w, enc_b = next(it), next(it)
     levels = []
@@ -240,7 +248,7 @@ def _assemble(config: HspConfig, input_dim: int, flat: Sequence[np.ndarray]) -> 
         levels.append(LevelWeights(blocks, w_agg=next(it), b_agg=next(it)))
     if next(it, None) is not None:
         raise ValueError("too many tensors for config")
-    return HspWeights(config, input_dim, enc_w, enc_b, tuple(levels))
+    return HspWeights(config, enc_w, enc_b, tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +360,19 @@ def hsp_forward(
     coords: np.ndarray,
     features: np.ndarray,
     types: Optional[np.ndarray],
-    config: HspConfig,
     weights: HspWeights,
-    trace: Optional[list] = None,
     *,
+    trace: Optional[list] = None,
     gamma: Optional[float] = None,
 ) -> np.ndarray:
     """Run the full multi-level forward pass, returning the cloud descriptor.
 
-    ``types`` feeds the level-1 semantic FPS augmentation; pass None to
-    sample anchors on coordinates alone. Its scale ``gamma`` is the mean
-    nearest-neighbor distance of the input points, computed here unless the
-    caller, which may already hold it, passes it in. ``trace``, if given,
-    collects a :class:`LevelTrace` per level for structural inspection.
+    ``weights`` is the whole model, its config included. ``types`` feeds the
+    level-1 semantic FPS augmentation; pass None to sample anchors on
+    coordinates alone. Its scale ``gamma`` is the mean nearest-neighbor
+    distance of the input points, computed here unless the caller, which may
+    already hold it, passes it in. ``trace``, if given, collects a
+    :class:`LevelTrace` per level for structural inspection.
     """
     xy = np.ascontiguousarray(coords, dtype=np.float64).reshape(-1, 2)
     n = xy.shape[0]
@@ -377,12 +385,7 @@ def hsp_forward(
         raise DimMismatch(
             f"features have dim {feats_in.shape[1]}, weights expect {weights.input_dim}"
         )
-    # The fields that size the tensors must be the weights' own; lambda_sim,
-    # initial_anchors and n_basic may differ.
-    sizing = ("levels", "updates_per_level", "encode_dim", "dim_multiplier")
-    differ = [f for f in sizing if getattr(config, f) != getattr(weights.config, f)]
-    if differ:
-        raise DimMismatch(f"config differs from the weights' config in {', '.join(differ)}")
+    config = weights.config
     w64 = weights.astype(np.float64)
     feats = feats_in @ w64.encoder_w.T
     feats += w64.encoder_b
@@ -467,36 +470,22 @@ def combine_appearance(
 def save_weights(path: Union[str, Path], weights: HspWeights) -> None:
     """Write a ``CCWT`` weight file (config header + canonical tensor list)."""
     cfg = weights.config
-    tensors = list(weights.tensors())
-    with open(path, "wb") as fh:
-        fh.write(_CCWT_MAGIC)
-        fh.write(struct.pack("<I", _CCWT_VERSION))
-        fh.write(
-            struct.pack(
-                "<IIIIII",
-                cfg.levels,
-                cfg.initial_anchors,
-                cfg.n_basic,
-                cfg.updates_per_level,
-                cfg.encode_dim,
-                cfg.dim_multiplier,
-            )
-        )
-        fh.write(struct.pack("<d", cfg.lambda_sim))
-        fh.write(struct.pack("<I", weights.input_dim))
-        fh.write(struct.pack("<I", len(tensors)))
-        for t in tensors:
-            arr = np.ascontiguousarray(t, dtype="<f4")
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(memoryview(arr))
+    tensors = [np.ascontiguousarray(t, dtype="<f4") for t in weights.tensors()]
+    header = struct.pack(
+        _CCWT_HEADER, cfg.levels, cfg.initial_anchors, cfg.n_basic, cfg.updates_per_level,
+        cfg.encode_dim, cfg.dim_multiplier, cfg.lambda_sim, weights.input_dim, len(tensors),
+    )
+    records = []
+    for arr in tensors:
+        records += [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), memoryview(arr)]
+    _write_container(path, _CCWT_MAGIC, _CCWT_VERSION, header, *records)
 
 
 def load_weights(path: Union[str, Path]) -> HspWeights:
     with _Container(path, _CCWT_MAGIC, _CCWT_VERSION, "CCWT weight file") as box:
-        levels, anchors, n_basic, updates, enc_dim, mult = box.unpack("<IIIIII")
-        (lambda_sim,) = box.unpack("<d")
-        input_dim, n_tensors = box.unpack("<II")
+        levels, anchors, n_basic, updates, enc_dim, mult, lambda_sim, input_dim, n_tensors = (
+            box.unpack(_CCWT_HEADER)
+        )
         # Bound the header before anything is sized by it: the config fixes
         # the tensor count, and every tensor record (rank, dims, float32
         # data) takes at least 12 bytes.
@@ -521,4 +510,4 @@ def load_weights(path: Union[str, Path]) -> HspWeights:
             if dims != shape:
                 raise ValueError(f"{path}: tensor shape {dims} does not match {shape}")
             flat.append(box.array("<f4", math.prod(shape)).reshape(shape).copy())
-    return _assemble(cfg, input_dim, flat)
+    return _assemble(cfg, flat)

@@ -216,10 +216,10 @@ def _parse_rows(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
     return parsed if parsed is not None else _parse_lines(path)
 
 
-def parse_cells_csv(path: Union[str, Path], slide_id: str = "") -> CellCloud:
+def parse_cells_csv(path: Union[str, Path]) -> CellCloud:
     """Parse a canonical ``x,y,type`` CSV into a cloud, preserving file order."""
     xy, types = _parse_rows(path)
-    return CellCloud(xy=xy, types=types, slide_id=slide_id or Path(path).stem)
+    return CellCloud(xy=xy, types=types)
 
 
 def _out_of_patch(path: Path, xy: np.ndarray, patch_size: float) -> OutOfPatch:
@@ -359,7 +359,6 @@ def merge_boundary_cells(
     patches: Sequence[PatchDetections],
     d_boundary: float = 24.0,
     d_merge: float = 12.0,
-    slide_id: str = "",
 ) -> CellCloud:
     """Translate patches to slide coordinates and merge seam duplicates.
 
@@ -377,11 +376,7 @@ def merge_boundary_cells(
     if not (0 <= d_boundary < np.inf and 0 <= d_merge < np.inf):
         raise ValueError("d_boundary and d_merge must be finite and >= 0")
     if not patches:
-        return CellCloud(
-            xy=np.empty((0, 2), dtype=np.float64),
-            types=np.empty(0, dtype=np.uint8),
-            slide_id=slide_id,
-        )
+        return CellCloud(xy=np.empty((0, 2), dtype=np.float64), types=np.empty(0, dtype=np.uint8))
     origin = np.array([p.patch_origin for p in patches], dtype=np.float64).reshape(-1, 2)
     size = np.array([p.patch_size for p in patches], dtype=np.float64)
     _check_disjoint(patches, origin, size)
@@ -421,7 +416,7 @@ def merge_boundary_cells(
             keep[members[first]] = True
             out_xy[members[first]] = sums[heads] / n_members[heads, None]
 
-    return CellCloud(xy=out_xy[keep], types=types[keep], slide_id=slide_id)
+    return CellCloud(xy=out_xy[keep], types=types[keep])
 
 
 def grid_sample(cloud: CellCloud, grid_size: float = 256.0) -> CellCloud:
@@ -450,4 +445,4 @@ def grid_sample(cloud: CellCloud, grid_size: float = 256.0) -> CellCloud:
     sizes = np.bincount(group, minlength=n_groups)
     out_xy = np.column_stack([sums_x / sizes, sums_y / sizes])
     out_types = t[boundary]
-    return CellCloud(xy=out_xy, types=out_types, slide_id=cloud.slide_id)
+    return CellCloud(xy=out_xy, types=out_types)

@@ -7,12 +7,12 @@ import numpy as np
 from cellcloud.core import CellCloud, CellType
 
 
-def make_cloud(rows, slide_id=""):
+def make_cloud(rows):
     """Build a CellCloud from (x, y, type) triples."""
     rows = list(rows)
     xy = np.array([(r[0], r[1]) for r in rows], dtype=np.float64).reshape(-1, 2)
     types = np.array([int(r[2]) for r in rows], dtype=np.uint8)
-    return CellCloud(xy=xy, types=types, slide_id=slide_id)
+    return CellCloud(xy=xy, types=types)
 
 
 def random_cloud(rng, n, extent=1000.0, n_types=3):

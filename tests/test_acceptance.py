@@ -193,7 +193,7 @@ def test_c05_forward_pass_structure_at_scale():
     config = HspConfig()
     weights = init_weights(config, feats.shape[1], seed=5)
     trace: list[LevelTrace] = []
-    desc = hsp_forward(cloud.xy, feats, cloud.types, config, weights, trace=trace)
+    desc = hsp_forward(cloud.xy, feats, cloud.types, weights, trace=trace)
 
     anchors = [lv.n_anchors for lv in trace]
     if anchors != [2048, 128, 8]:
@@ -205,7 +205,7 @@ def test_c05_forward_pass_structure_at_scale():
         problems.append(f"attention weight sums off by {worst_err:.2e} > 1e-5")
 
     perm = rng.permutation(n)
-    desc_p = hsp_forward(cloud.xy[perm], feats[perm], cloud.types[perm], config, weights)
+    desc_p = hsp_forward(cloud.xy[perm], feats[perm], cloud.types[perm], weights)
     drift = np.abs(desc.astype(np.float64) - desc_p.astype(np.float64)).max()
     if drift >= 1e-4:
         problems.append(f"permutation drift {drift:.3e} >= 1e-4")
@@ -229,7 +229,7 @@ def test_c06_forward_pass_matches_reference():
         cloud = random_cloud(rng, n, extent=500.0)
         feats = embed(cloud)
         weights = init_weights(config, feats.shape[1], seed=draw)
-        got = hsp_forward(cloud.xy, feats, cloud.types, config, weights)
+        got = hsp_forward(cloud.xy, feats, cloud.types, weights)
         want = hsp_forward_reference(cloud.xy, feats, cloud.types, config, weights)
         worst = max(worst, float(np.abs(got.astype(np.float64) - want).max()))
     if worst > 1e-5:

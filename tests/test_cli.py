@@ -597,9 +597,9 @@ def test_forward_d_mean_reaches_only_the_embedding(capsys, cloud_file, tmp_path)
     feats = embed(cloud, d_mean=400.0)
     config = HspConfig(levels=2, initial_anchors=16, n_basic=4, encode_dim=16)
     w = init_weights(config, feats.shape[1], 7)
-    expected = hsp_forward(cloud.xy, feats, cloud.types, config, w)
+    expected = hsp_forward(cloud.xy, feats, cloud.types, w)
     assert read_features(out)[0].tobytes() == expected.tobytes()
-    pinned = hsp_forward(cloud.xy, feats, cloud.types, config, w, gamma=400.0)
+    pinned = hsp_forward(cloud.xy, feats, cloud.types, w, gamma=400.0)
     assert not np.array_equal(pinned, expected)
 
 
@@ -673,6 +673,60 @@ def test_forward_weight_dim_mismatch(capsys, cloud_file, tmp_path):
     )
     assert code == 2
     assert "error_code=dim_mismatch" in err
+
+
+def test_forward_weights_flags_must_match_the_file(capsys, cloud_file, tmp_path, monkeypatch):
+    # A weight file is the whole model. A flag that repeats its value passes,
+    # so a manifest's config replays; one that differs is a usage error,
+    # raised before any embedding.
+    path, _ = cloud_file
+    wfile = tmp_path / "w.ccwt"
+    first = tmp_path / "first.ccem"
+    code, _, _ = run(
+        capsys,
+        ["forward", str(path), "--seed", "3", *SMALL_FWD,
+         "--save-weights", str(wfile), "-o", str(first)],
+    )
+    assert code == 0
+    same = [*SMALL_FWD, "--lambda-sim", "0.5", "--updates", "2", "--dim-multiplier", "2"]
+    again = tmp_path / "again.ccem"
+    code, _, _ = run(capsys, ["forward", str(path), "--weights", str(wfile), *same, "-o", str(again)])
+    assert code == 0
+    assert again.read_bytes() == first.read_bytes()
+
+    def no_embed(*args, **kwargs):
+        raise AssertionError("embed ran")
+
+    monkeypatch.setattr("cellcloud.cli.embed", no_embed)
+    for flag, value in [
+        ("--levels", "3"), ("--anchors", "32"), ("--n-basic", "2"), ("--lambda-sim", "0.02"),
+        ("--updates", "1"), ("--encode-dim", "8"), ("--dim-multiplier", "3"),
+    ]:
+        out = tmp_path / "differs.ccem"
+        code, _, err = run(capsys, ["forward", str(path), "--weights", str(wfile), flag, value, "-o", str(out)])
+        assert code == 1, flag
+        assert "error_code=usage" in err and flag in err
+        assert not out.exists()
+
+
+def test_forward_appearance_must_be_one_row(capsys, cloud_file, tmp_path, monkeypatch):
+    # 2 x 32 values hold as many floats as the 64-dim descriptor, but they
+    # are two vectors, not one. The shape is checked before any embedding.
+    def no_embed(*args, **kwargs):
+        raise AssertionError("embed ran")
+
+    monkeypatch.setattr("cellcloud.cli.embed", no_embed)
+    path, _ = cloud_file
+    app = tmp_path / "app.ccem"
+    for shape in [(2, 32), (1, 63)]:
+        write_features(app, np.ones(shape, np.float32))
+        code, _, err = run(
+            capsys,
+            ["forward", str(path), "--seed", "5", *SMALL_FWD,
+             "--appearance", str(app), "-o", str(tmp_path / "d.ccem")],
+        )
+        assert code == 2, shape
+        assert "error_code=dim_mismatch" in err
 
 
 def test_forward_appearance_blend(capsys, cloud_file, tmp_path):

@@ -50,11 +50,10 @@ def test_unknown_token_raises():
 
 
 def test_cloud_arrays_round_trip():
-    cloud = make_cloud([(1.5, 2.5, CellType.NEOPLASTIC), (3.0, 4.0, CellType.OTHER)], slide_id="s1")
+    cloud = make_cloud([(1.5, 2.5, CellType.NEOPLASTIC), (3.0, 4.0, CellType.OTHER)])
     assert cloud.xy.dtype == np.float64 and cloud.types.dtype == np.uint8
     assert cloud.xy.tolist() == [[1.5, 2.5], [3.0, 4.0]]
     assert [CellType(int(t)) for t in cloud.types] == [CellType.NEOPLASTIC, CellType.OTHER]
-    assert cloud.slide_id == "s1"
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +94,10 @@ def test_bounding_box():
 
 
 def test_subset_by_mask_and_indices():
-    cloud = make_cloud([(0, 0, 0), (1, 1, 1), (2, 2, 2)], slide_id="s")
+    cloud = make_cloud([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
     sub = cloud.subset(np.array([True, False, True]))
     assert sub.n_total == 2
     assert sub.types.tolist() == [0, 2]
-    assert sub.slide_id == "s"
     sub2 = cloud.subset(np.array([2, 0]))
     assert sub2.xy[:, 0].tolist() == [2.0, 0.0]
 
@@ -244,10 +242,9 @@ def test_cc5b_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("cc5b") / "cloud.cc5b"
     cloud = make_cloud(rows)
     write_cloud(path, cloud)
-    back = read_cloud(path, slide_id="rt")
+    back = read_cloud(path)
     assert np.array_equal(back.xy, cloud.xy)
     assert np.array_equal(back.types, cloud.types)
-    assert back.slide_id == "rt"
 
 
 def test_cc5b_rewrite_is_byte_identical(tmp_path):

@@ -415,38 +415,20 @@ def test_forward_validation():
     w = small_weights()
     _, feats = forward_inputs(0, 10)
     with pytest.raises(TooFewPoints):
-        hsp_forward(np.zeros((1, 2)), feats[:1], None, SMALL, w)
+        hsp_forward(np.zeros((1, 2)), feats[:1], None, w)
     with pytest.raises(DimMismatch):
-        hsp_forward(np.zeros((10, 2)), feats[0], None, SMALL, w)
+        hsp_forward(np.zeros((10, 2)), feats[0], None, w)
     with pytest.raises(DimMismatch):
-        hsp_forward(np.zeros((10, 2)), feats[:9], None, SMALL, w)
+        hsp_forward(np.zeros((10, 2)), feats[:9], None, w)
     with pytest.raises(DimMismatch):
-        hsp_forward(np.zeros((10, 2)), feats[:, :5], None, SMALL, w)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("levels", 1), ("updates_per_level", 1), ("encode_dim", 8), ("dim_multiplier", 1)],
-)
-def test_forward_rejects_config_that_sizes_other_tensors(field, value):
-    # With levels=1 the pass used to run all of the weights' levels anyway;
-    # with dim_multiplier=1 it failed inside numpy.
-    cloud, feats = forward_inputs(0, 40)
-    with pytest.raises(DimMismatch, match=field):
-        hsp_forward(cloud.xy, feats, cloud.types, replace(SMALL, **{field: value}), small_weights())
-
-
-def test_forward_accepts_config_that_sizes_no_tensor():
-    cloud, feats = forward_inputs(0, 40)
-    config = replace(SMALL, lambda_sim=0.1, initial_anchors=8, n_basic=2)
-    assert hsp_forward(cloud.xy, feats, cloud.types, config, small_weights()).shape == (64,)
+        hsp_forward(np.zeros((10, 2)), feats[:, :5], None, w)
 
 
 def test_forward_structure_and_trace():
     cloud, feats = forward_inputs(10, 100)
     w = small_weights(seed=1)
     trace = []
-    out = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w, trace=trace)
+    out = hsp_forward(cloud.xy, feats, cloud.types, w, trace=trace)
     assert out.shape == (64,) and out.dtype == np.float32
     assert np.isfinite(out).all()
     assert [t.level for t in trace] == [1, 2]
@@ -470,7 +452,8 @@ def test_forward_structure_and_trace():
     kept = mask.sum(axis=1)
     assert 1 < kept.max() and kept.min() < 12 and (scores.max(axis=1) <= lam).any()
     trace = []
-    hsp_forward(cloud.xy, feats, cloud.types, replace(SMALL, lambda_sim=lam), w, trace=trace)
+    w_lam = replace(w, config=replace(SMALL, lambda_sim=lam))
+    hsp_forward(cloud.xy, feats, cloud.types, w_lam, trace=trace)
     assert trace[0].retained == kept.sum()
     assert trace[0].rescued == (scores.max(axis=1) <= lam).sum()
 
@@ -480,8 +463,7 @@ def test_forward_structure_and_trace():
     cloud, feats = forward_inputs(10, 300)
     config = HspConfig()
     trace = []
-    out = hsp_forward(cloud.xy, feats, cloud.types, config,
-                      init_weights(config, feats.shape[1], 0), trace=trace)
+    out = hsp_forward(cloud.xy, feats, cloud.types, init_weights(config, feats.shape[1], 0), trace=trace)
     assert out.shape == (512,) and np.isfinite(out).all()
     assert [t.level for t in trace] == [1, 2, 3]
     assert [t.n_points for t in trace] == [300, 300, 128]
@@ -493,8 +475,8 @@ def test_forward_structure_and_trace():
 def test_forward_deterministic():
     cloud, feats = forward_inputs(11, 80)
     w = small_weights(seed=2)
-    a = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
-    b = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
+    a = hsp_forward(cloud.xy, feats, cloud.types, w)
+    b = hsp_forward(cloud.xy, feats, cloud.types, w)
     assert np.array_equal(a, b)
 
 
@@ -502,35 +484,35 @@ def test_forward_given_gamma_matches_default():
     # `cellcloud forward` passes the mean-NN it computed once for the run.
     cloud, feats = forward_inputs(11, 80)
     w = small_weights(seed=2)
-    base = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
-    given = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w, gamma=mean_nn_distance(cloud))
+    base = hsp_forward(cloud.xy, feats, cloud.types, w)
+    given = hsp_forward(cloud.xy, feats, cloud.types, w, gamma=mean_nn_distance(cloud))
     assert given.tobytes() == base.tobytes()
-    other = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w, gamma=500.0)
+    other = hsp_forward(cloud.xy, feats, cloud.types, w, gamma=500.0)
     assert not np.array_equal(other, base)
 
 
 def test_forward_permutation_invariance():
     cloud, feats = forward_inputs(12, 90)
     w = small_weights(seed=3)
-    base = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
+    base = hsp_forward(cloud.xy, feats, cloud.types, w)
     rng = np.random.Generator(np.random.Philox(99))
     perm = rng.permutation(90)
-    moved = hsp_forward(cloud.xy[perm], feats[perm], cloud.types[perm], SMALL, w)
+    moved = hsp_forward(cloud.xy[perm], feats[perm], cloud.types[perm], w)
     assert np.abs(moved.astype(np.float64) - base).max() < 1e-4
 
 
 def test_forward_translation_invariance():
     cloud, feats = forward_inputs(13, 70)
     w = small_weights(seed=4)
-    base = hsp_forward(cloud.xy, feats, cloud.types, SMALL, w)
-    moved = hsp_forward(cloud.xy + [1000.0, 2000.0], feats, cloud.types, SMALL, w)
+    base = hsp_forward(cloud.xy, feats, cloud.types, w)
+    moved = hsp_forward(cloud.xy + [1000.0, 2000.0], feats, cloud.types, w)
     assert np.abs(moved.astype(np.float64) - base).max() < 1e-4
 
 
 def test_forward_without_types():
     cloud, feats = forward_inputs(14, 60)
     w = small_weights(seed=5)
-    out = hsp_forward(cloud.xy, feats, None, SMALL, w)
+    out = hsp_forward(cloud.xy, feats, None, w)
     assert out.shape == (64,) and np.isfinite(out).all()
 
 
@@ -575,7 +557,7 @@ def test_forward_matches_reference(lambda_sim, regime):
         cloud = random_cloud(rng, n)
         feats = embed(cloud)
         w = init_weights(config, feats.shape[1], seed)
-        got = hsp_forward(cloud.xy, feats, cloud.types, config, w, trace=levels)
+        got = hsp_forward(cloud.xy, feats, cloud.types, w, trace=levels)
         want = hsp_forward_reference(cloud.xy, feats, cloud.types, config, w)
         worst = max(worst, float(np.abs(got.astype(np.float64) - want).max()))
     assert worst <= 1e-5

@@ -41,7 +41,6 @@ def test_parse_single_row(tmp_path):
     assert cloud.n_total == 1
     assert cloud.xy.tolist() == [[1.0, 2.0]]
     assert cloud.types.tolist() == [int(CellType.NEOPLASTIC)]
-    assert cloud.slide_id == "a"
 
 
 def test_parse_unknown_type_line_number(tmp_path):
