@@ -6,9 +6,11 @@ group-attend-aggregate:
 1. pick group anchors by farthest point sampling (level 1 augments the
    coordinates with scaled type one-hots so anchors cover both space and
    composition, at a scale of the cloud's mean nearest-neighbor distance);
-   each pick updates only the x-strip of points it can move, a half-width
-   of sqrt(current max min-distance) plus a rounding margin, so the picks
-   equal the all-points greedy loop exactly,
+   picks are made in rounds, each replaying the greedy loop among the
+   points of largest min-distance and keeping the picks that beat every
+   point outside them, and each pick updates only the points of a 2-D grid
+   inside its square of half-width sqrt(current max min-distance) plus a
+   rounding margin, so the picks equal the all-points greedy loop exactly,
 2. group the 2*N/N_k nearest points around each anchor (an exact
    tree-backed kNN, ties broken by the smaller point index),
 3. score members against the group mean feature and anchor position, and
@@ -385,11 +387,13 @@ def hsp_forward(
         raise DimMismatch(
             f"features have dim {feats_in.shape[1]}, weights expect {weights.input_dim}"
         )
+    labels = None if types is None else np.ascontiguousarray(types)
+    if labels is not None and labels.shape != (n,):
+        raise DimMismatch(f"types have shape {labels.shape}, the points need ({n},)")
     config = weights.config
     w64 = weights.astype(np.float64)
     feats = feats_in @ w64.encoder_w.T
     feats += w64.encoder_b
-    labels = None if types is None else np.ascontiguousarray(types)
     n_k = config.initial_anchors
     for lvl, lw in enumerate(w64.levels):
         pts = xy.shape[0]

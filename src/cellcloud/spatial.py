@@ -58,6 +58,19 @@ _GRID_LIMIT = 2.0**62
 # squared distances against squared radii.
 _MAX_RADIUS = math.sqrt(np.finfo(np.float64).max)
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+# fps replays the greedy loop among at most _ROUND points a round, finds
+# them among about _HOT times as many hot points, and bins the cloud into
+# about _CELLS_PER_PICK grid cells per pick. It expands (pick, point) pairs
+# _FPS_BATCH at a time: a batch's float64 temporaries (64 KiB) then stay in
+# cache and below the allocator's mmap threshold, which took about half the
+# time per pair at _PAIR_BATCH.
+_ROUND = 64
+_HOT = 8
+_CELLS_PER_PICK = 4
+_FPS_BATCH = 1 << 13
+
 
 class GridOverflow(CellCloudError):
     """The cloud spans more grid bins than int64 bin ids can address."""
@@ -173,18 +186,21 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     )
 
 
-def _ragged(lens: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _ragged(
+    lens: np.ndarray, limit: Optional[int] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Expand rows of ``lens[i]`` items into flat (row, position in row) arrays.
 
     Consecutive rows are taken together while their items number at most
-    ``_PAIR_BATCH``; a longer row comes alone. A batch that would hold no
-    items is skipped.
+    ``limit`` (default ``_PAIR_BATCH``); a longer row comes alone. A batch
+    that would hold no items is skipped.
     """
+    limit = _PAIR_BATCH if limit is None else limit
     lens = np.asarray(lens, dtype=np.int64)
     ends = np.cumsum(lens)
     s = 0
     while s < lens.size:
-        e = max(s + 1, int(np.searchsorted(ends, ends[s] - lens[s] + _PAIR_BATCH, side="right")))
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - lens[s] + limit, side="right")))
         begin = ends[s:e] - lens[s:e]
         row = np.repeat(np.arange(s, e), lens[s:e])
         if row.size:
@@ -310,6 +326,16 @@ def mean_nn_distance(cloud: CellCloud, threads: int = 1) -> float:
     return _nn_mean_xy(cloud.xy, threads)
 
 
+def _grid_bin(v, v0, size: float, n_bins) -> np.ndarray:
+    """Bin floor((v - v0) / size) of each value, clipped to [0, n_bins).
+
+    Every step rounds monotonically, so a value between two others never
+    lands in a bin outside theirs.
+    """
+    b = np.floor((v - v0) / size)
+    return np.minimum(np.maximum(b, 0, out=b), n_bins - 1, out=b).astype(np.int64)
+
+
 def fps(
     points: np.ndarray,
     labels: Optional[np.ndarray],
@@ -324,66 +350,154 @@ def fps(
     maximises the minimum distance to the selected set, ties falling to the
     smallest index. Returns the selected indices in pick order.
 
-    Each pick updates only a strip of points around it along x. A pick made
-    at value M = max(min_d2) can lower a point's min_d2 only if their
-    augmented d2 is below that point's min_d2, which is at most M; the label
-    penalty is non-negative, so such a point lies within sqrt(M) of the pick
-    in x. The strip is cut from the x-sorted points at a half-width of
-    sqrt(M)*(1 + 1e-9) + 4e-16*|x_pick| + 1e-300: the relative term covers
-    the rounding of sqrt and of the squares, the |x_pick| term the rounding
-    of x_pick -/+ r at slide-scale offsets. Points outside it have a
-    computed d2 of at least M, which ``np.minimum`` would leave unchanged,
-    and points inside it run the test oracle's scalar expression
-    ``dx*dx + dy*dy``, plus the penalty ``penalty * (label != label_pick)``
-    when there is one, so ``min_d2`` is bitwise the all-points update at
-    every step.
+    Picks are made in exact rounds. A round takes the t = ``_ROUND`` points
+    that come first by (min_d2 descending, index ascending): with v the
+    t-th largest min_d2, every point above v and, of the points tied at v,
+    only the smallest-index ones that fill the round. It replays the greedy
+    loop among them on their exact pairwise augmented d2 and accepts picks
+    while the next one still beats every point left out: its current
+    min_d2 is above v, or equal to v with an index below every tied point
+    left out. A point left out sits at or below v and can only fall, so each
+    accepted pick is the one the all-points loop makes. The round's points
+    are found among the hot points, those whose min_d2 was at least a floor
+    when they were last gathered; the floor is reset, from all m points,
+    only when fewer than t hot points remain above it.
 
-    A pick writes its strip's d2, and its label mismatches, into buffers
-    sized once, so memory stays O(m) for any labelling.
+    Each accepted pick, made at M = max(min_d2), then lowers min_d2 only
+    inside its square of half-width sqrt(M)*(1 + 1e-9) + 4e-16*|coordinate|
+    + 1e-300 on each axis: a point's min_d2 is at most M, the label penalty
+    is non-negative, and the margins cover the rounding of sqrt, of the
+    squares and of the square's edges at slide-scale offsets, so a point
+    outside the square has a computed d2 of at least M. The start pick is
+    made at M = +inf. The squares are cut from a uniform 2-D grid of about
+    ``_CELLS_PER_PICK`` cells per pick that holds the points in cell order
+    (a CSR index). Points and square edges are binned by the one monotone
+    ``floor((v - v0) / size)``, so every point of a square lies in the
+    square's cells, and each row of cells is one contiguous run of points.
+    A round's (pick, point) pairs are expanded through ``_ragged``, at most
+    ``_FPS_BATCH`` at a time, and applied with ``np.minimum.at``: a minimum
+    does not depend on the order of its updates. Every d2 is the test
+    oracle's ``dx*dx + dy*dy``, plus the penalty only where the labels
+    differ, so ``min_d2`` is bitwise the all-points update after every
+    round, and memory stays O(m).
     """
     xy = np.ascontiguousarray(points, dtype=np.float64)
     m = xy.shape[0]
     if not 0 <= n <= m:
         raise ValueError(f"cannot sample {n} anchors from {m} points")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma!r}")
     if not np.isfinite(xy).all():
         raise ValueError("points must be finite")
+    if labels is not None and np.shape(labels) != (m,):
+        raise ValueError(f"labels have shape {np.shape(labels)}, points need ({m},)")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     # Unlabelled points share one label and pay no penalty.
     lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
-    start = int(np.lexsort((lab, xy[:, 1], xy[:, 0]))[0])
+    x, y = xy[:, 0], xy[:, 1]
+    origin = np.array([x.min(), y.min()])
+    tie = np.flatnonzero(x == origin[0])
+    tie = tie[y[tie] == y[tie].min()]
+    start = int(tie[lab[tie].argmin()])  # first occurrence = smallest index
     penalty = 0.0 if labels is None else 2.0 * gamma * gamma
-    perm = np.argsort(xy[:, 0], kind="stable")
-    xs = xy[perm, 0]
-    ys = xy[perm, 1]
-    slab = lab[perm]
-    d2_buf = np.empty(m)
-    buf = np.empty(m)
-    mismatch = np.empty(m, dtype=bool) if penalty != 0.0 else None
+
+    # A grid of about _CELLS_PER_PICK square cells per pick, at most 3x that.
+    wx, wy = float(x.max() - origin[0]), float(y.max() - origin[1])  # inf on overflow
+    cells = _CELLS_PER_PICK * n
+    size = max(wx, wy) / cells
+    if wx and wy:
+        size = max(size, math.sqrt(wx / cells) * math.sqrt(wy))
+    size = min(size, _FLOAT_MAX) or 1.0
+    nx, ny = int(min(wx / size, cells)) + 1, int(min(wy / size, cells)) + 1
+    dims = np.array([nx, ny])
+    cell = _grid_bin(y, origin[1], size, ny) * nx + _grid_bin(x, origin[0], size, nx)
+    order = np.argsort(cell)  # any order within a cell
+    starts = np.zeros(nx * ny + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=nx * ny), out=starts[1:])
+    gx, gy, glab = xy[order, 0], xy[order, 1], lab[order]
+
+    pen = np.array([0.0, penalty])
+
+    def lower(pos, pick):
+        """min_d2[pos] = min(min_d2[pos], augmented d2 to the points ``pick``)."""
+        dx = gx[pos]
+        dx -= gx[pick]
+        d2 = np.multiply(dx, dx, out=dx)
+        dy = gy[pos]
+        dy -= gy[pick]
+        d2 += np.multiply(dy, dy, out=dy)
+        if penalty != 0.0:
+            # + 0.0 is exact, and unlike 0 * penalty it stays finite
+            d2 += pen.take(np.not_equal(glab[pos], glab[pick]).view(np.uint8))
+        np.minimum.at(min_d2, pos, d2)
+
     out = np.empty(n, dtype=np.int64)
+    out[0] = start
+    # min_d2 in grid order; -inf marks a picked point, which is never re-picked.
+    # The start pick is made at M = +inf, so its square is the whole grid.
     min_d2 = np.full(m, np.inf)
-    nxt = start
-    for step in range(n):
-        out[step] = nxt
-        # M is +inf at the start pick, so its strip is the whole cloud.
-        xj = xy.item(nxt, 0)
-        r = math.sqrt(min_d2[nxt]) * (1.0 + 1e-9) + 4e-16 * abs(xj) + 1e-300
-        lo, hi = xs.searchsorted((xj - r, xj + r)).tolist()
-        idx = perm[lo:hi]
-        d2 = np.subtract(xs[lo:hi], xj, out=d2_buf[: hi - lo])
-        np.multiply(d2, d2, out=d2)
-        dy = np.subtract(ys[lo:hi], xy.item(nxt, 1), out=buf[: hi - lo])
-        np.add(d2, np.multiply(dy, dy, out=dy), out=d2)
-        if mismatch is not None:
-            ne = np.not_equal(slab[lo:hi], lab[nxt], out=mismatch[: hi - lo])
-            np.add(d2, np.multiply(ne, penalty, out=buf[: hi - lo]), out=d2)
-        cur = min_d2.take(idx, out=buf[: hi - lo])
-        min_d2[idx] = np.minimum(cur, d2, out=cur)
-        min_d2[nxt] = -np.inf  # never re-pick a selected point
-        nxt = int(min_d2.argmax())  # first occurrence = smallest index
-    return out
+    pos, at = np.flatnonzero(order == start), [np.inf]
+    done = 1
+    # Every unpicked point with min_d2 >= floor is hot; min_d2 only falls, so
+    # a round whose t-th largest min_d2 is at least floor finds it, and
+    # every point tied with it, among the hot points alone.
+    hot, floor = pos[:0], np.inf
+    while True:
+        min_d2[pos] = -np.inf
+        pxy = xy[order[pos]]
+        half = np.sqrt(at)[:, None] * (1.0 + 1e-9) + 4e-16 * np.abs(pxy) + 1e-300
+        box = _grid_bin(np.concatenate((pxy - half, pxy + half)), origin, size, dims)
+        (c0, r0), (c1, r1) = box[: pos.size].T, box[pos.size :].T
+        for pick, dr in _ragged(r1 - r0 + 1):
+            row = (r0[pick] + dr) * nx
+            lo = starts[row + c0[pick]]
+            for seg, slot in _ragged(starts[row + c1[pick] + 1] - lo, _FPS_BATCH):
+                lower(lo[seg] + slot, pos[pick[seg]])
+        if done == n:
+            return out
+
+        t = min(_ROUND, n - done)
+        hot = hot[min_d2[hot] >= floor]
+        if hot.size < t:
+            h = m - min(m, _HOT * t)
+            floor = np.partition(min_d2, h)[h]
+            hot = np.flatnonzero(min_d2 >= floor)
+        val = min_d2[hot]
+        v = np.partition(val, val.size - t)[val.size - t]
+        cand = hot[val >= v]
+        cut = m  # the smallest index of a tied point left out
+        if cand.size > t:  # more points tie at v than fit: the smallest indices
+            tied = cand[min_d2[cand] == v]
+            tied_ids = order[tied]
+            need = t - (cand.size - tied.size)
+            cut = int(np.partition(tied_ids, need)[need])
+            cand = np.concatenate((cand[min_d2[cand] > v], tied[tied_ids < cut]))
+        cand = cand[np.argsort(order[cand])]
+        ids = order[cand]
+        cx, cy, cl = gx[cand], gy[cand], glab[cand]
+        dx = np.subtract.outer(cx, cx)
+        pair = np.multiply(dx, dx, out=dx)
+        dy = np.subtract.outer(cy, cy)
+        pair += np.multiply(dy, dy, out=dy)
+        if penalty != 0.0:
+            np.add(pair, penalty, out=pair, where=np.not_equal.outer(cl, cl))
+        pair.flat[:: cand.size + 1] = -np.inf  # a pick's own min_d2 drops to -inf
+        # Replay the greedy loop; stop at the first pick a point left out
+        # could beat.
+        cur = min_d2[cand]
+        picks, at = [], []
+        while len(picks) < t:
+            j = int(cur.argmax())  # first occurrence = smallest index
+            cj = cur.item(j)
+            if not (cj > v or (cj == v and ids.item(j) < cut)):
+                break
+            picks.append(j)
+            at.append(cj)
+            np.minimum(cur, pair[j], out=cur)
+        out[done : done + len(picks)] = ids[picks]
+        done += len(picks)
+        pos = cand[picks]
 
 
 def knn_group(

@@ -24,6 +24,14 @@ GOLDEN = {
 }
 
 
+# The FPS paths the digests above leave unpinned: level 2's unlabelled
+# sampling over the level-1 anchors, and labelled sampling on a 1-D cloud.
+GOLDEN_FPS = {
+    "level2": "57c18f2291e0f74acc157f05e4ec405448a93cee4a0b12822e5e3885f199f425",
+    "line": "508c093e71b134ea73cccd8307b9a8604d926e124096f1a897ab3b1e04c0cd27",
+}
+
+
 def golden_cloud() -> CellCloud:
     rng = np.random.Generator(np.random.Philox(20240))
     centres = rng.uniform(50.0, 950.0, size=(12, 2))
@@ -67,3 +75,17 @@ def test_golden_digests():
         "embed": digest(emb.astype(np.float32)),
         "validate": digest("\n".join(problems)),
     } == GOLDEN
+
+
+def test_golden_fps_paths():
+    cloud = golden_cloud()
+    xy, types = cloud.xy, cloud.types
+    config = HspConfig()
+    nk = config.initial_anchors
+    anchors = fps(xy, types, nk, _nn_mean_xy(xy))
+    level2 = fps(xy[anchors], None, nk // config.n_basic, 0.0)
+    line = np.column_stack([xy[:, 0], np.full(xy.shape[0], 500.0)])  # every y equal
+    assert {
+        "level2": digest(level2.astype(np.int64)),
+        "line": digest(fps(line, types, nk, 2.5).astype(np.int64)),
+    } == GOLDEN_FPS

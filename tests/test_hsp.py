@@ -424,6 +424,13 @@ def test_forward_validation():
         hsp_forward(np.zeros((10, 2)), feats[:, :5], None, w)
 
 
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1)])
+def test_forward_rejects_wrong_shaped_types(shape):
+    cloud, feats = forward_inputs(0, 10)
+    with pytest.raises(DimMismatch, match=r"\(10,\)"):
+        hsp_forward(cloud.xy, feats, np.zeros(shape, np.uint8), small_weights())
+
+
 def test_forward_structure_and_trace():
     cloud, feats = forward_inputs(10, 100)
     w = small_weights(seed=1)

@@ -367,25 +367,42 @@ def test_mean_nn_workers_bounded_by_chunks(monkeypatch, chunk, workers):
 # ---------------------------------------------------------------------------
 
 
-@given(seeds, st.integers(1, 60), st.booleans())
+# fps's round size, hot-set factor, grid density and batch sizes, shrunk so
+# that clouds of at most 60 points reach every branch of the rounds: one
+# candidate a round, ties left out of a round, hot sets rebuilt, and pair
+# batches cut inside one row of a square.
+FPS_LIMITS = ("_ROUND", "_HOT", "_CELLS_PER_PICK", "_FPS_BATCH", "_PAIR_BATCH")
+fps_limits = st.none() | st.fixed_dictionaries({name: st.integers(1, 3) for name in FPS_LIMITS})
+
+
+def fps_with(limits, *args):
+    """``fps(*args)`` with the module constants in ``limits`` swapped in."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (limits or {}).items():
+            mp.setattr(spatial, name, value)
+        return fps(*args)
+
+
+@given(seeds, st.integers(1, 60), st.booleans(), fps_limits)
 @settings(max_examples=50, deadline=None)
-def test_fps_matches_brute(seed, m, with_labels):
+def test_fps_matches_brute(seed, m, with_labels, limits):
     rng = np.random.Generator(np.random.Philox(seed))
     xy = rng.uniform(0.0, 50.0, size=(m, 2))
     labels = rng.integers(0, 3, size=m).astype(np.uint8) if with_labels else None
     gamma = float(rng.uniform(0.0, 10.0)) if with_labels else 0.0
     n = int(rng.integers(1, m + 1))
-    assert np.array_equal(fps(xy, labels, n, gamma), fps_reference(xy, labels, n, gamma))
+    want = fps_reference(xy, labels, n, gamma)
+    assert np.array_equal(fps_with(limits, xy, labels, n, gamma), want)
 
 
-@given(seeds, st.integers(1, 40))
+@given(seeds, st.integers(1, 40), fps_limits)
 @settings(max_examples=40, deadline=None)
-def test_fps_lattice_ties_match_brute(seed, m):
+def test_fps_lattice_ties_match_brute(seed, m, limits):
     rng = np.random.Generator(np.random.Philox(seed))
     xy = rng.integers(0, 4, size=(m, 2)).astype(np.float64)
     labels = rng.integers(0, 3, size=m).astype(np.uint8)
     n = int(rng.integers(1, m + 1))
-    assert np.array_equal(fps(xy, labels, n, 2.0), fps_reference(xy, labels, n, 2.0))
+    assert np.array_equal(fps_with(limits, xy, labels, n, 2.0), fps_reference(xy, labels, n, 2.0))
 
 
 @given(
@@ -396,11 +413,12 @@ def test_fps_lattice_ties_match_brute(seed, m):
     st.sampled_from([0.0, 1e-12, 1.0, 50.0]),
     st.sampled_from(["none", "all", "part"]),
     st.booleans(),
+    fps_limits,
 )
 @settings(max_examples=80, deadline=None)
-def test_fps_slide_scale_ties_match_brute(seed, offset, spacing, m, gamma, labelled, full):
+def test_fps_slide_scale_ties_match_brute(seed, offset, spacing, m, gamma, labelled, full, limits):
     # Slide-sized coordinates on a small integer lattice: repeated sites are
-    # exact duplicates and many min distances tie, so strip edges land on
+    # exact duplicates and many min distances tie, so square edges land on
     # points. Gamma is in units of the spacing; "part" gives one label to a
     # band of the cloud and another to the rest.
     rng = np.random.Generator(np.random.Philox(seed))
@@ -413,35 +431,95 @@ def test_fps_slide_scale_ties_match_brute(seed, offset, spacing, m, gamma, label
         labels = np.where(site[:, 0] < 2, 2, 0).astype(np.uint8)
     g = gamma * spacing if labels is not None else 0.0
     n = m if full else int(rng.integers(1, m + 1))
-    assert np.array_equal(fps(xy, labels, n, g), fps_reference(xy, labels, n, g))
+    assert np.array_equal(fps_with(limits, xy, labels, n, g), fps_reference(xy, labels, n, g))
 
 
-@given(seeds, st.integers(1, 50), st.integers(4, 60))
+@given(seeds, st.integers(1, 50), st.integers(4, 60), fps_limits)
 @settings(max_examples=40, deadline=None)
-def test_fps_more_labels_than_types_match_brute(seed, m, n_labels):
+def test_fps_more_labels_than_types_match_brute(seed, m, n_labels, limits):
     # int64 labels with more distinct values than there are cell types
     rng = np.random.Generator(np.random.Philox(seed))
     xy = rng.integers(0, 5, size=(m, 2)).astype(np.float64)
     labels = rng.integers(0, n_labels, size=m).astype(np.int64)
     n = int(rng.integers(1, m + 1))
-    assert np.array_equal(fps(xy, labels, n, 1.5), fps_reference(xy, labels, n, 1.5))
+    assert np.array_equal(fps_with(limits, xy, labels, n, 1.5), fps_reference(xy, labels, n, 1.5))
 
 
 def test_fps_all_points_coincident_slide_scale():
     xy = np.full((9, 2), [3e7, 1e5])
     labels = np.array([2, 0, 1, 0, 2, 1, 0, 0, 1], dtype=np.uint8)
     # A tiny gamma makes the largest min distance far smaller than the
-    # spacing of floats at x = 3e7, so a strip must still hold the pick's x.
-    for lab, gamma in ((None, 0.0), (labels, 0.0), (labels, 1e-12), (labels, 3.0)):
-        for n in (1, 4, 9):
-            got = fps(xy, lab, n, gamma)
-            assert np.array_equal(got, fps_reference(xy, lab, n, gamma))
+    # spacing of floats at x = 3e7, so a square must still hold the pick.
+    for limits in (None, *(dict.fromkeys(FPS_LIMITS, v) for v in (1, 2, 3))):
+        for lab, gamma in ((None, 0.0), (labels, 0.0), (labels, 1e-12), (labels, 3.0)):
+            for n in (1, 4, 9):
+                got = fps_with(limits, xy, lab, n, gamma)
+                assert np.array_equal(got, fps_reference(xy, lab, n, gamma))
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_fps_lattice_30x30_matches_brute(labelled):
+    # Every point of a 30 x 30 lattice ties with many others at every step,
+    # so rounds leave ties out at the default constants.
+    gx, gy = np.meshgrid(np.arange(30.0), np.arange(30.0))
+    xy = np.column_stack([gx.ravel(), gy.ravel()]) * 7.0
+    labels = None
+    if labelled:
+        labels = np.random.Generator(np.random.Philox(3)).integers(0, 3, 900).astype(np.uint8)
+    gamma = 7.0 if labelled else 0.0
+    assert np.array_equal(fps(xy, labels, 300, gamma), fps_reference(xy, labels, 300, gamma))
+
+
+def test_fps_integer_pixels_match_brute():
+    # Detections at integer pixels: repeated x and y values, coincident cells
+    # of different types, and many tied min distances.
+    rng = np.random.Generator(np.random.Philox(17))
+    xy = np.round(rng.uniform(0.0, 120.0, size=(700, 2)))
+    types = rng.integers(0, 3, 700).astype(np.uint8)
+    assert np.array_equal(fps(xy, types, 250, 4.0), fps_reference(xy, types, 250, 4.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fps_overflowing_span_matches_brute():
+    # The bounding box's width, and some d2, overflow to inf: the grid must
+    # still bin every point, and a collinear cloud has one row of cells.
+    rng = np.random.Generator(np.random.Philox(29))
+    sites = np.array([-1.7e308, -1e300, -5.0, 0.0, 3.0, 1e-300, 1e300, 1.7e308])
+    for case in range(40):
+        xy = rng.choice(sites, size=(20, 2))
+        if case % 2:
+            xy[:, 1] = 2.0
+        labels = rng.integers(0, 3, 20).astype(np.uint8)
+        assert np.array_equal(fps(xy, labels, 20, 1.0), fps_reference(xy, labels, 20, 1.0))
+
+
+def test_fps_huge_gamma_matches_brute():
+    # 2 * gamma**2 overflows to inf; same-label pairs must pay no penalty.
+    rng = np.random.Generator(np.random.Philox(23))
+    xy = rng.uniform(0.0, 50.0, size=(30, 2))
+    labels = rng.integers(0, 3, 30).astype(np.uint8)
+    for gamma in (1e200, np.inf):
+        assert np.array_equal(fps(xy, labels, 30, gamma), fps_reference(xy, labels, 30, gamma))
+
+
+def test_fps_rejects_nan_gamma():
+    xy = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ValueError, match="gamma"):
+        fps(xy, np.zeros(5, np.uint8), 3, float("nan"))
+
+
+@pytest.mark.parametrize("shape", [(49,), (60,), (50, 1)])
+def test_fps_rejects_wrong_shaped_labels(shape):
+    xy = np.random.Generator(np.random.Philox(5)).uniform(0.0, 10.0, size=(50, 2))
+    with pytest.raises(ValueError, match=r"\(50,\)") as err:
+        fps(xy, np.zeros(shape, np.uint8), 5, 1.0)
+    assert str(shape) in str(err.value)
 
 
 def test_fps_strip_edge_rounding():
     # Picks 0 and 1 leave points 2 and 4 tied at min d2 = 3.0 and point 3 at
     # fl(sqrt(3)**2) = 3 - 4.4e-16. Picking 2 at x = 0 must lower point 4 at
-    # x = fl(sqrt(3)), exactly on the strip edge sqrt(3.0), to 3 - 4.4e-16 as
+    # x = fl(sqrt(3)), exactly on the square's edge sqrt(3.0), to 3 - 4.4e-16 as
     # well, so that point 3 wins the tie by index.
     h = math.sqrt(3.0) / 2
     xy = np.array([[-100.0, -1000.0], [h, 1.5], [0.0, 0.0], [-h, 1.5], [2 * h, 0.0]])
