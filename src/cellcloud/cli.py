@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__, nie
 from .core import (
+    _CC5B_MAGIC,
     CellCloud,
     CellCloudError,
     DimMismatch,
@@ -70,10 +71,8 @@ def _load_cloud(path: str) -> CellCloud:
     if not p.exists():
         raise CellCloudError(f"input not found: {path}")
     with open(p, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"CC5B":
-        return read_cloud(p)
-    return parse_cells_csv(p)
+        is_cc5b = fh.read(len(_CC5B_MAGIC)) == _CC5B_MAGIC
+    return read_cloud(p) if is_cc5b else parse_cells_csv(p)
 
 
 def _load_valid_cloud(path: str) -> CellCloud:
@@ -345,6 +344,9 @@ _NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >=
 _FINITE = _checked(float, math.isfinite, "a finite number")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _AT_LEAST_0 = _checked(int, lambda v: v >= 0, "an integer >= 0")
+# synth holds every patient's cloud (about 20 KB) in memory before writing one
+_MAX_PATIENTS = 10_000
+_PATIENTS = _checked(int, lambda v: 0 <= v <= _MAX_PATIENTS, f"an integer in [0, {_MAX_PATIENTS}]")
 
 
 def _build_parser() -> _Parser:
@@ -450,7 +452,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="write synthetic fixtures (toy cloud or survival cohort)")
     p.add_argument("--kind", choices=["toy", "cohort"], default="toy")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--n", type=_AT_LEAST_0, default=200, help="cohort size (default 200)")
+    p.add_argument("--n", type=_PATIENTS, default=200, help="cohort size (default 200)")
     p.add_argument("--seed", type=_AT_LEAST_0, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_synth)

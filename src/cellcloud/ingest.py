@@ -17,10 +17,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.spatial import cKDTree
 
 from .core import CellCloud, CellCloudError, CellType
-from .spatial import _grid_bins, _ragged
+from .spatial import _grid_bins, _ring_pairs, build_index
 
 __all__ = [
     "PatchDetections",
@@ -258,67 +257,47 @@ def load_patch_dir(
     return patches
 
 
-# Bins are floor(origin / S) in float64. Below 2**50 bins each quotient is
-# within 2**-3 of its true value, so a pair less than S apart on an axis is
-# at most two bins apart there.
-_BIN_LIMIT = 2.0**50
-_BIN_REACH = 2
+def _close_pairs(xy: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches of index pairs (i, j), i < j, that include every pair of the
+    finite points ``xy`` closer than ``bound`` on both axes.
+
+    The points, taken relative to their minimum (halved, with the bound,
+    where that overflows), go into a grid index of bins of side
+    max(2*bound, span * 2**-30), and each is paired with the points of the
+    bins one away. A pair within the bound is under half a bin apart and
+    rounding moves it by under 2**-22 bins, so it is always in that ring;
+    the grid is at most about 2**30 bins wide, so no bin id leaves int64.
+    """
+    lo = xy.min(axis=0)
+    with np.errstate(over="ignore"):
+        rel = xy - lo
+    if not np.isfinite(rel).all():
+        rel, bound = xy * 0.5 - lo * 0.5, bound * 0.5
+    side = max(2.0 * bound, float(rel.max()) * 2.0**-30) or 1.0  # inf when 2*bound overflows
+    index = build_index(CellCloud(xy=rel, types=np.zeros(rel.shape[0], np.uint8)), side)
+    for row, cand in _ring_pairs(index, 0, rel.shape[0], 1):
+        i, j = index.order[row], index.order[cand]
+        yield i[i < j], j[i < j]
 
 
 def _overlap_candidates(
-    ox: np.ndarray, oy: np.ndarray, size: np.ndarray
+    origin: np.ndarray, size: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Batches of index pairs (i, j), i < j, that include every intersecting pair.
 
     A pair intersects only if both |dx| and |dy| are below the larger of
-    its two sizes, so below S, the largest finite size. Origins are hashed
-    into square bins of side S and each patch is paired with the patches
-    in the bins up to ``_BIN_REACH`` away on each axis: O(P) pairs on a
-    tiled grid. Patches the bins cannot place (non-finite origin or size,
-    or an origin beyond ``_BIN_LIMIT`` bins) are paired with every patch.
+    its two sizes, so the patches of finite origin and size are paired by
+    :func:`_close_pairs` at the largest of their sizes: O(P) pairs on a
+    tiled grid. Every other patch is paired with every patch.
     """
-    n = ox.size
-    finite = np.isfinite(size)
-    s = float(size[finite].max()) if finite.any() else 0.0
-    if s > 0:
-        bx, by = np.floor(ox / s), np.floor(oy / s)
-        placed = finite & (np.abs(bx) < _BIN_LIMIT) & (np.abs(by) < _BIN_LIMIT)
-        yield from _binned_pairs(np.flatnonzero(placed), bx, by)
-    else:
-        placed = finite  # no two patches of size <= 0 meet
+    placed = np.isfinite(origin).all(axis=1) & np.isfinite(size)
+    idx = np.flatnonzero(placed)
+    if idx.size:
+        for i, j in _close_pairs(origin[idx], float(size[idx].max())):
+            yield idx[i], idx[j]
     for f in np.flatnonzero(~placed):
-        other = np.delete(np.arange(n), f)
+        other = np.delete(np.arange(size.size), f)
         yield np.minimum(other, f), np.maximum(other, f)
-
-
-def _binned_pairs(
-    idx: np.ndarray, bx: np.ndarray, by: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (i, j), i < j, of patches ``idx`` at most ``_BIN_REACH`` bins apart."""
-    if idx.size == 0:
-        return
-    ux, rx = np.unique(bx[idx], return_inverse=True)
-    uy, ry = np.unique(by[idx], return_inverse=True)
-    order = np.argsort(rx * uy.size + ry, kind="stable")
-    cell = (rx * uy.size + ry)[order]
-    for dx in range(-_BIN_REACH, _BIN_REACH + 1):
-        cx = _rank(ux, bx[idx] + dx)
-        for dy in range(-_BIN_REACH, _BIN_REACH + 1):
-            cy = _rank(uy, by[idx] + dy)
-            ok = (cx >= 0) & (cy >= 0)
-            src, key = idx[ok], cx[ok] * uy.size + cy[ok]
-            lo = np.searchsorted(cell, key, "left")
-            count = np.searchsorted(cell, key, "right") - lo
-            for row, slot in _ragged(count):
-                i, j = src[row], idx[order[lo[row] + slot]]
-                yield i[i < j], j[i < j]
-
-
-def _rank(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Position of each value in ``sorted_values``, or -1 where it is absent."""
-    pos = np.searchsorted(sorted_values, values)
-    pos[pos == sorted_values.size] = 0
-    return np.where(sorted_values[pos] == values, pos, -1)
 
 
 def _check_disjoint(
@@ -329,8 +308,9 @@ def _check_disjoint(
     # without intersecting.
     ox, oy = origin[:, 0], origin[:, 1]
     first: Optional[tuple[int, int]] = None
-    for i, j in _overlap_candidates(ox, oy, size):
-        with np.errstate(invalid="ignore"):  # inf + -inf is nan: False, as in Python
+    for i, j in _overlap_candidates(origin, size):
+        # a sum overflows to inf and inf + -inf is nan, which compares False, as in Python
+        with np.errstate(over="ignore", invalid="ignore"):
             hit = (
                 (ox[i] < ox[j] + size[j])
                 & (ox[j] < ox[i] + size[i])
@@ -349,10 +329,16 @@ def _check_disjoint(
         )
 
 
-def _edge_distance(local: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Distance of each patch-local point to its own patch border."""
-    lx, ly = local[:, 0], local[:, 1]
-    return np.minimum(np.minimum(lx, size - lx), np.minimum(ly, size - ly))
+def _fold(label: np.ndarray, links: list[np.ndarray]) -> np.ndarray:
+    """Component labels once the (2, k) ``links`` join ``label``'s components."""
+    # Imported here: csgraph adds about 25 ms to the start-up of every
+    # command, and only ingest needs it.
+    from scipy.sparse.csgraph import connected_components
+
+    a, b = label[np.concatenate(links, axis=1)]
+    n = int(label.max()) + 1
+    graph = coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)[1][label]
 
 
 def merge_boundary_cells(
@@ -369,10 +355,6 @@ def merge_boundary_cells(
     Output keeps input order, a component appearing at its earliest member's
     position in that order.
     """
-    # Imported here: csgraph adds about 25 ms to the start-up of every
-    # command, and only ingest needs it.
-    from scipy.sparse.csgraph import connected_components
-
     if not (0 <= d_boundary < np.inf and 0 <= d_merge < np.inf):
         raise ValueError("d_boundary and d_merge must be finite and >= 0")
     if not patches:
@@ -386,22 +368,28 @@ def merge_boundary_cells(
     types = np.concatenate([p.types for p in patches], axis=0)
     xy = np.repeat(origin, counts, axis=0)
     xy += local
-    cand = np.flatnonzero(_edge_distance(local, np.repeat(size, counts)) < d_boundary)
-    del local
+    # the band: cells closer than d_boundary to their own patch border
+    lx, ly, s = local[:, 0], local[:, 1], np.repeat(size, counts)
+    cand = np.flatnonzero(np.minimum(np.minimum(lx, s - lx), np.minimum(ly, s - ly)) < d_boundary)
+    del local, lx, ly, s
     out_xy = xy.copy()
     keep = np.ones(xy.shape[0], dtype=bool)
     if cand.size > 1:
-        tree = cKDTree(xy[cand])
+        # Links are folded into component labels whenever they outnumber
+        # the band cells, so memory stays O(band + one pair batch).
+        label, links, held = np.arange(cand.size), [], 0
         limit = float(d_merge) * (1.0 + 1e-12)  # superset; exact filter below
-        a, b = tree.query_pairs(r=limit, output_type="ndarray").T
-        ia, ib = cand[a], cand[b]
-        dx = xy[ia, 0] - xy[ib, 0]
-        dy = xy[ia, 1] - xy[ib, 1]
-        link = (types[ia] == types[ib]) & (dx * dx + dy * dy < d_merge * d_merge)
-        graph = coo_matrix(
-            (np.ones(link.sum()), (a[link], b[link])), shape=(cand.size, cand.size)
-        )
-        _, label = connected_components(graph, directed=False)
+        for a, b in _close_pairs(xy[cand], limit):
+            ia, ib = cand[a], cand[b]
+            dx = xy[ia, 0] - xy[ib, 0]
+            dy = xy[ia, 1] - xy[ib, 1]
+            link = (types[ia] == types[ib]) & (dx * dx + dy * dy < d_merge * d_merge)
+            links.append(np.stack((a[link], b[link])))
+            held += links[-1].shape[1]
+            if held > cand.size:
+                label, links, held = _fold(label, links), [], 0
+        if links:
+            label = _fold(label, links)
         # Components of two or more cells collapse onto their earliest
         # member; singletons pass through. bincount sums each component's
         # members in ascending order from 0.0, as xy[members].mean(axis=0)

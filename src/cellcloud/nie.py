@@ -43,6 +43,11 @@ class DegenerateScale(CellCloudError, ValueError):
     error_code = "degenerate_scale"
 
 
+# At most this many radii, checked before anything is sized by them: a count
+# chunk's int64 shell scratch (65,536 cells x n_d x 3 types) is <= 403 MB.
+_MAX_RADII = 256
+
+
 @dataclass(frozen=True)
 class NieParams:
     """Radius schedule knobs: r_max = lambda_r * d_mean over n_d shells."""
@@ -53,8 +58,8 @@ class NieParams:
     def __post_init__(self) -> None:
         if not (self.lambda_r > 0 and np.isfinite(self.lambda_r)):
             raise ValueError("lambda_r must be positive and finite")
-        if self.n_d < 1:
-            raise ValueError("n_d must be at least 1")
+        if not 1 <= self.n_d <= _MAX_RADII:
+            raise ValueError(f"n_d must be between 1 and {_MAX_RADII}")
 
 
 def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> np.ndarray:

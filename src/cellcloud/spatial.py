@@ -163,16 +163,9 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     packed = (rows - r0) * n_cols + (cols - c0)
     order = np.argsort(packed, kind="stable")
     sorted_ids = packed[order]
-    if n:
-        uniq_mask = np.empty(n, dtype=bool)
-        uniq_mask[0] = True
-        uniq_mask[1:] = sorted_ids[1:] != sorted_ids[:-1]
-        bin_ids = sorted_ids[uniq_mask]
-        starts = np.flatnonzero(uniq_mask)
-        starts = np.append(starts, n).astype(np.int64)
-    else:
-        bin_ids = np.empty(0, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
+    first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
+    bin_ids = sorted_ids[first]
+    starts = np.append(first, n).astype(np.int64)
     order = order.astype(np.int64, copy=False)
     return SpatialIndex(
         source=cloud,
@@ -208,21 +201,20 @@ def _ragged(
         s = e
 
 
-def _count_chunk(
-    index: SpatialIndex, s: int, e: int, r2: np.ndarray, counts: np.ndarray
-) -> None:
-    """Fill the ``counts`` rows of the cells at bin-order positions [s, e).
+def _ring_pairs(
+    index: SpatialIndex, s: int, e: int, ring: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches (row, cand) of the bin-order positions s + row and cand of
+    each cell in [s, e) and every cell, itself included, of the bins up to
+    ``ring`` away on each axis; a batch's rows ascend.
 
-    The chunk's cells fill the consecutive bins [b0, b1), so each of a
+    The cells [s, e) fill the consecutive bins [b0, b1), so each of a
     bin's neighbour bins is looked up once for all the cells in it, and a
-    neighbour's cells are the contiguous positions ``seg_start + slot``.
+    neighbour's cells are the contiguous positions ``seg_start + slot``,
+    expanded through ``_ragged``.
     """
-    xy = index.binned_xy
-    types = index.binned_types
     starts = index.starts
-    n_d = r2.size
     n_cols = index._n_cols
-    ring = int(np.ceil(np.sqrt(r2[-1]) / index.bin_size))
     b0 = int(np.searchsorted(starts, s, side="right")) - 1
     b1 = int(np.searchsorted(starts, e, side="left"))
     bins = index.bin_ids[b0:b1]
@@ -230,11 +222,6 @@ def _count_chunk(
     q_bin = np.repeat(
         np.arange(b1 - b0), np.minimum(starts[b0 + 1 : b1 + 1], e) - np.maximum(starts[b0:b1], s)
     )
-    qx = xy[s:e, 0]
-    qy = xy[s:e, 1]
-    m = e - s
-    shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
-
     for dr in range(-ring, ring + 1):
         for dc in range(-ring, ring + 1):
             # map each bin's neighbour onto the CSR table; a neighbour off the
@@ -246,16 +233,32 @@ def _count_chunk(
             seg_start = starts[pos][q_bin]
             seg_len = np.where(hit, starts[pos + 1] - starts[pos], 0)[q_bin]
             for row, slot in _ragged(seg_len):
-                cand = seg_start[row] + slot
-                dx = qx[row] - xy[cand, 0]
-                dy = qy[row] - xy[cand, 1]
-                d2 = dx * dx + dy * dy
-                inside = np.flatnonzero(d2 <= r2[-1])
-                shell = np.searchsorted(r2, d2[inside], side="left")
-                # a batch's rows ascend, so its counts fill one slice
-                lo, hi = row[0] * n_d * N_TYPES, (row[-1] + 1) * n_d * N_TYPES
-                key = ((row[inside] - row[0]) * n_d + shell) * N_TYPES + types[cand[inside]]
-                shell_counts[lo:hi] += np.bincount(key, minlength=hi - lo)
+                yield row, seg_start[row] + slot
+
+
+def _count_chunk(
+    index: SpatialIndex, s: int, e: int, r2: np.ndarray, counts: np.ndarray
+) -> None:
+    """Fill the ``counts`` rows of the cells at bin-order positions [s, e)."""
+    xy = index.binned_xy
+    types = index.binned_types
+    n_d = r2.size
+    ring = int(np.ceil(np.sqrt(r2[-1]) / index.bin_size))
+    qx = xy[s:e, 0]
+    qy = xy[s:e, 1]
+    m = e - s
+    shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
+
+    for row, cand in _ring_pairs(index, s, e, ring):
+        dx = qx[row] - xy[cand, 0]
+        dy = qy[row] - xy[cand, 1]
+        d2 = dx * dx + dy * dy
+        inside = np.flatnonzero(d2 <= r2[-1])
+        shell = np.searchsorted(r2, d2[inside], side="left")
+        # a batch's rows ascend, so its counts fill one slice
+        lo, hi = row[0] * n_d * N_TYPES, (row[-1] + 1) * n_d * N_TYPES
+        key = ((row[inside] - row[0]) * n_d + shell) * N_TYPES + types[cand[inside]]
+        shell_counts[lo:hi] += np.bincount(key, minlength=hi - lo)
 
     cum = np.cumsum(shell_counts.reshape(m, n_d, N_TYPES), axis=1)
     # remove the self pair: d2 = 0 lands in the first shell of own type

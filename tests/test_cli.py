@@ -465,8 +465,10 @@ _BAD_FLAGS = [
     ("forward", "--anchors", "0"),
     ("forward", "--updates", "0"),
     ("forward", "--nd", "0"),
+    ("forward", "--nd", "1000000000000"),
     ("forward", "--lambda-r", "0"),
     ("nie", "--nd", "0"),
+    ("nie", "--nd", "1000000000000"),
     ("nie", "--lambda-r", "0"),
     ("ingest", "--patch-size", "nan"),
     ("ingest", "--patch-size", "inf"),
@@ -504,8 +506,8 @@ PARAM_OBJECT_FLAGS = {
 @pytest.mark.parametrize(
     "command, flag, value",
     _BAD_FLAGS,
-    # The parameter-object cases keep the ids they had when every value was 0.
-    ids=["-".join(case[:2] if case[1] in PARAM_OBJECT_FLAGS else case) for case in _BAD_FLAGS],
+    # The parameter-object cases at 0 keep the ids they had when every value was 0.
+    ids=["-".join(case[:2] if case[1] in PARAM_OBJECT_FLAGS and case[2] == "0" else case) for case in _BAD_FLAGS],
 )
 def test_bad_config_flag_is_usage_error(capsys, cloud_file, tmp_path, command, flag, value):
     path, _ = cloud_file
@@ -950,6 +952,7 @@ def test_synth_cohort_outputs_reproducible(capsys, tmp_path):
     "argv",
     [
         ["synth", "--kind", "cohort", "-o", "d", "--n", "-1"],
+        ["synth", "--kind", "cohort", "-o", "d", "--n", "1000000000000"],
         ["synth", "--kind", "toy", "-o", "d", "--seed", "-1"],
         # nothing is read: the cohort file need not exist
         ["km", "cohort.csv", "--split", "nan"],

@@ -2,9 +2,10 @@
 
 The cloud is clustered, snapped to a lattice so that many distances tie,
 and holds cells that share a position but not a type. The level-1 sampling
-and grouping, the embedding and the validation report are each hashed; no
-step calls BLAS, so the digests depend only on the code, never on a
-library's kernel choice. A digest changes exactly when an output byte does.
+and grouping, the embedding and the validation report are each hashed, and
+so is the seam merge of a fixed patch grid; no step calls BLAS, so the
+digests depend only on the code, never on a library's kernel choice. A
+digest changes exactly when an output byte does.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import numpy as np
 
 from cellcloud.core import CellCloud, validate_cloud
 from cellcloud.hsp import HspConfig, _nn_mean_xy
+from cellcloud.ingest import PatchDetections, merge_boundary_cells
 from cellcloud.nie import embed
 from cellcloud.spatial import fps, knn_group
 
@@ -30,6 +32,10 @@ GOLDEN_FPS = {
     "level2": "57c18f2291e0f74acc157f05e4ec405448a93cee4a0b12822e5e3885f199f425",
     "line": "508c093e71b134ea73cccd8307b9a8604d926e124096f1a897ab3b1e04c0cd27",
 }
+
+
+# The seam merge of golden_patches() at d_merge 12 and 13.
+GOLDEN_INGEST = {"merge": "09745c881b0ab6aa9467bb38e9ad9e1b8c9222227a21cdb3e5cb928c77c3c9a9"}
 
 
 def golden_cloud() -> CellCloud:
@@ -89,3 +95,33 @@ def test_golden_fps_paths():
         "level2": digest(level2.astype(np.int64)),
         "line": digest(fps(line, types, nk, 2.5).astype(np.int64)),
     } == GOLDEN_FPS
+
+
+def golden_patches() -> list[PatchDetections]:
+    """A 3 x 3 grid of 512 px patches, away from the origin, whose cells
+    crowd the seams and corners on an integer lattice: many same-type
+    pairs lie exactly 12 or 13 px apart, many cells exactly 24 px from
+    their own border, and some cells share a position."""
+    rng = np.random.Generator(np.random.Philox(20241))
+    patches = []
+    for gy in range(3):
+        for gx in range(3):
+            near = rng.integers(0, 30, size=(200, 2)).astype(float)  # up to 29 px from an edge
+            local = np.where(rng.uniform(size=(200, 2)) < 0.5, near, 511.0 - near)
+            # one axis of most cells anywhere on a 4 px lattice: seams, not only corners
+            free = rng.integers(0, 2, size=200)
+            free[:20] = 2  # corners
+            for axis in (0, 1):
+                spread = free == axis
+                local[spread, axis] = 4.0 * rng.integers(0, 128, size=int(spread.sum()))
+            origin = (512.0 * gx - 1024.0, 512.0 * gy + 2.0**20)
+            types = rng.integers(0, 3, size=200).astype(np.uint8)
+            patches.append(PatchDetections(patch_origin=origin, xy=local, types=types))
+    return patches
+
+
+def test_golden_merge():
+    patches = golden_patches()
+    outs = [merge_boundary_cells(patches, d_merge=d) for d in (12.0, 13.0)]
+    assert outs[1].n_total < outs[0].n_total < 9 * 200  # both merge, and differ
+    assert {"merge": digest(*(a for out in outs for a in (out.xy, out.types)))} == GOLDEN_INGEST

@@ -1,10 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellcloud import spatial
+from cellcloud import ingest, spatial
 from cellcloud.core import CellCloud, CellType
 from cellcloud.ingest import (
     DuplicateCell,
@@ -398,7 +399,7 @@ def _overlap_outcome(patches):
     return None
 
 
-_ODD = [np.inf, -np.inf, np.nan, 1e300, -1e300, 2.0**60, -0.0, 0.1]
+_ODD = [np.inf, -np.inf, np.nan, 1e300, -1e300, 1e308, -1e308, 2.0**60, -0.0, 0.1]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from(["tiled", "mixed", "jitter", "odd"]))
@@ -558,12 +559,14 @@ def _merge_oracle(patches, d_boundary=24.0, d_merge=12.0):
     return out
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 40))
-@settings(max_examples=40, deadline=None)
-def test_merge_matches_oracle(seed, n_per_patch):
-    rng = np.random.Generator(np.random.Philox(seed))
+def _seam_patches(rng, n_per_patch, offset=(0.0, 0.0), far=None):
+    """A 2 x 2 patch grid at ``offset``, plus two abutting patches at
+    ``far`` if given, with detections clustered near the patch edges."""
+    origins = [(offset[0] + dx, offset[1] + dy) for dx, dy in [(0, 0), (512, 0), (0, 512), (512, 512)]]
+    if far is not None:
+        origins += [far, (far[0] + 512.0, far[1])]
     patches = []
-    for origin in [(0.0, 0.0), (512.0, 0.0), (0.0, 512.0), (512.0, 512.0)]:
+    for origin in origins:
         # cluster detections near edges so merges actually happen
         m = int(rng.integers(0, n_per_patch + 1))
         xy = np.where(
@@ -573,14 +576,74 @@ def test_merge_matches_oracle(seed, n_per_patch):
         )
         types = rng.integers(0, 3, size=m).astype(np.uint8)
         patches.append(PatchDetections(patch_origin=origin, xy=xy, types=types))
-    out = merge_boundary_cells(patches)
-    expect = _merge_oracle(patches)
+    return patches
+
+
+def _assert_merge_matches_oracle(patches, d_merge):
+    out = merge_boundary_cells(patches, d_merge=d_merge)
+    with np.errstate(over="ignore"):  # distances and centroids at 1e308 overflow
+        expect = _merge_oracle(patches, d_merge=d_merge)
     assert out.n_total == len(expect)
     got = [(x, y, int(t)) for (x, y), t in zip(out.xy, out.types)]
     for (gx, gy, gt), (ex, ey, et) in zip(got, expect):
         assert gt == et
         assert gx == pytest.approx(ex, abs=1e-9)
         assert gy == pytest.approx(ey, abs=1e-9)
+
+
+# Origins near 0, at slide scale, and where sums absorb a patch's 512 px or
+# a pair's difference overflows float64.
+_OFFSETS = [0.0, -3e7 - 0.5, 1e300, -1e300, 1e308, -1e308]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 40),
+    st.sampled_from([0.0, 1e-300, 12.0, 40.0, 1e9]),
+    st.sampled_from(_OFFSETS),
+    st.sampled_from(_OFFSETS),
+    st.none() | st.tuples(st.sampled_from(_OFFSETS[2:]), st.sampled_from(_OFFSETS[2:])),
+)
+@settings(max_examples=80, deadline=None)
+def test_merge_matches_oracle(seed, n_per_patch, d_merge, ox, oy, far):
+    rng = np.random.Generator(np.random.Philox(seed))
+    _assert_merge_matches_oracle(_seam_patches(rng, n_per_patch, (ox, oy), far), d_merge)
+
+
+@pytest.mark.parametrize("d_merge, folds", [(12.0, 1), (40.0, 2), (1e9, 2)])
+def test_merge_in_small_pair_batches(monkeypatch, d_merge, folds):
+    # Candidate pairs tested a few at a time: components span batches, and
+    # at the larger distances the links are folded into labels many times.
+    monkeypatch.setattr(spatial, "_PAIR_BATCH", 5)
+    calls = []
+    fold = ingest._fold
+    monkeypatch.setattr(ingest, "_fold", lambda label, links: calls.append(1) or fold(label, links))
+    patches = _seam_patches(np.random.Generator(np.random.Philox(5)), 40, far=(1e300, -1e300))
+    _assert_merge_matches_oracle(patches, d_merge)
+    assert len(calls) >= folds
+
+
+def test_merge_link_memory_is_bounded():
+    # Every band cell is within d_merge of every other: 1,120 band cells,
+    # 626,640 pairs, which one unbatched pair query held at once.
+    rng = np.random.Generator(np.random.Philox(11))
+    patches = [
+        PatchDetections(
+            patch_origin=(512.0 * gx, 512.0 * gy),
+            xy=rng.uniform(0.0, 512.0, size=(400, 2)),
+            types=rng.integers(0, 3, size=400).astype(np.uint8),
+        )
+        for gy in range(4)
+        for gx in range(4)
+    ]
+    tracemalloc.start()
+    try:
+        out = merge_boundary_cells(patches, d_merge=1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_total == 16 * 400 - 1120 + 3  # each type's band cells become one
+    assert peak < 16e6  # 8.8 MB measured; 32 MB with one unbatched pair query
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.sampled_from([8.0, 12.0, 24.0]))
