@@ -24,6 +24,7 @@ from .core import (
 )
 from .ingest import (
     DuplicateCell,
+    ImpreciseOrigin,
     MalformedRow,
     OutOfPatch,
     OverlappingPatches,

@@ -8,9 +8,9 @@ group-attend-aggregate:
    composition, at a scale of the cloud's mean nearest-neighbor distance);
    picks are made in rounds, each replaying the greedy loop among the
    points of largest min-distance and keeping the picks that beat every
-   point outside them, and each pick updates only the points of a 2-D grid
-   inside its square of half-width sqrt(current max min-distance) plus a
-   rounding margin, so the picks equal the all-points greedy loop exactly,
+   point outside them; each pick lowers only the points in its square of
+   half-width sqrt(max min-distance) plus a rounding margin, read by rows
+   of spatial's grid index, so the picks equal the all-points loop exactly,
 2. group the 2*N/N_k nearest points around each anchor (an exact
    tree-backed kNN, ties broken by the smaller point index),
 3. score members against the group mean feature and anchor position, and

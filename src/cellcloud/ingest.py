@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .core import CellCloud, CellCloudError, CellType
-from .spatial import _grid_bins, _ring_pairs, build_index
+from .spatial import _from_min, _grid_bins, _ring_pairs, build_index
 
 __all__ = [
     "PatchDetections",
@@ -28,6 +28,7 @@ __all__ = [
     "DuplicateCell",
     "OverlappingPatches",
     "OutOfPatch",
+    "ImpreciseOrigin",
     "parse_cells_csv",
     "load_patch_dir",
     "merge_boundary_cells",
@@ -81,6 +82,12 @@ class OutOfPatch(CellCloudError, ValueError):
     """A patch-local coordinate outside ``[0, patch_size)``."""
 
     error_code = "out_of_patch"
+
+
+class ImpreciseOrigin(CellCloudError):
+    """A patch origin beyond 2**53 px, which float64 cannot hold to the pixel."""
+
+    error_code = "imprecise_origin"
 
 
 @dataclass(frozen=True)
@@ -245,6 +252,8 @@ def load_patch_dir(
         m = _PATCH_NAME.match(name)
         if not m:
             continue
+        if max(abs(int(m.group(1))), abs(int(m.group(2)))) > 2**53:
+            raise ImpreciseOrigin(f"{dirpath / name}: origin beyond 2**53 px, not exact in float64")
         origin = (float(m.group(1)), float(m.group(2)))
         xy, types = _parse_rows(dirpath / name)
         try:
@@ -268,12 +277,8 @@ def _close_pairs(xy: np.ndarray, bound: float) -> Iterator[tuple[np.ndarray, np.
     rounding moves it by under 2**-22 bins, so it is always in that ring;
     the grid is at most about 2**30 bins wide, so no bin id leaves int64.
     """
-    lo = xy.min(axis=0)
-    with np.errstate(over="ignore"):
-        rel = xy - lo
-    if not np.isfinite(rel).all():
-        rel, bound = xy * 0.5 - lo * 0.5, bound * 0.5
-    side = max(2.0 * bound, float(rel.max()) * 2.0**-30) or 1.0  # inf when 2*bound overflows
+    rel, _, scale = _from_min(xy)
+    side = max(2.0 * (bound * scale), float(rel.max()) * 2.0**-30) or 1.0  # inf: 2*bound overflowed
     index = build_index(CellCloud(xy=rel, types=np.zeros(rel.shape[0], np.uint8)), side)
     for row, cand in _ring_pairs(index, 0, rel.shape[0], 1):
         i, j = index.order[row], index.order[cand]

@@ -6,10 +6,12 @@ that same expression per candidate pair, so they agree bit-for-bit with
 O(N^2) pair scans. Those oracles live only in the test suite
 (``tests/hsp_reference.py``).
 
-The workhorse is a uniform grid index. With ``bin_size`` equal to the
-largest query radius, a radius query only ever touches the 3x3 ring of
-bins around the query cell, giving O(N) expected cost for the million-cell
-neighbor-count pass that dominates the pipeline.
+The workhorse is one uniform grid index (:func:`build_index`) that keeps
+the cells in row-major bin order, so a range of columns in one grid row is
+one run of cells (:func:`_runs`). Counting and ingest's pair searches read
+the 2r+1 runs around each bin (r = 1 when ``bin_size`` is the largest query
+radius: O(N) expected cost for the million-cell count that dominates the
+pipeline), and fps the rows of each pick's square.
 
 Slide detections arrive in no spatial order, so the neighbour queries do
 not walk the cells in input order: the count walks them in bin order and
@@ -57,8 +59,6 @@ _GRID_LIMIT = 2.0**62
 # The largest radius whose square is a finite float64; counting compares
 # squared distances against squared radii.
 _MAX_RADIUS = math.sqrt(np.finfo(np.float64).max)
-
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # fps replays the greedy loop among at most _ROUND points a round, finds
 # them among about _HOT times as many hot points, and bins the cloud into
@@ -144,24 +144,32 @@ def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
     return rows.astype(np.int64), cols.astype(np.int64)
 
 
+def _from_min(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(rel, lo, scale): ``xy * scale - lo * scale`` for the minimum ``lo`` of
+    the finite points ``xy``, scale 1, or 0.5 where ``xy - lo`` overflows.
+    This map is monotone: a value between two points maps between them."""
+    lo = np.array([xy[:, 0].min(), xy[:, 1].min()])  # min(axis=0) is slow on (n, 2)
+    with np.errstate(over="ignore"):
+        rel = xy - lo
+    if np.isfinite(rel).all():
+        return rel, lo, 1.0
+    return xy * 0.5 - lo * 0.5, lo, 0.5
+
+
 def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     """Assign every cell to its grid bin and group cell indices by bin."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
     n = cloud.n_total
     rows, cols = _grid_bins(cloud.xy, bin_size)
-    if n:
-        r0, r1 = int(rows.min()), int(rows.max())
-        c0, c1 = int(cols.min()), int(cols.max())
-        if (r1 - r0 + 1) * (c1 - c0 + 1) >= _GRID_LIMIT:
-            raise GridOverflow(
-                f"cloud spans too many bins of size {bin_size!r} for int64 bin ids"
-            )
-    else:
-        r0 = r1 = c0 = c1 = 0
-    n_cols = c1 - c0 + 1
+    r0, r1 = (int(rows.min()), int(rows.max())) if n else (0, 0)
+    c0, c1 = (int(cols.min()), int(cols.max())) if n else (0, 0)
+    n_bins, n_cols = (r1 - r0 + 1) * (c1 - c0 + 1), c1 - c0 + 1
+    if n_bins >= _GRID_LIMIT:
+        raise GridOverflow(f"cloud spans too many bins of size {bin_size!r} for int64 bin ids")
     packed = (rows - r0) * n_cols + (cols - c0)
-    order = np.argsort(packed, kind="stable")
+    # numpy radix-sorts 16-bit keys, in the same stable order
+    order = np.argsort(packed.astype(np.uint16) if n_bins <= 1 << 16 else packed, kind="stable")
     sorted_ids = packed[order]
     first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
     bin_ids = sorted_ids[first]
@@ -173,7 +181,7 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
         bin_ids=bin_ids,
         starts=starts,
         order=order,
-        binned_xy=cloud.xy[order],
+        binned_xy=np.take(cloud.xy, order, axis=0),  # xy[order], 10x faster
         binned_types=cloud.types[order],
         _n_cols=n_cols,
     )
@@ -201,6 +209,17 @@ def _ragged(
         s = e
 
 
+def _runs(index: SpatialIndex, row, c_lo, c_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bin-order positions [a, b) of the cells in columns c_lo..c_hi of grid
+    rows ``row``. Columns are clipped to the grid (each range must meet it),
+    and a row off the grid gives an empty run. Packed bin ids are row-major,
+    so each is one run of ids, found by a binary search for each end."""
+    n_cols, ids, row_id = index._n_cols, index.bin_ids, row * index._n_cols
+    a = ids.searchsorted(row_id + np.maximum(c_lo, 0))
+    b = ids.searchsorted(row_id + np.minimum(c_hi, n_cols - 1) + 1)
+    return index.starts[a], index.starts[b]
+
+
 def _ring_pairs(
     index: SpatialIndex, s: int, e: int, ring: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -208,32 +227,22 @@ def _ring_pairs(
     each cell in [s, e) and every cell, itself included, of the bins up to
     ``ring`` away on each axis; a batch's rows ascend.
 
-    The cells [s, e) fill the consecutive bins [b0, b1), so each of a
-    bin's neighbour bins is looked up once for all the cells in it, and a
-    neighbour's cells are the contiguous positions ``seg_start + slot``,
-    expanded through ``_ragged``.
+    The cells [s, e) fill the consecutive bins [b0, b1); each bin reads the
+    2 * ring + 1 grid rows around it as one run each (:func:`_runs`), once
+    for all its cells, and the runs are expanded through ``_ragged``.
     """
     starts = index.starts
-    n_cols = index._n_cols
     b0 = int(np.searchsorted(starts, s, side="right")) - 1
     b1 = int(np.searchsorted(starts, e, side="left"))
-    bins = index.bin_ids[b0:b1]
-    bin_col = bins % n_cols
+    bin_row, bin_col = np.divmod(index.bin_ids[b0:b1], index._n_cols)
     q_bin = np.repeat(
         np.arange(b1 - b0), np.minimum(starts[b0 + 1 : b1 + 1], e) - np.maximum(starts[b0:b1], s)
     )
     for dr in range(-ring, ring + 1):
-        for dc in range(-ring, ring + 1):
-            # map each bin's neighbour onto the CSR table; a neighbour off the
-            # grid's rows packs to an id that misses it, one off its columns
-            # is masked out
-            packed = bins + (dr * n_cols + dc)
-            pos = np.minimum(np.searchsorted(index.bin_ids, packed), index.bin_ids.size - 1)
-            hit = (index.bin_ids[pos] == packed) & (bin_col + dc >= 0) & (bin_col + dc < n_cols)
-            seg_start = starts[pos][q_bin]
-            seg_len = np.where(hit, starts[pos + 1] - starts[pos], 0)[q_bin]
-            for row, slot in _ragged(seg_len):
-                yield row, seg_start[row] + slot
+        a, b = _runs(index, bin_row + dr, bin_col - ring, bin_col + ring)
+        a, lens = a[q_bin], (b - a)[q_bin]
+        for row, slot in _ragged(lens):
+            yield row, a[row] + slot
 
 
 def _count_chunk(
@@ -329,16 +338,6 @@ def mean_nn_distance(cloud: CellCloud, threads: int = 1) -> float:
     return _nn_mean_xy(cloud.xy, threads)
 
 
-def _grid_bin(v, v0, size: float, n_bins) -> np.ndarray:
-    """Bin floor((v - v0) / size) of each value, clipped to [0, n_bins).
-
-    Every step rounds monotonically, so a value between two others never
-    lands in a bin outside theirs.
-    """
-    b = np.floor((v - v0) / size)
-    return np.minimum(np.maximum(b, 0, out=b), n_bins - 1, out=b).astype(np.int64)
-
-
 def fps(
     points: np.ndarray,
     labels: Optional[np.ndarray],
@@ -372,12 +371,11 @@ def fps(
     is non-negative, and the margins cover the rounding of sqrt, of the
     squares and of the square's edges at slide-scale offsets, so a point
     outside the square has a computed d2 of at least M. The start pick is
-    made at M = +inf. The squares are cut from a uniform 2-D grid of about
-    ``_CELLS_PER_PICK`` cells per pick that holds the points in cell order
-    (a CSR index). Points and square edges are binned by the one monotone
-    ``floor((v - v0) / size)``, so every point of a square lies in the
-    square's cells, and each row of cells is one contiguous run of points.
-    A round's (pick, point) pairs are expanded through ``_ragged``, at most
+    made at M = +inf. The points, relative to their minimum, go into a
+    :func:`build_index` grid of about ``_CELLS_PER_PICK`` bins per pick, and
+    a square's edges are binned by the same monotone map, so its points lie
+    in its bins, read one run per grid row (:func:`_runs`). A round's (pick,
+    point) pairs are expanded through ``_ragged``, at most
     ``_FPS_BATCH`` at a time, and applied with ``np.minimum.at``: a minimum
     does not depend on the order of its updates. Every d2 is the test
     oracle's ``dx*dx + dy*dy``, plus the penalty only where the labels
@@ -398,26 +396,21 @@ def fps(
         return np.empty(0, dtype=np.int64)
     # Unlabelled points share one label and pay no penalty.
     lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
-    x, y = xy[:, 0], xy[:, 1]
-    origin = np.array([x.min(), y.min()])
-    tie = np.flatnonzero(x == origin[0])
-    tie = tie[y[tie] == y[tie].min()]
+    rel, lo, scale = _from_min(xy)
+    tie = np.flatnonzero(xy[:, 0] == lo[0])
+    tie = tie[xy[tie, 1] == xy[tie, 1].min()]
     start = int(tie[lab[tie].argmin()])  # first occurrence = smallest index
     penalty = 0.0 if labels is None else 2.0 * gamma * gamma
 
-    # A grid of about _CELLS_PER_PICK square cells per pick, at most 3x that.
-    wx, wy = float(x.max() - origin[0]), float(y.max() - origin[1])  # inf on overflow
+    # A grid of about _CELLS_PER_PICK square bins per pick, at most 3x that.
+    wx, wy = float(rel[:, 0].max()), float(rel[:, 1].max())
     cells = _CELLS_PER_PICK * n
     size = max(wx, wy) / cells
     if wx and wy:
         size = max(size, math.sqrt(wx / cells) * math.sqrt(wy))
-    size = min(size, _FLOAT_MAX) or 1.0
-    nx, ny = int(min(wx / size, cells)) + 1, int(min(wy / size, cells)) + 1
-    dims = np.array([nx, ny])
-    cell = _grid_bin(y, origin[1], size, ny) * nx + _grid_bin(x, origin[0], size, nx)
-    order = np.argsort(cell)  # any order within a cell
-    starts = np.zeros(nx * ny + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cell, minlength=nx * ny), out=starts[1:])
+    index = build_index(CellCloud(xy=rel, types=np.zeros(m, np.uint8)), size or 1.0)
+    order, n_cols = index.order, index._n_cols
+    top = np.array([n_cols - 1, index.bin_ids[-1] // n_cols], dtype=np.float64)
     gx, gy, glab = xy[order, 0], xy[order, 1], lab[order]
 
     pen = np.array([0.0, penalty])
@@ -450,13 +443,13 @@ def fps(
         min_d2[pos] = -np.inf
         pxy = xy[order[pos]]
         half = np.sqrt(at)[:, None] * (1.0 + 1e-9) + 4e-16 * np.abs(pxy) + 1e-300
-        box = _grid_bin(np.concatenate((pxy - half, pxy + half)), origin, size, dims)
+        edge = np.concatenate((pxy - half, pxy + half)) * scale - lo * scale
+        box = np.minimum(np.maximum(np.floor(edge / index.bin_size), 0), top).astype(np.int64)
         (c0, r0), (c1, r1) = box[: pos.size].T, box[pos.size :].T
         for pick, dr in _ragged(r1 - r0 + 1):
-            row = (r0[pick] + dr) * nx
-            lo = starts[row + c0[pick]]
-            for seg, slot in _ragged(starts[row + c1[pick] + 1] - lo, _FPS_BATCH):
-                lower(lo[seg] + slot, pos[pick[seg]])
+            a, b = _runs(index, r0[pick] + dr, c0[pick], c1[pick])
+            for seg, slot in _ragged(b - a, _FPS_BATCH):
+                lower(a[seg] + slot, pos[pick[seg]])
         if done == n:
             return out
 

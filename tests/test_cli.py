@@ -420,6 +420,18 @@ def test_oversized_config_is_rejected_before_weights(capsys, cloud_file, tmp_pat
     assert "weights" in err
 
 
+def test_ingest_imprecise_origin_is_data_error(capsys, tmp_path):
+    d = tmp_path / "patches"
+    d.mkdir()
+    for name in ("patch_100000000000000000000_0.csv", "patch_100000000000000000001_0.csv"):
+        (d / name).write_text("x,y,type\n5,5,other\n")
+    code, _, err = run(capsys, ["ingest", str(d), "-o", str(tmp_path / "s.cc5b")])
+    assert code == 2
+    assert "error_code=imprecise_origin" in err
+    assert "patch_100000000000000000000_0.csv" in err
+    assert not (tmp_path / "s.cc5b").exists()
+
+
 def test_ingest_out_of_patch_is_data_error(capsys, tmp_path):
     d = tmp_path / "patches"
     d.mkdir()

@@ -9,6 +9,7 @@ from cellcloud import ingest, spatial
 from cellcloud.core import CellCloud, CellType
 from cellcloud.ingest import (
     DuplicateCell,
+    ImpreciseOrigin,
     MalformedRow,
     OutOfPatch,
     OverlappingPatches,
@@ -282,6 +283,30 @@ def test_load_patch_dir_names_and_order(tmp_path):
     patches = load_patch_dir(tmp_path)
     assert [p.patch_origin for p in patches] == [(0.0, 0.0), (512.0, 0.0), (0.0, 512.0)]
     assert patches[0].xy.tolist() == [[2.0, 2.0]]
+
+
+def test_load_patch_dir_refuses_origins_float64_rounds(tmp_path):
+    # Two 512 px patches 1 px apart whose origins both round to 1e20: taken
+    # as disjoint, their cells merged into one at x = 1e20, not 1e20 + 5.
+    write_csv(tmp_path / "patch_100000000000000000000_0.csv", "x,y,type\n5,5,other\n")
+    write_csv(tmp_path / "patch_100000000000000000001_0.csv", "x,y,type\n5,5,other\n")
+    with pytest.raises(ImpreciseOrigin, match=r"2\*\*53") as exc:
+        load_patch_dir(tmp_path)
+    assert exc.value.error_code == "imprecise_origin"
+    assert str(exc.value).startswith(str(tmp_path / "patch_100000000000000000000_0.csv"))
+
+
+@pytest.mark.parametrize(
+    "x0, y0, exact",
+    [(2**53, 0, True), (0, -(2**53), True), (2**53 + 1, 0, False), (0, -(2**53) - 2, False)],
+)
+def test_load_patch_dir_origin_limit_is_2_to_53(tmp_path, x0, y0, exact):
+    write_csv(tmp_path / f"patch_{x0}_{y0}.csv", "x,y,type\n1,1,other\n")
+    if exact:
+        assert load_patch_dir(tmp_path)[0].patch_origin == (x0, y0)
+    else:
+        with pytest.raises(ImpreciseOrigin):
+            load_patch_dir(tmp_path)
 
 
 # ---------------------------------------------------------------------------

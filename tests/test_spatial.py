@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -307,6 +308,53 @@ def test_ragged_batches_bounded_and_complete(lens, limit):
     slots = [int(p) for _, pos in batches for p in pos]
     assert rows == [i for i, n in enumerate(lens) for _ in range(n)]
     assert slots == [p for n in lens for p in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the grid walk
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(-3, 3),
+    st.sampled_from([None, 1, 4, 16]),
+    st.data(),
+)
+@example(n_rows=1, n_cols=5, ring=1, offset=0, batch=None, data=None)
+@example(n_rows=5, n_cols=1, ring=2, offset=-3, batch=None, data=None)
+@example(n_rows=3, n_cols=4, ring=1, offset=2, batch=1, data=None)
+@settings(max_examples=200, deadline=None)
+def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, ring, offset, batch, data):
+    # Cells on a small grid of bins of side 2, the first and last of its rows
+    # and columns always occupied; each bin-order cell in [s, e) must meet
+    # every cell within ``ring`` bins on each axis exactly once. A row run
+    # that is not clipped to the grid's columns wraps into the next row.
+    if data is None:  # an explicit example: every bin of the grid holds a cell
+        bins = [(r, c) for r in range(n_rows) for c in range(n_cols)] * 2
+        s, e = 0, len(bins)
+    else:
+        bins = [(0, 0), (n_rows - 1, n_cols - 1)] + data.draw(
+            st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)), max_size=30)
+        )
+        s = data.draw(st.integers(0, len(bins) - 1))
+        e = data.draw(st.integers(s + 1, len(bins)))
+    rc = np.array(bins) + offset
+    frac = np.linspace(0.0, 0.999, len(bins))
+    xy = np.column_stack((rc[:, 1] + frac, rc[:, 0] + frac)) * 2.0
+    index = build_index(CellCloud(xy=xy, types=np.zeros(len(bins), np.uint8)), 2.0)
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(spatial, "_PAIR_BATCH", batch)
+        got = Counter()
+        for row, cand in spatial._ring_pairs(index, s, e, ring):
+            assert (np.diff(row) >= 0).all()
+            got.update(zip(index.order[s + row].tolist(), index.order[cand].tolist()))
+    near = (np.abs(rc[:, None] - rc[None, :]) <= ring).all(axis=2)
+    want = Counter((int(i), int(j)) for i in index.order[s:e] for j in np.flatnonzero(near[i]))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
