@@ -11,6 +11,7 @@ error, 2 data error; errors additionally print a machine-parseable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -350,12 +351,19 @@ _PATIENTS = _checked(int, lambda v: 0 <= v <= _MAX_PATIENTS, f"an integer in [0,
 
 
 def _build_parser() -> _Parser:
+    """The command-line parser for the current $CELLCLOUD_THREADS."""
+    return _parser_for(os.environ.get("CELLCLOUD_THREADS") or "1")
+
+
+@functools.lru_cache(maxsize=4)
+def _parser_for(env_threads: str) -> _Parser:
+    """The parser whose --threads default is ``env_threads``, built once per
+    value: a build takes 1-4 ms, which every command would otherwise pay."""
     parser = _Parser(prog="cellcloud", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cellcloud {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # argparse runs a string default through the flag's type, so a bad
     # $CELLCLOUD_THREADS is a usage error, as a bad --threads is.
-    env_threads = os.environ.get("CELLCLOUD_THREADS") or "1"
 
     def add_common(p):
         p.add_argument("--manifest", help="manifest path (default: derived from output)")

@@ -11,8 +11,9 @@ group-attend-aggregate:
    point outside them; each pick lowers only the points in its square of
    half-width sqrt(max min-distance) plus a rounding margin, read by rows
    of spatial's grid index, so the picks equal the all-points loop exactly,
-2. group the 2*N/N_k nearest points around each anchor (an exact
-   tree-backed kNN, ties broken by the smaller point index),
+2. group the 2*N/N_k nearest points around each anchor (an exact kNN
+   that reads a square around each anchor from spatial's grid index,
+   ties broken by the smaller point index),
 3. score members against the group mean feature and anchor position, and
    mask out low-scoring ones (a semantic-spatial filter),
 4. update the retained members' features with a few rounds of per-channel

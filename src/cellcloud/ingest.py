@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .core import CellCloud, CellCloudError, CellType
 from .spatial import _from_min, _grid_bins, _ring_pairs, build_index
@@ -335,15 +334,31 @@ def _check_disjoint(
 
 
 def _fold(label: np.ndarray, links: list[np.ndarray]) -> np.ndarray:
-    """Component labels once the (2, k) ``links`` join ``label``'s components."""
-    # Imported here: csgraph adds about 25 ms to the start-up of every
-    # command, and only ingest needs it.
-    from scipy.sparse.csgraph import connected_components
+    """Component labels once the (2, k) ``links`` join ``label``'s components.
 
+    A union-find over the labels, in numpy rounds: each link between two
+    roots hooks the larger root onto the smaller (a root given several
+    takes the smallest, so no cycle forms), then pointer jumping takes
+    every label to its root. A root that hooks nowhere in a round while
+    all its neighbours hook onto smaller roots hooks in the next, so every
+    component still linked to another joins one within two rounds, and
+    the rounds are O(log n). A component is labelled by its smallest label.
+    """
     a, b = label[np.concatenate(links, axis=1)]
-    n = int(label.max()) + 1
-    graph = coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-    return connected_components(graph, directed=False)[1][label]
+    parent = np.arange(label.size)
+    while True:
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        apart = hi != lo
+        if not apart.any():
+            return parent[label]
+        hi, lo = hi[apart], lo[apart]
+        np.minimum.at(parent, hi, lo)
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        a, b = parent[hi], parent[lo]
 
 
 def merge_boundary_cells(

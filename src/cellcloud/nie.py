@@ -89,7 +89,8 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
     """
     n, n_d = nc.n_cells, nc.n_radii
     counts = np.swapaxes(nc.counts, 1, 2)  # (n, T, n_d)
-    global_max = counts[:, :, -1:].max(axis=0, initial=0)
+    # one type column at a time: max(axis=0) over (n, T, 1) is slow
+    global_max = np.array([[nc.counts[:, -1, t].max(initial=0)] for t in range(N_TYPES)])
     w = N_TYPES * n_d
     out = np.zeros((n, 2 * w + N_TYPES), dtype=np.float32)
     for s in range(0, n, spatial._QUERY_CHUNK):

@@ -6,18 +6,20 @@ that same expression per candidate pair, so they agree bit-for-bit with
 O(N^2) pair scans. Those oracles live only in the test suite
 (``tests/hsp_reference.py``).
 
-The workhorse is one uniform grid index (:func:`build_index`) that keeps
-the cells in row-major bin order, so a range of columns in one grid row is
-one run of cells (:func:`_runs`). Counting and ingest's pair searches read
-the 2r+1 runs around each bin (r = 1 when ``bin_size`` is the largest query
-radius: O(N) expected cost for the million-cell count that dominates the
-pipeline), and fps the rows of each pick's square.
+The one spatial structure is a uniform grid index (:func:`build_index`)
+that keeps the cells in row-major bin order, so a range of columns in one
+grid row is one run of cells (:func:`_runs`). Counting, ingest's pair
+searches and the mean-NN query read the 2r+1 runs around each bin (r = 1
+when ``bin_size`` is the largest query radius: O(N) expected cost for the
+million-cell count that dominates the pipeline); fps and kNN read the
+rows of a square around each pick or anchor. Grids sized by a point count
+rather than by a radius (:func:`_grid`) take their bin side from the area
+the points occupy, so a few far points do not coarsen the bins.
 
 Slide detections arrive in no spatial order, so the neighbour queries do
-not walk the cells in input order: the count walks them in bin order and
-the mean-NN query in the k-d tree's leaf order, and each result is written
-back to its cell's input row. Nearby queries then read nearby memory, and
-no result depends on the walk.
+not walk the cells in input order: they walk them in bin order, and each
+result is written back to its cell's input row. Nearby queries then read
+nearby memory, and no result depends on the walk.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import CellCloud, CellCloudError, N_TYPES, TooFewCells
 
@@ -62,14 +63,27 @@ _MAX_RADIUS = math.sqrt(np.finfo(np.float64).max)
 
 # fps replays the greedy loop among at most _ROUND points a round, finds
 # them among about _HOT times as many hot points, and bins the cloud into
-# about _CELLS_PER_PICK grid cells per pick. It expands (pick, point) pairs
-# _FPS_BATCH at a time: a batch's float64 temporaries (64 KiB) then stay in
-# cache and below the allocator's mmap threshold, which took about half the
-# time per pair at _PAIR_BATCH.
+# about _CELLS_PER_PICK grid cells per pick.
 _ROUND = 64
 _HOT = 8
 _CELLS_PER_PICK = 4
-_FPS_BATCH = 1 << 13
+
+# fps expands its (pick, point) pairs _CACHE_BATCH at a time, and the mean-NN
+# walk at least that many: a batch's float64 temporaries (64 KiB) then stay
+# in cache and below the allocator's mmap threshold, which took about half
+# the time per pair at _PAIR_BATCH.
+_CACHE_BATCH = 1 << 13
+
+# Grids sized by a point count (:func:`_grid`) measure the occupied area
+# between these quantiles of x and of y, over at most _SIZE_SAMPLE points.
+_SIZE_QUANTILE = 0.01
+_SIZE_SAMPLE = 1 << 16
+
+# The mean-NN and kNN grids hold about _PER_BIN points per bin, and each
+# kNN anchor's first square reaches _KNN_REACH times the expected distance
+# of its k-th neighbour.
+_PER_BIN = 2.0
+_KNN_REACH = 1.3
 
 
 class GridOverflow(CellCloudError):
@@ -114,7 +128,9 @@ class NeighborCounts:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Uniform grid over a cloud; bin of cell i is (floor(y/b), floor(x/b)).
+    """Uniform grid over a cloud; bin of cell i is (floor(y/b), floor(x/b)),
+    of its coordinates or, in a :func:`_grid`, of those relative to the
+    cloud's minimum.
 
     Internally the cells are held in CSR-style arrays (``order`` grouped by
     bin with ``starts`` offsets over the sorted, de-duplicated ``bin_ids``),
@@ -131,6 +147,7 @@ class SpatialIndex:
     order: np.ndarray = field(repr=False)  # cell indices grouped by bin
     binned_xy: np.ndarray = field(repr=False)  # xy[order]
     binned_types: np.ndarray = field(repr=False)  # types[order]
+    rows: np.ndarray = field(repr=False)  # grid rows that hold cells, ascending
     _n_cols: int = field(repr=False)  # bin id = row offset * _n_cols + col offset
 
 
@@ -158,10 +175,15 @@ def _from_min(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     """Assign every cell to its grid bin and group cell indices by bin."""
+    return _index(cloud, bin_size, cloud.xy)
+
+
+def _index(cloud: CellCloud, bin_size: float, at: np.ndarray) -> SpatialIndex:
+    """:func:`build_index`, binning each cell by its row of ``at``."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
     n = cloud.n_total
-    rows, cols = _grid_bins(cloud.xy, bin_size)
+    rows, cols = _grid_bins(at, bin_size)
     r0, r1 = (int(rows.min()), int(rows.max())) if n else (0, 0)
     c0, c1 = (int(cols.min()), int(cols.max())) if n else (0, 0)
     n_bins, n_cols = (r1 - r0 + 1) * (c1 - c0 + 1), c1 - c0 + 1
@@ -174,6 +196,8 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
     bin_ids = sorted_ids[first]
     starts = np.append(first, n).astype(np.int64)
+    rows = bin_ids // n_cols  # ascending, as the ids are
+    rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
     order = order.astype(np.int64, copy=False)
     return SpatialIndex(
         source=cloud,
@@ -183,6 +207,7 @@ def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
         order=order,
         binned_xy=np.take(cloud.xy, order, axis=0),  # xy[order], 10x faster
         binned_types=cloud.types[order],
+        rows=rows,
         _n_cols=n_cols,
     )
 
@@ -220,17 +245,10 @@ def _runs(index: SpatialIndex, row, c_lo, c_hi) -> tuple[np.ndarray, np.ndarray]
     return index.starts[a], index.starts[b]
 
 
-def _ring_pairs(
-    index: SpatialIndex, s: int, e: int, ring: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Batches (row, cand) of the bin-order positions s + row and cand of
-    each cell in [s, e) and every cell, itself included, of the bins up to
-    ``ring`` away on each axis; a batch's rows ascend.
-
-    The cells [s, e) fill the consecutive bins [b0, b1); each bin reads the
-    2 * ring + 1 grid rows around it as one run each (:func:`_runs`), once
-    for all its cells, and the runs are expanded through ``_ragged``.
-    """
+def _chunk_bins(index: SpatialIndex, s: int, e: int) -> tuple[np.ndarray, ...]:
+    """(bin_row, bin_col, q_bin) of the cells at bin-order positions [s, e):
+    the grid row and column of the consecutive bins they fill, and each
+    cell's bin among those."""
     starts = index.starts
     b0 = int(np.searchsorted(starts, s, side="right")) - 1
     b1 = int(np.searchsorted(starts, e, side="left"))
@@ -238,11 +256,115 @@ def _ring_pairs(
     q_bin = np.repeat(
         np.arange(b1 - b0), np.minimum(starts[b0 + 1 : b1 + 1], e) - np.maximum(starts[b0:b1], s)
     )
+    return bin_row, bin_col, q_bin
+
+
+def _ring_pairs(
+    index: SpatialIndex, s: int, e: int, ring: int, limit: Optional[int] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches (row, cand) of the bin-order positions s + row and cand of
+    each cell in [s, e) and every cell, itself included, of the bins up to
+    ``ring`` away on each axis, at most ``limit`` pairs at a time (one
+    row's alone when longer); a batch's rows ascend.
+
+    The cells [s, e) fill the consecutive bins [b0, b1); each bin reads the
+    2 * ring + 1 grid rows around it as one run each (:func:`_runs`), once
+    for all its cells, and the runs are expanded through ``_ragged``.
+    """
+    bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
     for dr in range(-ring, ring + 1):
         a, b = _runs(index, bin_row + dr, bin_col - ring, bin_col + ring)
         a, lens = a[q_bin], (b - a)[q_bin]
-        for row, slot in _ragged(lens):
+        for row, slot in _ragged(lens, limit):
             yield row, a[row] + slot
+
+
+def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray, float]:
+    """(index, lo, scale): a grid of about ``bins`` square bins over the
+    area the finite points ``xy`` occupy. It bins them relative to their
+    minimum (:func:`_from_min`, whose ``lo`` and ``scale`` map other
+    coordinates the same way) and holds their raw coordinates in bin order.
+
+    The area is the box between the ``_SIZE_QUANTILE`` quantiles of x and of
+    y, taken from a strided sample, so a few far points do not coarsen the
+    bins. Where the points then fill under a quarter of the bins they could,
+    as two sections far apart do, the side shrinks once by the square root
+    of the occupied share. The side is at least 2**-30 of the points' span,
+    so a grid is at most about 2**30 bins wide and bin ids stay in int64.
+    """
+    rel, lo, scale = _from_min(xy)
+    m = rel.shape[0]
+    bins = max(float(bins), 1.0)
+    sample = rel[:: -(-m // _SIZE_SAMPLE)]
+    q = [int(f * (sample.shape[0] - 1)) for f in (_SIZE_QUANTILE, 1.0 - _SIZE_QUANTILE)]
+    wx, wy = (float(np.diff(np.partition(sample[:, c], q)[q])[0]) for c in (0, 1))
+    size = max(wx, wy) / bins
+    if wx and wy:
+        size = max(size, math.sqrt(wx / bins) * math.sqrt(wy))
+    least = max(float(rel[:, 0].max()), float(rel[:, 1].max())) * 2.0**-30
+    cloud = CellCloud(xy=xy.view(), types=np.zeros(m, np.uint8))  # a view: xy stays writable
+    index = _index(cloud, max(size, least) or 1.0, rel)
+    occupied = index.bin_ids.size
+    if 4 * occupied < min(bins, m) and size > least:
+        index = _index(cloud, max(size * math.sqrt(occupied / bins), least), rel)
+    return index, lo, scale
+
+
+def _boxes(
+    index: SpatialIndex, lo: np.ndarray, scale: float, centre: np.ndarray, half: np.ndarray
+) -> np.ndarray:
+    """Grid boxes (c0, r0, c1, r1), clipped to the grid, of the squares
+    around ``centre`` (s raw points) of half-widths ``half`` (s x 1, or s x 2
+    per axis). The edges are mapped and binned by the same operations as
+    the grid's points, so every point of the grid in a square lies in its
+    box."""
+    edge = np.concatenate((centre - half, centre + half), axis=1)
+    edge *= scale
+    edge -= (lo * scale)[[0, 1, 0, 1]]
+    edge /= index.bin_size
+    top = [index._n_cols - 1, index.bin_ids[-1] // index._n_cols] * 2
+    np.maximum(np.floor(edge, out=edge), 0, out=edge)
+    return np.minimum(edge, top, out=edge).astype(np.int64)
+
+
+def _square_runs(
+    index: SpatialIndex, box: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Batches (sq, a, b) of the bin-order runs [a, b) of the cells in each
+    box ``box[sq] = (c0, r0, c1, r1)``, one run per grid row; ``sq`` ascends.
+    Only grid rows that hold cells are read (:func:`_runs`), so a box costs
+    no more than the cloud's occupied rows however tall the grid."""
+    c0, r0, c1, r1 = box.T
+    i0 = index.rows.searchsorted(r0)
+    i1 = index.rows.searchsorted(r1, side="right")
+    for sq, k in _ragged(i1 - i0):
+        a, b = _runs(index, index.rows[i0[sq] + k], c0[sq], c1[sq])
+        yield sq, a, b
+
+
+def _square_pairs(
+    index: SpatialIndex, box: np.ndarray, limit: Optional[int] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches (sq, pos) of each box ``box[sq]`` and the bin-order position
+    of every cell in it (:func:`_square_runs`), at most ``limit`` pairs at a
+    time (one run alone when longer); a box's cells come row by row."""
+    for sq, a, b in _square_runs(index, box):
+        for seg, slot in _ragged(b - a, limit):
+            yield sq[seg], a[seg] + slot
+
+
+def _each_chunk(run, n: int, threads: int) -> None:
+    """``run(s)`` for the chunk starts s of ``_QUERY_CHUNK`` cells, on at
+    most ``threads`` workers and never more workers than chunks."""
+    starts = range(0, n, _QUERY_CHUNK)
+    workers = min(threads, len(starts))
+    if workers <= 1:
+        # A lone pool thread would gain nothing, and the scratch it frees
+        # stays in a malloc arena of its own, raising peak RSS.
+        list(map(run, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, starts))
 
 
 def _count_chunk(
@@ -295,36 +417,63 @@ def count_in_radii(
     r2 = radii_arr * radii_arr
     counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.uint32)
 
-    def run(s: int) -> None:
-        _count_chunk(index, s, min(s + _QUERY_CHUNK, n), r2, counts)
-
-    starts = range(0, n, _QUERY_CHUNK)
-    if threads <= 1 or len(starts) <= 1:
-        # A lone pool thread would gain nothing, and the scratch it frees
-        # stays in a malloc arena of its own, raising peak RSS.
-        list(map(run, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
+    _each_chunk(lambda s: _count_chunk(index, s, min(s + _QUERY_CHUNK, n), r2, counts), n, threads)
     return NeighborCounts(radii=radii_arr, counts=counts)
 
 
 def _nn_mean_xy(xy: np.ndarray, threads: int = 1) -> float:
     """Mean nearest-neighbor distance of a raw coordinate array (n >= 2).
 
-    The points are queried in the tree's own leaf order (``tree.indices``)
-    and their distances written back to input order before the mean, so
-    the float sum runs in input order whatever the walk. The query runs on
-    at most one worker per ``_QUERY_CHUNK`` points, so ``threads`` never
-    starts more workers than there are chunks, and a cloud of one chunk
-    stays on one.
+    The points, relative to their minimum, go into a :func:`_grid` of about
+    ``_PER_BIN`` points per bin. Each point starts from the squared
+    distance to its successor in bin order (its predecessor, for the last)
+    and takes the minimum over the ring of bins one away (:func:`_ring_pairs`,
+    the self pair left out), on the raw coordinates. Its nearest neighbour
+    is certified when the bins of its square of half-width sqrt(min d2) *
+    (1 + 1e-9) lie inside that ring: as in :func:`fps`, every point outside
+    them has a computed d2 of at least min d2. Only the points that are not
+    read their whole square, row by row (:func:`_square_pairs`), which holds
+    every nearer point. The walk runs in ``_QUERY_CHUNK`` chunks of bin
+    order on at most ``threads`` workers, each writing disjoint rows and
+    expanding ``_CACHE_BATCH`` pairs, or half its cells, at a time, and
+    distances are written back to input order before the mean, so the
+    float sum runs in input order whatever the walk or the thread count.
     """
     n = xy.shape[0]
-    workers = min(threads, -(-n // _QUERY_CHUNK))
-    tree = cKDTree(xy)
-    dist, _ = tree.query(xy[tree.indices], k=2, workers=workers)
+    index, lo, scale = _grid(xy, n / _PER_BIN)
+    order = index.order
+    gx, gy = index.binned_xy[:, 0], index.binned_xy[:, 1]
     nn = np.empty(n)
-    nn[tree.indices] = dist[:, 1]
+
+    def d2_to(p: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflowing d2 is inf, as in the scan
+            dx = gx[p]
+            dx -= gx[cand]
+            d2 = np.multiply(dx, dx, out=dx)
+            dy = gy[p]
+            dy -= gy[cand]
+            d2 += np.multiply(dy, dy, out=dy)
+        d2[cand == p] = np.inf  # not the self pair
+        return d2
+
+    def run(s: int) -> None:
+        e = min(s + _QUERY_CHUNK, n)
+        batch = max(_CACHE_BATCH, (e - s) // 2)  # pairs; fewer, longer calls on big chunks
+        pos = np.arange(s, e)
+        best = d2_to(pos, np.where(pos < n - 1, pos + 1, pos - 1))
+        for row, cand in _ring_pairs(index, s, e, 1, batch):
+            np.minimum.at(best, row, d2_to(s + row, cand))
+        pxy = np.stack((gx[s:e], gy[s:e]), axis=1)
+        half = np.sqrt(best)[:, None] * (1.0 + 1e-9)
+        box = _boxes(index, lo, scale, pxy, half)
+        bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
+        ring = np.stack((bin_col, bin_row), axis=1)[q_bin]
+        wide = np.flatnonzero(((box[:, :2] < ring - 1) | (box[:, 2:] > ring + 1)).any(axis=1))
+        for sq, cand in _square_pairs(index, box[wide], batch):
+            np.minimum.at(best, wide[sq], d2_to(s + wide[sq], cand))
+        nn[order[s:e]] = np.sqrt(best)
+
+    _each_chunk(run, n, threads)
     return float(np.mean(nn))
 
 
@@ -365,18 +514,21 @@ def fps(
     when they were last gathered; the floor is reset, from all m points,
     only when fewer than t hot points remain above it.
 
-    Each accepted pick, made at M = max(min_d2), then lowers min_d2 only
-    inside its square of half-width sqrt(M)*(1 + 1e-9) + 4e-16*|coordinate|
-    + 1e-300 on each axis: a point's min_d2 is at most M, the label penalty
-    is non-negative, and the margins cover the rounding of sqrt, of the
-    squares and of the square's edges at slide-scale offsets, so a point
-    outside the square has a computed d2 of at least M. The start pick is
-    made at M = +inf. The points, relative to their minimum, go into a
-    :func:`build_index` grid of about ``_CELLS_PER_PICK`` bins per pick, and
-    a square's edges are binned by the same monotone map, so its points lie
-    in its bins, read one run per grid row (:func:`_runs`). A round's (pick,
-    point) pairs are expanded through ``_ragged``, at most
-    ``_FPS_BATCH`` at a time, and applied with ``np.minimum.at``: a minimum
+    Each accepted pick p, made at M = max(min_d2), then lowers min_d2 only
+    inside its square of half-width h = sqrt(M)*(1 + 1e-9) on each axis,
+    above sqrt(M) however sqrt rounds: a point's min_d2 is at most M and the
+    label penalty is non-negative, so only a d2 below M changes anything.
+    The points, relative to their minimum, go into a :func:`_grid` of about
+    ``_CELLS_PER_PICK`` bins per pick, and the square's edges p - h and
+    p + h are rounded, mapped and binned by the same operations as the
+    points (:func:`_boxes`). Rounding to nearest is monotone, so a point q
+    outside the square's bins has |q - p| > h exactly on some axis, hence a
+    computed |dx| of at least h and a d2 of at least fl(h*h) >= M: the
+    edges need no margin of their own, even a float spacing from a point at
+    slide-scale offsets. The start pick is made at M = +inf. A square's
+    points are read one run per occupied grid row (:func:`_square_pairs`),
+    at most ``_CACHE_BATCH`` (pick, point) pairs at a time, and applied with
+    ``np.minimum.at``: a minimum
     does not depend on the order of its updates. Every d2 is the test
     oracle's ``dx*dx + dy*dy``, plus the penalty only where the labels
     differ, so ``min_d2`` is bitwise the all-points update after every
@@ -396,22 +548,13 @@ def fps(
         return np.empty(0, dtype=np.int64)
     # Unlabelled points share one label and pay no penalty.
     lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
-    rel, lo, scale = _from_min(xy)
+    index, lo, scale = _grid(xy, _CELLS_PER_PICK * n)
     tie = np.flatnonzero(xy[:, 0] == lo[0])
     tie = tie[xy[tie, 1] == xy[tie, 1].min()]
     start = int(tie[lab[tie].argmin()])  # first occurrence = smallest index
     penalty = 0.0 if labels is None else 2.0 * gamma * gamma
-
-    # A grid of about _CELLS_PER_PICK square bins per pick, at most 3x that.
-    wx, wy = float(rel[:, 0].max()), float(rel[:, 1].max())
-    cells = _CELLS_PER_PICK * n
-    size = max(wx, wy) / cells
-    if wx and wy:
-        size = max(size, math.sqrt(wx / cells) * math.sqrt(wy))
-    index = build_index(CellCloud(xy=rel, types=np.zeros(m, np.uint8)), size or 1.0)
-    order, n_cols = index.order, index._n_cols
-    top = np.array([n_cols - 1, index.bin_ids[-1] // n_cols], dtype=np.float64)
-    gx, gy, glab = xy[order, 0], xy[order, 1], lab[order]
+    order = index.order
+    gx, gy, glab = index.binned_xy[:, 0], index.binned_xy[:, 1], lab[order]
 
     pen = np.array([0.0, penalty])
 
@@ -442,14 +585,9 @@ def fps(
     while True:
         min_d2[pos] = -np.inf
         pxy = xy[order[pos]]
-        half = np.sqrt(at)[:, None] * (1.0 + 1e-9) + 4e-16 * np.abs(pxy) + 1e-300
-        edge = np.concatenate((pxy - half, pxy + half)) * scale - lo * scale
-        box = np.minimum(np.maximum(np.floor(edge / index.bin_size), 0), top).astype(np.int64)
-        (c0, r0), (c1, r1) = box[: pos.size].T, box[pos.size :].T
-        for pick, dr in _ragged(r1 - r0 + 1):
-            a, b = _runs(index, r0[pick] + dr, c0[pick], c1[pick])
-            for seg, slot in _ragged(b - a, _FPS_BATCH):
-                lower(a[seg] + slot, pos[pick[seg]])
+        half = np.sqrt(at)[:, None] * (1.0 + 1e-9)
+        for pick, p in _square_pairs(index, _boxes(index, lo, scale, pxy, half), _CACHE_BATCH):
+            lower(p, pos[pick])
         if done == n:
             return out
 
@@ -504,16 +642,25 @@ def knn_group(
     Rows come back sorted ascending by (distance, index). Points can belong
     to any number of groups.
 
-    A k-d tree returns each anchor's k + 4 nearest points, a padded
-    candidate set ranked on ``dx*dx + dy*dy`` like everywhere else here,
-    then by index. The set holds every point within a hair more than the
-    tree's k-th distance, and so every tie at the k-th distance whatever the
-    tree's own rounding, once the tree's last candidate lies beyond that
-    hair: such a row is certified. A row that is not, on a lattice or
-    coincident points, is queried again with twice as many candidates, up
-    to all n. Rows are taken at most ``_PAIR_BATCH`` candidates at a time,
-    and match the O(N^2) scan bit-for-bit without ever forming the anchor-
-    by-point distance matrix.
+    The points, relative to their minimum, go into a :func:`_grid` of about
+    ``_PER_BIN`` points per bin. Each anchor reads the cells of its square
+    of half-width reach * (1 + 1e-9) + 1e-150 (:func:`_boxes`,
+    :func:`_square_runs`) and ranks them by ``dx*dx + dy*dy`` on the raw
+    coordinates, then by index: as the complex keys d2 + 1j*index, which
+    numpy orders by real part, then imaginary part, partitioned at k with
+    the k smallest sorted. A row is certified when its square covers the
+    whole grid, or when it holds k candidates and the k-th distance is at
+    most its reach: by fps's argument, every point outside the square's
+    bins then has a computed d2 above the k-th (the 1e-150 keeps that d2
+    from underflowing to a k-th d2 of 0, or of under 1e-300). A row that is
+    not is read again with its reach set to its k-th distance, which
+    certifies it, or doubled while it holds fewer than k points. The first
+    reach is ``_KNN_REACH`` times the k-th neighbour distance expected at
+    the density of the grid's occupied bins. Rows are ranked in batches of
+    at most ``_PAIR_BATCH`` float64 key slots (one row alone when it has
+    more candidates), those with most candidates first so that little is
+    padding, and match the O(N^2) scan bit-for-bit without ever forming the
+    anchor-by-point distance matrix.
     """
     anchors = np.ascontiguousarray(anchor_coords, dtype=np.float64).reshape(-1, 2)
     pts = np.ascontiguousarray(point_coords, dtype=np.float64).reshape(-1, 2)
@@ -524,29 +671,59 @@ def knn_group(
     out = np.empty((a, k), dtype=np.int64)
     if a == 0:
         return out
-    tree = cKDTree(pts)
+    if not (np.isfinite(anchors).all() and np.isfinite(pts).all()):
+        raise ValueError("anchor and point coordinates must be finite")
+    index, lo, scale = _grid(pts, n / _PER_BIN)
+    gx, gy, ids = index.binned_xy[:, 0], index.binned_xy[:, 1], index.order.astype(np.float64)
+    whole = np.array([0, 0, index._n_cols - 1, index.bin_ids[-1] // index._n_cols])
+    side = index.bin_size / scale  # of a bin, in raw units
+    expected = side * math.sqrt(index.bin_ids.size * k / (math.pi * n))
+    reach = np.full(a, _KNN_REACH * expected)
     rows = np.arange(a)
-    width = min(k + 4, n)
     while rows.size:
-        uncertified = []
-        step = max(1, _PAIR_BATCH // width)
-        for s in range(0, rows.size, step):
-            sel = rows[s : s + step]
-            dist, cand = tree.query(anchors[sel], k=width)
-            cand = cand.reshape(-1, width)
-            if width < n:
-                dist = dist.reshape(-1, width)
-                ok = dist[:, -1] > dist[:, k - 1] * (1.0 + 1e-9) + 1e-300
-                uncertified.append(sel[~ok])
-                sel, cand = sel[ok], cand[ok]
-            del dist  # freed before the d2 scratch
-            dx = anchors[sel, 0, None] - pts[cand, 0]
-            dy = anchors[sel, 1, None] - pts[cand, 1]
-            dx *= dx
-            dy *= dy
-            dx += dy  # d2, rounded as dx*dx + dy*dy
-            order = np.lexsort((cand, dx), axis=-1)[:, :k]
-            out[sel] = np.take_along_axis(cand, order, axis=-1)
-        rows = np.concatenate(uncertified) if uncertified else rows[:0]
-        width = min(2 * width, n)
+        ax, ay = anchors[rows, 0], anchors[rows, 1]
+        half = reach[rows, None] * (1.0 + 1e-9) + 1e-150
+        box = _boxes(index, lo, scale, anchors[rows], half)
+        done = (box == whole).all(axis=1)
+        nxt = np.maximum(2.0 * reach[rows], side)  # for a row holding fewer than k points
+        for sq, a0, b0 in _square_runs(index, box):
+            n_runs = np.bincount(sq, minlength=rows.size)
+            held = np.bincount(sq, weights=b0 - a0, minlength=rows.size)
+            first = np.cumsum(n_runs) - n_runs  # each square's first run in the batch
+            by = np.flatnonzero(held)
+            by = by[np.argsort(-held[by], kind="stable")]
+            s = 0
+            while s < by.size:
+                width = max(int(held[by[s]]), k)
+                sel = by[s : s + max(1, _PAIR_BATCH // (2 * width))]  # a complex key is two slots
+                s += sel.size
+                # the runs of the squares sel, square by square, and the key
+                # row and column at which each run's cells start
+                nr = n_runs[sel]
+                lead = np.cumsum(nr) - nr
+                run = np.repeat(first[sel] - lead, nr) + np.arange(lead[-1] + nr[-1])
+                lens = b0[run] - a0[run]
+                col = np.cumsum(lens) - lens
+                col -= np.repeat(col[lead], nr)
+                col += np.repeat(np.arange(sel.size) * width, nr)  # flat, in key
+                sx, sy = np.repeat(ax[sel], nr), np.repeat(ay[sel], nr)
+                key = np.full((sel.size, width), complex(np.inf, np.inf))
+                real, imag = key.real.reshape(-1), key.imag.reshape(-1)
+                for r, slot in _ragged(lens, _PAIR_BATCH // 4):
+                    p, c = a0[run[r]] + slot, col[r] + slot
+                    dx = sx[r] - gx[p]
+                    dy = sy[r] - gy[p]
+                    real[c] = dx * dx + dy * dy
+                    imag[c] = ids[p]
+                if k < width:
+                    key.partition(k - 1, axis=1)
+                best = np.sort(key[:, :k], axis=1)
+                kth = best[:, -1]
+                full = kth.imag < n  # k real candidates, not padding
+                ok = done[sel] | (full & (np.sqrt(kth.real) <= reach[rows[sel]]))
+                done[sel] = ok
+                out[rows[sel[ok]]] = best[ok].imag
+                nxt[sel] = np.where(full, np.sqrt(kth.real), nxt[sel])
+        reach[rows] = nxt
+        rows = rows[~done]
     return out

@@ -156,6 +156,43 @@ def test_console_script_installed():
     assert "cellcloud" in proc.stdout
 
 
+def test_pipeline_loads_no_scipy(tmp_path):
+    """ingest, nie, forward and cps run through ``cli.main`` in a fresh
+    interpreter without importing any scipy module: the library needs
+    numpy alone."""
+    patches = tmp_path / "patches"
+    patches.mkdir()
+    rng = np.random.Generator(np.random.Philox(2))
+    for x0 in (0, 512):
+        xy = rng.uniform(0.0, 512.0, size=(150, 2))
+        kinds = rng.choice(["neoplastic", "inflammatory", "other"], size=150)
+        rows = "".join(f"{x!r},{y!r},{t}\n" for (x, y), t in zip(xy.tolist(), kinds))
+        (patches / f"patch_{x0}_0.csv").write_text("x,y,type\n" + rows)
+    commands = [
+        ["ingest", "patches", "-o", "cloud.cc5b"],
+        ["nie", "cloud.cc5b", "-o", "cloud.ccem", "--threads", "2"],
+        ["forward", "cloud.cc5b", "--seed", "3", *SMALL_FWD, "-o", "cloud.desc"],
+        ["cps", "cloud.cc5b"],
+    ]
+    script = (
+        "import sys\n"
+        "from cellcloud.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    package_root = str(Path(cellcloud.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_manifest_written_next_to_output(capsys, cloud_file, tmp_path):
     path, _ = cloud_file
     out = tmp_path / "emb.ccem"

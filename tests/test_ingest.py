@@ -377,6 +377,24 @@ def test_merge_transitive_chain():
     assert out.xy.tolist() == [[1520.0 / 3.0, 313.0 / 3.0]]
 
 
+def test_merge_folds_a_10k_cell_chain():
+    # 137 patches in a column, 73 cells each 7 px apart just inside their
+    # right border, 8 px across each seam: 10,001 band cells that only the
+    # next one links to, one component that the union-find must join
+    # through a path of 10,000 links, whatever order it hooks them in.
+    local = np.column_stack([np.full(73, 510.0), np.arange(73) * 7.0])
+    patches = [
+        PatchDetections(patch_origin=(0.0, 512.0 * j), xy=local, types=np.full(73, 1, np.uint8))
+        for j in range(137)
+    ]
+    for order in (patches, patches[::-1]):
+        slide = np.vstack([p.xy + p.patch_origin for p in order])
+        assert slide.shape[0] == 10_001
+        out = merge_boundary_cells(order)
+        assert out.n_total == 1 and out.types.tolist() == [1]
+        assert out.xy.tolist() == [slide.mean(axis=0).tolist()]
+
+
 def test_merge_keeps_input_order():
     left = patch((0.0, 0.0), [(100.0, 100.0, 0), (507.0, 50.0, 1)])
     right = patch((512.0, 0.0), [(5.0, 50.0, 1), (400.0, 400.0, 2)])

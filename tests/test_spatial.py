@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -393,21 +394,22 @@ def test_mean_nn_on_threads_matches_brute(monkeypatch, threads):
 
 @pytest.mark.parametrize("chunk, workers", [(65536, 1), (100, 3)])
 def test_mean_nn_workers_bounded_by_chunks(monkeypatch, chunk, workers):
-    # The tree records the workers asked for and refuses more than one per
-    # chunk before any query runs, so a huge thread count starts no thread.
+    # The pool records the workers asked for and refuses more than one per
+    # chunk before any thread starts, so a huge thread count starts no more
+    # threads than there are chunks, and a cloud of one chunk starts none.
     seen = []
 
-    class Recording(spatial.cKDTree):
-        def query(self, x, k=1, workers=1):
-            seen.append(workers)
-            assert workers <= -(-self.n // spatial._QUERY_CHUNK)
-            return super().query(x, k=k, workers=workers)
+    class Recording(spatial.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            assert max_workers <= -(-cloud.n_total // spatial._QUERY_CHUNK)
+            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(spatial, "cKDTree", Recording)
+    monkeypatch.setattr(spatial, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(spatial, "_QUERY_CHUNK", chunk)
     cloud = random_cloud(np.random.Generator(np.random.Philox(59)), 300, extent=100.0)
     assert mean_nn_distance(cloud, threads=10**6) == nn_mean_reference(cloud.xy)
-    assert seen == [workers]
+    assert seen == ([workers] if workers > 1 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +421,7 @@ def test_mean_nn_workers_bounded_by_chunks(monkeypatch, chunk, workers):
 # that clouds of at most 60 points reach every branch of the rounds: one
 # candidate a round, ties left out of a round, hot sets rebuilt, and pair
 # batches cut inside one row of a square.
-FPS_LIMITS = ("_ROUND", "_HOT", "_CELLS_PER_PICK", "_FPS_BATCH", "_PAIR_BATCH")
+FPS_LIMITS = ("_ROUND", "_HOT", "_CELLS_PER_PICK", "_CACHE_BATCH", "_PAIR_BATCH")
 fps_limits = st.none() | st.fixed_dictionaries({name: st.integers(1, 3) for name in FPS_LIMITS})
 
 
@@ -575,6 +577,30 @@ def test_fps_strip_edge_rounding():
     assert np.array_equal(fps(xy, None, 5), fps_reference(xy, None, 5, 0.0))
 
 
+@pytest.mark.parametrize("base", [3e7, 2.0**25, 1.0 - 2.0**25, 1e5])
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_fps_edges_at_float_spacing(base, step):
+    # A 7 x 7 lattice of slide-scale points one to three float spacings
+    # apart, with duplicate sites: the grid's bins are about a spacing wide,
+    # and a pick's square edge falls within a few spacings of a point that
+    # its pick must lower. A square whose edges moved inward by two
+    # spacings would miss such points.
+    u = np.spacing(abs(base))
+    for seed in range(6):
+        rng = np.random.Generator(np.random.Philox(seed))
+        xy = base + rng.integers(0, 7, size=(40, 2)) * (step * u)
+        labels = rng.integers(0, 3, 40).astype(np.uint8) if seed % 2 else None
+        gamma = step * u if labels is not None else 0.0
+        assert np.array_equal(fps(xy, labels, 40, gamma), fps_reference(xy, labels, 40, gamma))
+        anchors = xy[:8] + np.repeat([[0.0, 0.0], [u, 0.0]], 4, axis=0)
+        for k in (1, 5, 17):
+            assert np.array_equal(knn_group(anchors, xy, k), knn_reference(anchors, xy, k))
+        sites = np.unique(xy, axis=0)
+        if sites.shape[0] > 1:
+            cloud = CellCloud(xy=sites, types=np.zeros(sites.shape[0], np.uint8))
+            assert mean_nn_distance(cloud) == nn_mean_reference(sites)
+
+
 def test_fps_rejects_non_finite_points():
     for bad in (np.nan, np.inf, -np.inf):
         xy = np.array([[0.0, 0.0], [1.0, bad], [2.0, 2.0]])
@@ -720,37 +746,35 @@ def test_knn_candidate_batches(monkeypatch):
         assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
 
 
-class RecordingTree(spatial.cKDTree):
-    """A k-d tree that records the width of every k-nearest query."""
-
-    widths: list = []
-
-    def query(self, x, k=1, **kwargs):
-        RecordingTree.widths.append((len(x), k))
-        return super().query(x, k=k, **kwargs)
-
-
 def widened_cloud():
     # 20 copies of one point beside a lattice of 0.5 pitch: at every anchor
-    # the k + 4 nearest end inside a run of ties, on the copies or on a ring.
+    # the k nearest end inside a run of ties, on the copies or on a ring.
+    # The last anchor lies far outside the cloud.
     site = 1e5 + np.indices((6, 6)).reshape(2, -1).T * 0.5
     pts = np.vstack([np.full((20, 2), site[14]), site])
-    anchors = np.vstack([site[[14, 0, 35, 8]], site[14] + [0.25, 0.25], site[0] - 3.0])
+    anchors = np.vstack([site[[14, 0, 35, 8]], site[14] + [0.25, 0.25], site[0] - 1e4])
     return anchors, pts
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16, 20, 21, 40, 56])
 def test_knn_widens_uncertified_rows(monkeypatch, k):
-    monkeypatch.setattr(spatial, "cKDTree", RecordingTree)
-    monkeypatch.setattr(RecordingTree, "widths", [])
+    # A first reach of 100 expected k-th distances takes in the whole
+    # lattice, so every anchor near it is certified at once; the far anchor
+    # holds no point in its first square and is read again, alone, until
+    # it is certified.
+    monkeypatch.setattr(spatial, "_KNN_REACH", 100.0)
+    passes = []
+    boxes = spatial._boxes
+
+    def recording(index, lo, scale, centre, half):
+        passes.append(centre.shape[0])
+        return boxes(index, lo, scale, centre, half)
+
+    monkeypatch.setattr(spatial, "_boxes", recording)
     anchors, pts = widened_cloud()
     assert np.array_equal(knn_group(anchors, pts, k), knn_reference(anchors, pts, k))
-    widths = [w for _, w in RecordingTree.widths]
-    assert widths[0] == min(k + 4, pts.shape[0])
-    if k < 20:
-        # the coincident anchor's k + 4 nearest are all copies at distance 0
-        assert max(widths) > k + 4
-        assert RecordingTree.widths[-1][0] < anchors.shape[0]  # only its rows widen
+    assert passes[0] == anchors.shape[0]
+    assert len(passes) > 1 and set(passes[1:]) == {1}
 
 
 @given(seeds, st.integers(1, 40), st.integers(1, 30))
@@ -780,6 +804,17 @@ def test_knn_widening_memory_bounded_on_coincident_points():
     assert peak < 8 * candidate_bytes, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_knn_underflowing_distances_tie_at_zero():
+    # 40 points 1e-165 px apart on a line: every d2 underflows to 0, so each
+    # anchor's k nearest are the k smallest indices wherever it sits, and a
+    # square must take in every point whose distance squares to 0.
+    order = np.random.Generator(np.random.Philox(4)).permutation(40)
+    xy = np.column_stack([order * 1e-165, np.zeros(40)])
+    anchors = np.array([[0.0, 0.0], [20e-165, 0.0], [39e-165, 0.0]])
+    for k in (1, 5, 40):
+        assert np.array_equal(knn_group(anchors, xy, k), knn_reference(anchors, xy, k))
+
+
 def test_knn_rows_sorted_by_distance_then_index():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     groups = knn_group(np.array([[0.0, 0.0]]), pts, 4)
@@ -792,3 +827,71 @@ def test_knn_k_bounds():
         knn_group(np.zeros((1, 2)), pts, 0)
     with pytest.raises(ValueError):
         knn_group(np.zeros((1, 2)), pts, 4)
+
+
+# ---------------------------------------------------------------------------
+# grids sized by occupancy, on awkward clouds
+# ---------------------------------------------------------------------------
+
+
+def awkward_clouds():
+    """(name, xy, types) of clouds that a bounding-box-sized grid serves
+    badly: one point far from 20,000 uniform ones, two sections 60,000 px
+    apart, a 60 x 60 lattice, and three coincident cells, one per type, at
+    every site of a 30 x 30 lattice."""
+    rng = np.random.Generator(np.random.Philox(71))
+    uniform = rng.uniform(0.0, 1414.0, size=(20_000, 2))
+    section = rng.uniform(0.0, 700.0, size=(10_000, 2))
+    section[5000:, 0] += 60_000.0
+    sites = np.indices((30, 30)).reshape(2, -1).T * 7.0
+    clouds = [
+        ("far", np.vstack([uniform, [[1e6, 1e6]]])),
+        ("sections", section),
+        ("lattice", np.indices((60, 60)).reshape(2, -1).T * 7.0),
+    ]
+    out = [(name, xy, rng.integers(0, 3, xy.shape[0]).astype(np.uint8)) for name, xy in clouds]
+    out.append(("triples", np.repeat(sites, 3, axis=0), np.tile(np.arange(3, dtype=np.uint8), 900)))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_grids_match_brute_on_awkward_clouds(case):
+    name, xy, types = awkward_clouds()[case]
+    cloud = CellCloud(xy=xy, types=types)
+    assert mean_nn_distance(cloud) == nn_mean_reference(xy), name
+    n = 16 if xy.shape[0] > 5000 else 64
+    for labels, gamma in ((types, 7.0), (None, 0.0)):
+        got = fps(xy, labels, n, gamma)
+        assert np.array_equal(got, fps_reference(xy, labels, n, gamma)), name
+    rng = np.random.Generator(np.random.Philox(case))
+    anchors = np.vstack([xy[got], rng.uniform(xy.min(), xy.max(), size=(4, 2))])
+    for k in (1, 19, 40):
+        assert np.array_equal(knn_group(anchors, xy, k), knn_reference(anchors, xy, k)), name
+
+
+def test_far_outlier_costs_little():
+    # One point 1e6 px out leaves the grids' bins sized by the 20,000 others:
+    # fps, kNN and mean-NN each run within 3x of their time without it.
+    rng = np.random.Generator(np.random.Philox(71))
+    plain = rng.uniform(0.0, 1414.0, size=(20_000, 2))
+    types = rng.integers(0, 3, 20_001).astype(np.uint8)
+    far = np.vstack([plain, [[1e6, 1e6]]])
+
+    def best_of_3(f):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    def runs(xy):
+        anchors = xy[fps(xy, types[: xy.shape[0]], 2048, 5.0)]
+        return (
+            best_of_3(lambda: fps(xy, types[: xy.shape[0]], 2048, 5.0)),
+            best_of_3(lambda: knn_group(anchors, xy, 19)),
+            best_of_3(lambda: mean_nn_distance(CellCloud(xy=xy, types=types[: xy.shape[0]]))),
+        )
+
+    for name, t_plain, t_far in zip(("fps", "knn", "mean-NN"), runs(plain), runs(far)):
+        assert t_far < 3 * t_plain, f"{name}: {t_far:.4f} s with the outlier, {t_plain:.4f} s without"
