@@ -8,13 +8,13 @@ O(N^2) pair scans. Those oracles live only in the test suite
 
 The one spatial structure is a uniform grid index (:func:`build_index`)
 that keeps the cells in row-major bin order, so a range of columns in one
-grid row is one run of cells (:func:`_runs`). Counting, ingest's pair
-searches and the mean-NN query read the 2r+1 runs around each bin (r = 1
-when ``bin_size`` is the largest query radius: O(N) expected cost for the
-million-cell count that dominates the pipeline); fps and kNN read the
-rows of a square around each pick or anchor. Grids sized by a point count
-rather than by a radius (:func:`_grid`) take their bin side from the area
-the points occupy, so a few far points do not coarsen the bins.
+grid row is one run of cells (:func:`_runs`). Counting and the mean-NN
+query read the 2r+1 runs around each bin (r = 1 when ``bin_size`` is the
+largest query radius: O(N) expected cost for the million-cell count that
+dominates the pipeline); fps, kNN and ingest's pair searches read the
+rows of a square around each point. Grids sized by a point count
+(:func:`_grid`) take their bin side from the area the points occupy and
+clip points beyond 2**30 bins, so a few far points never coarsen them.
 
 Slide detections arrive in no spatial order, so the neighbour queries do
 not walk the cells in input order: they walk them in bin order, and each
@@ -161,18 +161,6 @@ def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
     return rows.astype(np.int64), cols.astype(np.int64)
 
 
-def _from_min(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(rel, lo, scale): ``xy * scale - lo * scale`` for the minimum ``lo`` of
-    the finite points ``xy``, scale 1, or 0.5 where ``xy - lo`` overflows.
-    This map is monotone: a value between two points maps between them."""
-    lo = np.array([xy[:, 0].min(), xy[:, 1].min()])  # min(axis=0) is slow on (n, 2)
-    with np.errstate(over="ignore"):
-        rel = xy - lo
-    if np.isfinite(rel).all():
-        return rel, lo, 1.0
-    return xy * 0.5 - lo * 0.5, lo, 0.5
-
-
 def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     """Assign every cell to its grid bin and group cell indices by bin."""
     return _index(cloud, bin_size, cloud.xy)
@@ -282,17 +270,23 @@ def _ring_pairs(
 def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray, float]:
     """(index, lo, scale): a grid of about ``bins`` square bins over the
     area the finite points ``xy`` occupy. It bins them relative to their
-    minimum (:func:`_from_min`, whose ``lo`` and ``scale`` map other
-    coordinates the same way) and holds their raw coordinates in bin order.
+    minimum ``lo``, as ``xy * scale - lo * scale`` with scale 1, or 0.5
+    where ``xy - lo`` overflows (a monotone map, which :func:`_boxes` applies
+    to other coordinates), and holds their raw coordinates in bin order.
 
     The area is the box between the ``_SIZE_QUANTILE`` quantiles of x and of
     y, taken from a strided sample, so a few far points do not coarsen the
     bins. Where the points then fill under a quarter of the bins they could,
     as two sections far apart do, the side shrinks once by the square root
-    of the occupied share. The side is at least 2**-30 of the points' span,
-    so a grid is at most about 2**30 bins wide and bin ids stay in int64.
+    of the occupied share. Points more than 2**30 bins out are binned as if
+    at 2**30 bins, so the grid is at most 2**30 + 1 bins wide and bin ids
+    stay in int64. Clipping is monotone and :func:`_boxes` clips a square's
+    edges to the grid, so every point in a square still lies in its box.
     """
-    rel, lo, scale = _from_min(xy)
+    lo = np.array([xy[:, 0].min(), xy[:, 1].min()])  # min(axis=0) is slow on (n, 2)
+    with np.errstate(over="ignore"):
+        rel = xy - lo
+    rel, scale = (rel, 1.0) if np.isfinite(rel).all() else (xy * 0.5 - lo * 0.5, 0.5)
     m = rel.shape[0]
     bins = max(float(bins), 1.0)
     sample = rel[:: -(-m // _SIZE_SAMPLE)]
@@ -301,12 +295,12 @@ def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray, float]
     size = max(wx, wy) / bins
     if wx and wy:
         size = max(size, math.sqrt(wx / bins) * math.sqrt(wy))
-    least = max(float(rel[:, 0].max()), float(rel[:, 1].max())) * 2.0**-30
     cloud = CellCloud(xy=xy.view(), types=np.zeros(m, np.uint8))  # a view: xy stays writable
-    index = _index(cloud, max(size, least) or 1.0, rel)
+    index = _index(cloud, size or 1.0, np.minimum(rel, 2.0**30 * (size or 1.0), out=rel))
     occupied = index.bin_ids.size
-    if 4 * occupied < min(bins, m) and size > least:
-        index = _index(cloud, max(size * math.sqrt(occupied / bins), least), rel)
+    if 4 * occupied < min(bins, m) and size:
+        size *= math.sqrt(occupied / bins)
+        index = _index(cloud, size, np.minimum(rel, 2.0**30 * size, out=rel))
     return index, lo, scale
 
 
@@ -318,10 +312,11 @@ def _boxes(
     per axis). The edges are mapped and binned by the same operations as
     the grid's points, so every point of the grid in a square lies in its
     box."""
-    edge = np.concatenate((centre - half, centre + half), axis=1)
-    edge *= scale
-    edge -= (lo * scale)[[0, 1, 0, 1]]
-    edge /= index.bin_size
+    with np.errstate(over="ignore"):  # an overflowing edge is +-inf, clipped below
+        edge = np.concatenate((centre - half, centre + half), axis=1)
+        edge *= scale
+        edge -= (lo * scale)[[0, 1, 0, 1]]
+        edge /= index.bin_size
     top = [index._n_cols - 1, index.bin_ids[-1] // index._n_cols] * 2
     np.maximum(np.floor(edge, out=edge), 0, out=edge)
     return np.minimum(edge, top, out=edge).astype(np.int64)
@@ -351,6 +346,24 @@ def _square_pairs(
     for sq, a, b in _square_runs(index, box):
         for seg, slot in _ragged(b - a, limit):
             yield sq[seg], a[seg] + slot
+
+
+def _close_pairs(xy: np.ndarray, half: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches of index pairs (i, j), i < j, of the finite points ``xy``:
+    every pair closer than max(half[i], half[j]) on both axes comes exactly
+    once, and no pair comes twice. ``half`` holds non-negative half-widths.
+
+    The points go into a :func:`_grid` of about ``_PER_BIN`` points per bin,
+    and each reads its square of half-width ``half`` (:func:`_boxes`,
+    :func:`_square_pairs`), which holds every point that close. A pair is
+    taken from the wider of its two squares, ties going to the smaller index.
+    """
+    index, lo, scale = _grid(xy, xy.shape[0] / _PER_BIN)
+    order, h = index.order, half[index.order]
+    for sq, pos in _square_pairs(index, _boxes(index, lo, scale, index.binned_xy, h[:, None])):
+        i, j = order[sq], order[pos]
+        own = (h[sq] > h[pos]) | ((h[sq] == h[pos]) & (i < j))
+        yield np.minimum(i, j)[own], np.maximum(i, j)[own]
 
 
 def _each_chunk(run, n: int, threads: int) -> None:
@@ -560,12 +573,13 @@ def fps(
 
     def lower(pos, pick):
         """min_d2[pos] = min(min_d2[pos], augmented d2 to the points ``pick``)."""
-        dx = gx[pos]
-        dx -= gx[pick]
-        d2 = np.multiply(dx, dx, out=dx)
-        dy = gy[pos]
-        dy -= gy[pick]
-        d2 += np.multiply(dy, dy, out=dy)
+        with np.errstate(over="ignore"):  # an overflowing d2 is inf, as in the scan
+            dx = gx[pos]
+            dx -= gx[pick]
+            d2 = np.multiply(dx, dx, out=dx)
+            dy = gy[pos]
+            dy -= gy[pick]
+            d2 += np.multiply(dy, dy, out=dy)
         if penalty != 0.0:
             # + 0.0 is exact, and unlike 0 * penalty it stays finite
             d2 += pen.take(np.not_equal(glab[pos], glab[pick]).view(np.uint8))
@@ -610,10 +624,11 @@ def fps(
         cand = cand[np.argsort(order[cand])]
         ids = order[cand]
         cx, cy, cl = gx[cand], gy[cand], glab[cand]
-        dx = np.subtract.outer(cx, cx)
-        pair = np.multiply(dx, dx, out=dx)
-        dy = np.subtract.outer(cy, cy)
-        pair += np.multiply(dy, dy, out=dy)
+        with np.errstate(over="ignore"):
+            dx = np.subtract.outer(cx, cx)
+            pair = np.multiply(dx, dx, out=dx)
+            dy = np.subtract.outer(cy, cy)
+            pair += np.multiply(dy, dy, out=dy)
         if penalty != 0.0:
             np.add(pair, penalty, out=pair, where=np.not_equal.outer(cl, cl))
         pair.flat[:: cand.size + 1] = -np.inf  # a pick's own min_d2 drops to -inf
@@ -682,10 +697,11 @@ def knn_group(
     rows = np.arange(a)
     while rows.size:
         ax, ay = anchors[rows, 0], anchors[rows, 1]
-        half = reach[rows, None] * (1.0 + 1e-9) + 1e-150
+        with np.errstate(over="ignore"):  # a reach past float64 is inf: the whole grid
+            half = reach[rows, None] * (1.0 + 1e-9) + 1e-150
+            nxt = np.maximum(2.0 * reach[rows], side)  # for a row holding fewer than k points
         box = _boxes(index, lo, scale, anchors[rows], half)
         done = (box == whole).all(axis=1)
-        nxt = np.maximum(2.0 * reach[rows], side)  # for a row holding fewer than k points
         for sq, a0, b0 in _square_runs(index, box):
             n_runs = np.bincount(sq, minlength=rows.size)
             held = np.bincount(sq, weights=b0 - a0, minlength=rows.size)
@@ -711,9 +727,10 @@ def knn_group(
                 real, imag = key.real.reshape(-1), key.imag.reshape(-1)
                 for r, slot in _ragged(lens, _PAIR_BATCH // 4):
                     p, c = a0[run[r]] + slot, col[r] + slot
-                    dx = sx[r] - gx[p]
-                    dy = sy[r] - gy[p]
-                    real[c] = dx * dx + dy * dy
+                    with np.errstate(over="ignore"):
+                        dx = sx[r] - gx[p]
+                        dy = sy[r] - gy[p]
+                        real[c] = dx * dx + dy * dy
                     imag[c] = ids[p]
                 if k < width:
                     key.partition(k - 1, axis=1)

@@ -501,9 +501,12 @@ def slide_grid():
 
 
 def test_overlap_check_at_slide_scale(slide_grid):
-    t0 = time.perf_counter()
-    assert merge_boundary_cells(slide_grid).n_total == 0
-    assert time.perf_counter() - t0 < 2.0
+    # The grid alone, with one patch 1e300 px out, and with one 8192 px
+    # patch touching its right edge: neither may coarsen the check's bins.
+    for extra in ([], [patch((1e300, 0.0), [])], [patch((512.0 * 200, 0.0), [], size=8192.0)]):
+        t0 = time.perf_counter()
+        assert merge_boundary_cells(slide_grid + extra).n_total == 0
+        assert time.perf_counter() - t0 < 2.0
 
     rng = np.random.Generator(np.random.Philox(17))
     gx, gy = (int(v) for v in rng.integers(0, 199, size=2))

@@ -358,6 +358,30 @@ def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, ring, offset, batc
     assert got == want
 
 
+@given(seeds, st.integers(1, 60), st.booleans(), st.sampled_from([None, 1, 16]))
+@settings(max_examples=100, deadline=None)
+def test_close_pairs_yield_each_close_pair_once(seed, n, far, batch):
+    # Lattice points, coincident ones among them, with half-widths that tie,
+    # differ and are 0, and perhaps one point beyond 2**30 bins: every pair
+    # within the larger of its two half-widths on both axes comes once, as
+    # (i, j) with i < j, and no pair comes twice.
+    rng = np.random.Generator(np.random.Philox(seed))
+    xy = rng.integers(0, 8, size=(n, 2)).astype(np.float64)
+    if far:
+        xy[0] = 1e12
+    half = rng.choice([0.0, 1.0, 1.5, 4.0], size=n)
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(spatial, "_PAIR_BATCH", batch)
+        got = Counter()
+        for i, j in spatial._close_pairs(xy, half):
+            got.update(zip(i.tolist(), j.tolist()))
+    assert max(got.values(), default=1) == 1 and all(i < j for i, j in got)
+    apart = np.abs(xy[:, None] - xy[None, :]).max(axis=2)
+    near = np.triu(apart <= np.maximum(half[:, None], half[None, :]), 1)
+    assert set(zip(*(a.tolist() for a in np.nonzero(near)))) <= set(got)
+
+
 # ---------------------------------------------------------------------------
 # mean nearest neighbor distance
 # ---------------------------------------------------------------------------
@@ -529,10 +553,11 @@ def test_fps_integer_pixels_match_brute():
     assert np.array_equal(fps(xy, types, 250, 4.0), fps_reference(xy, types, 250, 4.0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_fps_overflowing_span_matches_brute():
     # The bounding box's width, and some d2, overflow to inf: the grid must
     # still bin every point, and a collinear cloud has one row of cells.
+    # The library must not warn; only the oracles' overflows are silenced.
     rng = np.random.Generator(np.random.Philox(29))
     sites = np.array([-1.7e308, -1e300, -5.0, 0.0, 3.0, 1e-300, 1e300, 1.7e308])
     for case in range(40):
@@ -540,7 +565,12 @@ def test_fps_overflowing_span_matches_brute():
         if case % 2:
             xy[:, 1] = 2.0
         labels = rng.integers(0, 3, 20).astype(np.uint8)
-        assert np.array_equal(fps(xy, labels, 20, 1.0), fps_reference(xy, labels, 20, 1.0))
+        with np.errstate(over="ignore"):
+            want = fps_reference(xy, labels, 20, 1.0)
+            groups = {k: knn_reference(xy, xy, k) for k in (1, 5, 20)}
+        assert np.array_equal(fps(xy, labels, 20, 1.0), want)
+        for k, want in groups.items():
+            assert np.array_equal(knn_group(xy, xy, k), want)
 
 
 def test_fps_huge_gamma_matches_brute():
@@ -837,8 +867,9 @@ def test_knn_k_bounds():
 def awkward_clouds():
     """(name, xy, types) of clouds that a bounding-box-sized grid serves
     badly: one point far from 20,000 uniform ones, two sections 60,000 px
-    apart, a 60 x 60 lattice, and three coincident cells, one per type, at
-    every site of a 30 x 30 lattice."""
+    apart, a 60 x 60 lattice, three coincident cells, one per type, at
+    every site of a 30 x 30 lattice, and one point beyond 2**30 bins of
+    the 20,000 uniform ones, which the grids clip while d2 stays finite."""
     rng = np.random.Generator(np.random.Philox(71))
     uniform = rng.uniform(0.0, 1414.0, size=(20_000, 2))
     section = rng.uniform(0.0, 700.0, size=(10_000, 2))
@@ -851,10 +882,12 @@ def awkward_clouds():
     ]
     out = [(name, xy, rng.integers(0, 3, xy.shape[0]).astype(np.uint8)) for name, xy in clouds]
     out.append(("triples", np.repeat(sites, 3, axis=0), np.tile(np.arange(3, dtype=np.uint8), 900)))
+    clipped = np.vstack([uniform, [[1e12, 1e12]]])
+    out.append(("clipped", clipped, rng.integers(0, 3, clipped.shape[0]).astype(np.uint8)))
     return out
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_grids_match_brute_on_awkward_clouds(case):
     name, xy, types = awkward_clouds()[case]
     cloud = CellCloud(xy=xy, types=types)
@@ -870,12 +903,12 @@ def test_grids_match_brute_on_awkward_clouds(case):
 
 
 def test_far_outlier_costs_little():
-    # One point 1e6 px out leaves the grids' bins sized by the 20,000 others:
-    # fps, kNN and mean-NN each run within 3x of their time without it.
+    # One point 1e6 px out leaves the grids' bins sized by the 20,000 others,
+    # and one 1e12 px out, beyond 2**30 bins, is clipped to the grid's far
+    # bins: fps, kNN and mean-NN each run within 3x of their time without it.
     rng = np.random.Generator(np.random.Philox(71))
     plain = rng.uniform(0.0, 1414.0, size=(20_000, 2))
     types = rng.integers(0, 3, 20_001).astype(np.uint8)
-    far = np.vstack([plain, [[1e6, 1e6]]])
 
     def best_of_3(f):
         times = []
@@ -893,5 +926,8 @@ def test_far_outlier_costs_little():
             best_of_3(lambda: mean_nn_distance(CellCloud(xy=xy, types=types[: xy.shape[0]]))),
         )
 
-    for name, t_plain, t_far in zip(("fps", "knn", "mean-NN"), runs(plain), runs(far)):
-        assert t_far < 3 * t_plain, f"{name}: {t_far:.4f} s with the outlier, {t_plain:.4f} s without"
+    times = runs(plain)
+    for far in ([[1e6, 1e6]], [[1e12, 1e12]]):
+        far_times = runs(np.vstack([plain, far]))
+        for name, t_plain, t_far in zip(("fps", "knn", "mean-NN"), times, far_times):
+            assert t_far < 3 * t_plain, f"{name}: {t_far:.4f} s with {far}, {t_plain:.4f} s without"
