@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import CellCloud, CellCloudError, CellType, EmptyCloud
+from .core import CellCloud, CellCloudError, CellType, EmptyCloud, _csv_rows
 
 __all__ = [
     "AlphaWeights",
@@ -626,32 +626,23 @@ def read_cohort_csv(path: Union[str, Path]) -> SurvivalCohort:
     scores: list[float] = []
     times: list[float] = []
     events: list[bool] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path, _COHORT_HEADER, lambda n, m: MalformedCohort(f"{path}: line {n}: {m}"))
+    for line_no, row in rows:
+        where = f"{path}: line {line_no}"
+        if len(row) != 4 or row[3].strip() not in ("0", "1"):
+            raise MalformedCohort(f"{where}: malformed cohort row {row!r}")
         try:
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header] != _COHORT_HEADER:
-                raise MalformedCohort(f"{path}: line 1: header must be patient_id,score,time,event")
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                where = f"{path}: line {reader.line_num}"
-                if len(row) != 4 or row[3].strip() not in ("0", "1"):
-                    raise MalformedCohort(f"{where}: malformed cohort row {row!r}")
-                try:
-                    score, time = float(row[1]), float(row[2])
-                except ValueError as exc:
-                    raise MalformedCohort(f"{where}: {exc}") from None
-                if not math.isfinite(score):
-                    raise MalformedCohort(f"{where}: score must be finite, got {row[1]!r}")
-                if not 0 < time < math.inf:
-                    raise MalformedCohort(f"{where}: time must be finite and positive, got {row[2]!r}")
-                ids.append(row[0])
-                scores.append(score)
-                times.append(time)
-                events.append(row[3].strip() == "1")
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise MalformedCohort(f"{path}: line {reader.line_num}: {exc}") from None
+            score, time = float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise MalformedCohort(f"{where}: {exc}") from None
+        if not math.isfinite(score):
+            raise MalformedCohort(f"{where}: score must be finite, got {row[1]!r}")
+        if not 0 < time < math.inf:
+            raise MalformedCohort(f"{where}: time must be finite and positive, got {row[2]!r}")
+        ids.append(row[0])
+        scores.append(score)
+        times.append(time)
+        events.append(row[3].strip() == "1")
     return SurvivalCohort(
         scores=np.asarray(scores, dtype=np.float64),
         times=np.asarray(times, dtype=np.float64),

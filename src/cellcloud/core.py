@@ -15,11 +15,12 @@ Two canonical on-disk forms are used:
 
 from __future__ import annotations
 
+import csv
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -155,7 +156,10 @@ class CellCloud:
         return float(x.min()), float(y.min()), float(x.max()), float(y.max())
 
     def subset(self, mask_or_idx: np.ndarray) -> "CellCloud":
-        return CellCloud(xy=self.xy[mask_or_idx], types=self.types[mask_or_idx])
+        rows = np.asarray(mask_or_idx)
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
+        # np.take gathers (n, 2) rows 2-5x faster; indexing types rejects a bad mask or index
+        return CellCloud(xy=np.take(self.xy, rows, axis=0), types=self.types[mask_or_idx])
 
 
 def validate_cloud(cloud: CellCloud) -> list[str]:
@@ -199,6 +203,26 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
         for i in np.sort(si[1:][same]):
             problems.append(f"duplicate cell at index {int(i)}")
     return problems
+
+
+def _csv_rows(
+    path: Union[str, Path], header: list[str], error: Callable[[int, str], Exception]
+) -> Iterator[tuple[int, list[str]]]:
+    """(number of its last line, fields) of each non-blank row of a UTF-8
+    CSV below its header, which must be ``header`` once stripped and
+    lower-cased. A wrong header, or a row ``csv`` cannot read (e.g. a field
+    over ``csv.field_size_limit()``), raises ``error(line number, message)``."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            head = next(reader, None)
+            if head is None or [h.strip().lower() for h in head] != header:
+                raise error(1, "header must be " + ",".join(header))
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):  # blank lines are skipped
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise error(reader.line_num, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

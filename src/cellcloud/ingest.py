@@ -17,8 +17,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CellCloud, CellCloudError, CellType
-from .spatial import _close_pairs, _grid_bins
+from .core import CellCloud, CellCloudError, CellType, _csv_rows
+from .spatial import _close_pairs, _d2, _grid_bins
 
 __all__ = [
     "PatchDetections",
@@ -113,12 +113,9 @@ class PatchDetections:
         return self.xy.shape[0]
 
 
-def _body_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """(number of its last line, fields) of every non-blank row after the header."""
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
-        yield reader.line_num, row
+def _body_rows(path: Union[str, Path]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of the rows below a cells CSV's header."""
+    return _csv_rows(path, ["x", "y", "type"], lambda n, msg: MalformedRow(n, msg, path))
 
 
 def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
@@ -127,34 +124,26 @@ def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
     ys: list[float] = []
     ts: list[int] = []
     seen: set[tuple[float, float, int]] = set()
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in _body_rows(path):
+        if len(row) != 3:
+            raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}", path)
         try:
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header] != ["x", "y", "type"]:
-                raise MalformedRow(1, "header must be x,y,type", path)
-            for line_no, row in _body_rows(reader):
-                if len(row) != 3:
-                    raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}", path)
-                try:
-                    x, y = float(row[0]), float(row[1])
-                except ValueError:
-                    raise MalformedRow(line_no, "non-numeric coordinate", path) from None
-                if not (np.isfinite(x) and np.isfinite(y)):
-                    raise MalformedRow(line_no, "non-finite coordinate", path)
-                try:
-                    kind = CellType.from_token(row[2])
-                except ValueError:
-                    raise UnknownType(line_no, row[2].strip(), path) from None
-                key = (x, y, int(kind))
-                if key in seen:
-                    raise DuplicateCell(line_no, path)
-                seen.add(key)
-                xs.append(x)
-                ys.append(y)
-                ts.append(int(kind))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise MalformedRow(reader.line_num, str(exc), path) from None
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            raise MalformedRow(line_no, "non-numeric coordinate", path) from None
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise MalformedRow(line_no, "non-finite coordinate", path)
+        try:
+            kind = CellType.from_token(row[2])
+        except ValueError:
+            raise UnknownType(line_no, row[2].strip(), path) from None
+        key = (x, y, int(kind))
+        if key in seen:
+            raise DuplicateCell(line_no, path)
+        seen.add(key)
+        xs.append(x)
+        ys.append(y)
+        ts.append(int(kind))
     xy = np.column_stack([xs, ys]) if xs else np.empty((0, 2), dtype=np.float64)
     return xy.astype(np.float64), np.asarray(ts, dtype=np.uint8)
 
@@ -230,12 +219,7 @@ def parse_cells_csv(path: Union[str, Path]) -> CellCloud:
 def _out_of_patch(path: Path, xy: np.ndarray, patch_size: float) -> OutOfPatch:
     """The error naming the file and line of its first out-of-patch row."""
     row = int(np.flatnonzero(~((xy >= 0) & (xy < patch_size)).all(axis=1))[0])
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for k, (line_no, _) in enumerate(_body_rows(reader)):
-            if k == row:
-                break
+    line_no = [n for n, _ in _body_rows(path)][row]
     return OutOfPatch(
         f"{path}: line {line_no}: patch-local coordinates must lie in [0, {patch_size!r})"
     )
@@ -383,9 +367,8 @@ def merge_boundary_cells(
         half = np.full(cand.size, d_merge * (1.0 + 1e-12))  # superset; exact filter below
         for a, b in _close_pairs(xy[cand], half):
             ia, ib = cand[a], cand[b]
-            dx = xy[ia, 0] - xy[ib, 0]
-            dy = xy[ia, 1] - xy[ib, 1]
-            link = (types[ia] == types[ib]) & (dx * dx + dy * dy < d_merge * d_merge)
+            d2 = _d2(xy[ia, 0], xy[ia, 1], xy[ib, 0], xy[ib, 1])
+            link = (types[ia] == types[ib]) & (d2 < d_merge * d_merge)
             links.append(np.stack((a[link], b[link])))
             held += links[-1].shape[1]
             if held > cand.size:

@@ -1,9 +1,9 @@
 """Exact geometric queries over 2-D typed point sets.
 
 Everything here is exact: all comparisons happen on squared distances
-computed as ``dx*dx + dy*dy`` in float64, and the optimized paths evaluate
-that same expression per candidate pair, so they agree bit-for-bit with
-O(N^2) pair scans. Those oracles live only in the test suite
+from one kernel (:func:`_d2`), the ``dx*dx + dy*dy`` in float64 that the
+O(N^2) pair scans evaluate, so the optimized paths agree with them
+bit-for-bit. Those oracles live only in the test suite
 (``tests/hsp_reference.py``).
 
 The one spatial structure is a uniform grid index (:func:`build_index`)
@@ -12,9 +12,11 @@ grid row is one run of cells (:func:`_runs`). Counting and the mean-NN
 query read the 2r+1 runs around each bin (r = 1 when ``bin_size`` is the
 largest query radius: O(N) expected cost for the million-cell count that
 dominates the pipeline); fps, kNN and ingest's pair searches read the
-rows of a square around each point. Grids sized by a point count
-(:func:`_grid`) take their bin side from the area the points occupy and
-clip points beyond 2**30 bins, so a few far points never coarsen them.
+rows of a square around each point, certified by one margin and one
+argument (:func:`_boxes`). Grids sized by a point count (:func:`_grid`)
+bin by one map that never overflows, take their bin side from the area the
+points occupy and clip points beyond 2**30 bins, so a few far points never
+coarsen them.
 
 Slide detections arrive in no spatial order, so the neighbour queries do
 not walk the cells in input order: they walk them in bin order, and each
@@ -129,8 +131,7 @@ class NeighborCounts:
 @dataclass(frozen=True)
 class SpatialIndex:
     """Uniform grid over a cloud; bin of cell i is (floor(y/b), floor(x/b)),
-    of its coordinates or, in a :func:`_grid`, of those relative to the
-    cloud's minimum.
+    of its coordinates or, in a :func:`_grid`, of ``xy*0.5 - lo*0.5``.
 
     Internally the cells are held in CSR-style arrays (``order`` grouped by
     bin with ``starts`` offsets over the sorted, de-duplicated ``bin_ids``),
@@ -151,10 +152,29 @@ class SpatialIndex:
     _n_cols: int = field(repr=False)  # bin id = row offset * _n_cols + col offset
 
 
+def _d2(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """The oracles' ``dx*dx + dy*dy``, dx = ax - bx and dy = ay - by, inf where
+    it overflows, computed in place in ``ax`` and ``ay``: the caller gives
+    them up. Every exact query compares this one squared distance."""
+    with np.errstate(over="ignore"):
+        ax -= bx
+        d2 = np.multiply(ax, ax, out=ax)
+        ay -= by
+        d2 += np.multiply(ay, ay, out=ay)
+    return d2
+
+
+def _half(r: np.ndarray) -> np.ndarray:
+    """Half-widths (s x 1) of squares certified to hold all points within ``r`` (:func:`_boxes`)."""
+    with np.errstate(over="ignore"):
+        return r[:, None] * (1.0 + 1e-9) + 1e-150
+
+
 def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
     """int64 bins (floor(y / size), floor(x / size)); GridOverflow beyond int64."""
-    rows = np.floor(xy[:, 1] / size)
-    cols = np.floor(xy[:, 0] / size)
+    with np.errstate(over="ignore"):  # a bin past float64 is inf, rejected below
+        rows = np.floor(xy[:, 1] / size)
+        cols = np.floor(xy[:, 0] / size)
     for b in (rows, cols):
         if b.size and not (-_GRID_LIMIT < b.min() and b.max() < _GRID_LIMIT):
             raise GridOverflow(f"grid bins of size {size!r} lie beyond int64 bin ids")
@@ -186,7 +206,6 @@ def _index(cloud: CellCloud, bin_size: float, at: np.ndarray) -> SpatialIndex:
     starts = np.append(first, n).astype(np.int64)
     rows = bin_ids // n_cols  # ascending, as the ids are
     rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
-    order = order.astype(np.int64, copy=False)
     return SpatialIndex(
         source=cloud,
         bin_size=float(bin_size),
@@ -267,12 +286,11 @@ def _ring_pairs(
             yield row, a[row] + slot
 
 
-def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray, float]:
-    """(index, lo, scale): a grid of about ``bins`` square bins over the
-    area the finite points ``xy`` occupy. It bins them relative to their
-    minimum ``lo``, as ``xy * scale - lo * scale`` with scale 1, or 0.5
-    where ``xy - lo`` overflows (a monotone map, which :func:`_boxes` applies
-    to other coordinates), and holds their raw coordinates in bin order.
+def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray]:
+    """(index, lo): a grid of about ``bins`` square bins over the area the
+    finite points ``xy`` occupy, binned by ``xy*0.5 - lo*0.5`` with ``lo``
+    their minimum (monotone, never overflowing; :func:`_boxes` maps square
+    edges the same way), holding their raw coordinates in bin order.
 
     The area is the box between the ``_SIZE_QUANTILE`` quantiles of x and of
     y, taken from a strided sample, so a few far points do not coarsen the
@@ -280,13 +298,11 @@ def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray, float]
     as two sections far apart do, the side shrinks once by the square root
     of the occupied share. Points more than 2**30 bins out are binned as if
     at 2**30 bins, so the grid is at most 2**30 + 1 bins wide and bin ids
-    stay in int64. Clipping is monotone and :func:`_boxes` clips a square's
-    edges to the grid, so every point in a square still lies in its box.
+    stay in int64; clipping is monotone too.
     """
     lo = np.array([xy[:, 0].min(), xy[:, 1].min()])  # min(axis=0) is slow on (n, 2)
-    with np.errstate(over="ignore"):
-        rel = xy - lo
-    rel, scale = (rel, 1.0) if np.isfinite(rel).all() else (xy * 0.5 - lo * 0.5, 0.5)
+    rel = xy * 0.5
+    rel -= lo * 0.5
     m = rel.shape[0]
     bins = max(float(bins), 1.0)
     sample = rel[:: -(-m // _SIZE_SAMPLE)]
@@ -301,21 +317,28 @@ def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray, float]
     if 4 * occupied < min(bins, m) and size:
         size *= math.sqrt(occupied / bins)
         index = _index(cloud, size, np.minimum(rel, 2.0**30 * size, out=rel))
-    return index, lo, scale
+    return index, lo
 
 
-def _boxes(
-    index: SpatialIndex, lo: np.ndarray, scale: float, centre: np.ndarray, half: np.ndarray
-) -> np.ndarray:
+def _boxes(index: SpatialIndex, lo: np.ndarray, centre: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Grid boxes (c0, r0, c1, r1), clipped to the grid, of the squares
     around ``centre`` (s raw points) of half-widths ``half`` (s x 1, or s x 2
-    per axis). The edges are mapped and binned by the same operations as
-    the grid's points, so every point of the grid in a square lies in its
-    box."""
+    per axis) in a :func:`_grid` whose points have minimum ``lo``.
+
+    Every exact square search rests on this: the edges c -+ h are rounded,
+    mapped, binned and clipped by the same monotone operations as the grid's
+    points, so a point q outside a box has |q - c| > h exactly on some axis,
+    hence a computed |dx| >= h and d2 >= fl(h*h), however few float spacings
+    from c it lies. For h = :func:`_half` of r = sqrt(D), fl(h*h) > D: the
+    factor 1 + 1e-9 outweighs how sqrt and the squares round, and the 1e-150
+    keeps h*h out of underflow, where D may be 0. So a box holds every point
+    at a computed d2 of D or less, a wider box only adds candidates, and
+    r = inf gives the whole grid.
+    """
     with np.errstate(over="ignore"):  # an overflowing edge is +-inf, clipped below
         edge = np.concatenate((centre - half, centre + half), axis=1)
-        edge *= scale
-        edge -= (lo * scale)[[0, 1, 0, 1]]
+        edge *= 0.5
+        edge -= (lo * 0.5)[[0, 1, 0, 1]]
         edge /= index.bin_size
     top = [index._n_cols - 1, index.bin_ids[-1] // index._n_cols] * 2
     np.maximum(np.floor(edge, out=edge), 0, out=edge)
@@ -358,9 +381,9 @@ def _close_pairs(xy: np.ndarray, half: np.ndarray) -> Iterator[tuple[np.ndarray,
     :func:`_square_pairs`), which holds every point that close. A pair is
     taken from the wider of its two squares, ties going to the smaller index.
     """
-    index, lo, scale = _grid(xy, xy.shape[0] / _PER_BIN)
+    index, lo = _grid(xy, xy.shape[0] / _PER_BIN)
     order, h = index.order, half[index.order]
-    for sq, pos in _square_pairs(index, _boxes(index, lo, scale, index.binned_xy, h[:, None])):
+    for sq, pos in _square_pairs(index, _boxes(index, lo, index.binned_xy, h[:, None])):
         i, j = order[sq], order[pos]
         own = (h[sq] > h[pos]) | ((h[sq] == h[pos]) & (i < j))
         yield np.minimum(i, j)[own], np.maximum(i, j)[own]
@@ -384,19 +407,15 @@ def _count_chunk(
     index: SpatialIndex, s: int, e: int, r2: np.ndarray, counts: np.ndarray
 ) -> None:
     """Fill the ``counts`` rows of the cells at bin-order positions [s, e)."""
-    xy = index.binned_xy
-    types = index.binned_types
+    xy, types = index.binned_xy, index.binned_types
     n_d = r2.size
     ring = int(np.ceil(np.sqrt(r2[-1]) / index.bin_size))
-    qx = xy[s:e, 0]
-    qy = xy[s:e, 1]
+    qx, qy = xy[s:e, 0], xy[s:e, 1]
     m = e - s
     shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
 
     for row, cand in _ring_pairs(index, s, e, ring):
-        dx = qx[row] - xy[cand, 0]
-        dy = qy[row] - xy[cand, 1]
-        d2 = dx * dx + dy * dy
+        d2 = _d2(qx[row], qy[row], xy[cand, 0], xy[cand, 1])
         inside = np.flatnonzero(d2 <= r2[-1])
         shell = np.searchsorted(r2, d2[inside], side="left")
         # a batch's rows ascend, so its counts fill one slice
@@ -437,35 +456,28 @@ def count_in_radii(
 def _nn_mean_xy(xy: np.ndarray, threads: int = 1) -> float:
     """Mean nearest-neighbor distance of a raw coordinate array (n >= 2).
 
-    The points, relative to their minimum, go into a :func:`_grid` of about
-    ``_PER_BIN`` points per bin. Each point starts from the squared
-    distance to its successor in bin order (its predecessor, for the last)
-    and takes the minimum over the ring of bins one away (:func:`_ring_pairs`,
-    the self pair left out), on the raw coordinates. Its nearest neighbour
-    is certified when the bins of its square of half-width sqrt(min d2) *
-    (1 + 1e-9) lie inside that ring: as in :func:`fps`, every point outside
-    them has a computed d2 of at least min d2. Only the points that are not
-    read their whole square, row by row (:func:`_square_pairs`), which holds
-    every nearer point. The walk runs in ``_QUERY_CHUNK`` chunks of bin
+    The points go into a :func:`_grid` of about ``_PER_BIN`` points per
+    bin. Each point starts from the squared distance to its successor in
+    bin order (its predecessor, for the last) and takes the minimum over the
+    ring of bins one away (:func:`_ring_pairs`, the self pair left out), on
+    the raw coordinates. Its nearest neighbour is certified when the box of
+    its square of half-width :func:`_half` of sqrt(min d2) lies inside that
+    ring, as no point outside the box is nearer (:func:`_boxes`). Only the
+    points that are not read their whole square, row by row
+    (:func:`_square_pairs`). The walk runs in ``_QUERY_CHUNK`` chunks of bin
     order on at most ``threads`` workers, each writing disjoint rows and
     expanding ``_CACHE_BATCH`` pairs, or half its cells, at a time, and
     distances are written back to input order before the mean, so the
     float sum runs in input order whatever the walk or the thread count.
     """
     n = xy.shape[0]
-    index, lo, scale = _grid(xy, n / _PER_BIN)
+    index, lo = _grid(xy, n / _PER_BIN)
     order = index.order
     gx, gy = index.binned_xy[:, 0], index.binned_xy[:, 1]
     nn = np.empty(n)
 
     def d2_to(p: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflowing d2 is inf, as in the scan
-            dx = gx[p]
-            dx -= gx[cand]
-            d2 = np.multiply(dx, dx, out=dx)
-            dy = gy[p]
-            dy -= gy[cand]
-            d2 += np.multiply(dy, dy, out=dy)
+        d2 = _d2(gx[p], gy[p], gx[cand], gy[cand])
         d2[cand == p] = np.inf  # not the self pair
         return d2
 
@@ -476,9 +488,7 @@ def _nn_mean_xy(xy: np.ndarray, threads: int = 1) -> float:
         best = d2_to(pos, np.where(pos < n - 1, pos + 1, pos - 1))
         for row, cand in _ring_pairs(index, s, e, 1, batch):
             np.minimum.at(best, row, d2_to(s + row, cand))
-        pxy = np.stack((gx[s:e], gy[s:e]), axis=1)
-        half = np.sqrt(best)[:, None] * (1.0 + 1e-9)
-        box = _boxes(index, lo, scale, pxy, half)
+        box = _boxes(index, lo, index.binned_xy[s:e], _half(np.sqrt(best)))
         bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
         ring = np.stack((bin_col, bin_row), axis=1)[q_bin]
         wide = np.flatnonzero(((box[:, :2] < ring - 1) | (box[:, 2:] > ring + 1)).any(axis=1))
@@ -528,24 +538,17 @@ def fps(
     only when fewer than t hot points remain above it.
 
     Each accepted pick p, made at M = max(min_d2), then lowers min_d2 only
-    inside its square of half-width h = sqrt(M)*(1 + 1e-9) on each axis,
-    above sqrt(M) however sqrt rounds: a point's min_d2 is at most M and the
-    label penalty is non-negative, so only a d2 below M changes anything.
-    The points, relative to their minimum, go into a :func:`_grid` of about
-    ``_CELLS_PER_PICK`` bins per pick, and the square's edges p - h and
-    p + h are rounded, mapped and binned by the same operations as the
-    points (:func:`_boxes`). Rounding to nearest is monotone, so a point q
-    outside the square's bins has |q - p| > h exactly on some axis, hence a
-    computed |dx| of at least h and a d2 of at least fl(h*h) >= M: the
-    edges need no margin of their own, even a float spacing from a point at
-    slide-scale offsets. The start pick is made at M = +inf. A square's
-    points are read one run per occupied grid row (:func:`_square_pairs`),
-    at most ``_CACHE_BATCH`` (pick, point) pairs at a time, and applied with
-    ``np.minimum.at``: a minimum
-    does not depend on the order of its updates. Every d2 is the test
-    oracle's ``dx*dx + dy*dy``, plus the penalty only where the labels
-    differ, so ``min_d2`` is bitwise the all-points update after every
-    round, and memory stays O(m).
+    inside its square of half-width :func:`_half` of sqrt(M): a point's
+    min_d2 is at most M and the label penalty is non-negative, so only a d2
+    below M changes anything, and every point outside the square's box in
+    a :func:`_grid` of about ``_CELLS_PER_PICK`` bins per pick is farther
+    (:func:`_boxes`). The start pick is made at M = +inf. A square's points
+    are read one run per occupied grid row (:func:`_square_pairs`), at most
+    ``_CACHE_BATCH`` (pick, point) pairs at a time, and applied with
+    ``np.minimum.at``: a minimum does not depend on the order of its
+    updates. Every d2 is the test oracle's ``dx*dx + dy*dy`` (:func:`_d2`),
+    plus the penalty only where the labels differ, so ``min_d2`` is bitwise
+    the all-points update after every round, and memory stays O(m).
     """
     xy = np.ascontiguousarray(points, dtype=np.float64)
     m = xy.shape[0]
@@ -561,7 +564,7 @@ def fps(
         return np.empty(0, dtype=np.int64)
     # Unlabelled points share one label and pay no penalty.
     lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
-    index, lo, scale = _grid(xy, _CELLS_PER_PICK * n)
+    index, lo = _grid(xy, _CELLS_PER_PICK * n)
     tie = np.flatnonzero(xy[:, 0] == lo[0])
     tie = tie[xy[tie, 1] == xy[tie, 1].min()]
     start = int(tie[lab[tie].argmin()])  # first occurrence = smallest index
@@ -573,16 +576,11 @@ def fps(
 
     def lower(pos, pick):
         """min_d2[pos] = min(min_d2[pos], augmented d2 to the points ``pick``)."""
-        with np.errstate(over="ignore"):  # an overflowing d2 is inf, as in the scan
-            dx = gx[pos]
-            dx -= gx[pick]
-            d2 = np.multiply(dx, dx, out=dx)
-            dy = gy[pos]
-            dy -= gy[pick]
-            d2 += np.multiply(dy, dy, out=dy)
+        d2 = _d2(gx[pos], gy[pos], gx[pick], gy[pick])
         if penalty != 0.0:
             # + 0.0 is exact, and unlike 0 * penalty it stays finite
-            d2 += pen.take(np.not_equal(glab[pos], glab[pick]).view(np.uint8))
+            with np.errstate(over="ignore"):  # a sum past float64 is inf, as in the oracle
+                d2 += pen.take(np.not_equal(glab[pos], glab[pick]).view(np.uint8))
         np.minimum.at(min_d2, pos, d2)
 
     out = np.empty(n, dtype=np.int64)
@@ -598,9 +596,8 @@ def fps(
     hot, floor = pos[:0], np.inf
     while True:
         min_d2[pos] = -np.inf
-        pxy = xy[order[pos]]
-        half = np.sqrt(at)[:, None] * (1.0 + 1e-9)
-        for pick, p in _square_pairs(index, _boxes(index, lo, scale, pxy, half), _CACHE_BATCH):
+        box = _boxes(index, lo, index.binned_xy[pos], _half(np.sqrt(at)))
+        for pick, p in _square_pairs(index, box, _CACHE_BATCH):
             lower(p, pos[pick])
         if done == n:
             return out
@@ -624,14 +621,11 @@ def fps(
         cand = cand[np.argsort(order[cand])]
         ids = order[cand]
         cx, cy, cl = gx[cand], gy[cand], glab[cand]
-        with np.errstate(over="ignore"):
-            dx = np.subtract.outer(cx, cx)
-            pair = np.multiply(dx, dx, out=dx)
-            dy = np.subtract.outer(cy, cy)
-            pair += np.multiply(dy, dy, out=dy)
+        pair = _d2(np.repeat(cx[:, None], t, 1), np.repeat(cy[:, None], t, 1), cx, cy)
         if penalty != 0.0:
-            np.add(pair, penalty, out=pair, where=np.not_equal.outer(cl, cl))
-        pair.flat[:: cand.size + 1] = -np.inf  # a pick's own min_d2 drops to -inf
+            with np.errstate(over="ignore"):
+                np.add(pair, penalty, out=pair, where=np.not_equal.outer(cl, cl))
+        pair.flat[:: t + 1] = -np.inf  # a pick's own min_d2 drops to -inf
         # Replay the greedy loop; stop at the first pick a point left out
         # could beat.
         cur = min_d2[cand]
@@ -657,19 +651,18 @@ def knn_group(
     Rows come back sorted ascending by (distance, index). Points can belong
     to any number of groups.
 
-    The points, relative to their minimum, go into a :func:`_grid` of about
-    ``_PER_BIN`` points per bin. Each anchor reads the cells of its square
-    of half-width reach * (1 + 1e-9) + 1e-150 (:func:`_boxes`,
-    :func:`_square_runs`) and ranks them by ``dx*dx + dy*dy`` on the raw
-    coordinates, then by index: as the complex keys d2 + 1j*index, which
-    numpy orders by real part, then imaginary part, partitioned at k with
-    the k smallest sorted. A row is certified when its square covers the
-    whole grid, or when it holds k candidates and the k-th distance is at
-    most its reach: by fps's argument, every point outside the square's
-    bins then has a computed d2 above the k-th (the 1e-150 keeps that d2
-    from underflowing to a k-th d2 of 0, or of under 1e-300). A row that is
-    not is read again with its reach set to its k-th distance, which
-    certifies it, or doubled while it holds fewer than k points. The first
+    The points go into a :func:`_grid` of about ``_PER_BIN`` points per
+    bin. Each anchor reads the cells of its square of half-width
+    :func:`_half` of its reach (:func:`_square_runs`) and ranks them by
+    ``dx*dx + dy*dy`` on the raw coordinates, then by index: as the complex
+    keys d2 + 1j*index, which numpy orders by real part, then imaginary
+    part, partitioned at k with the k smallest sorted. A row is certified
+    when its square covers the whole grid, or when it holds k candidates
+    and the k-th distance is at most its reach: every point outside the
+    square's box then has a computed d2 above the k-th (:func:`_boxes`). A
+    row that is not is read again with its reach set to its k-th distance,
+    which certifies it, or, while it holds fewer than k points, doubled and
+    raised to at least its distance to the points' bounding box. The first
     reach is ``_KNN_REACH`` times the k-th neighbour distance expected at
     the density of the grid's occupied bins. Rows are ranked in batches of
     at most ``_PAIR_BATCH`` float64 key slots (one row alone when it has
@@ -688,19 +681,21 @@ def knn_group(
         return out
     if not (np.isfinite(anchors).all() and np.isfinite(pts).all()):
         raise ValueError("anchor and point coordinates must be finite")
-    index, lo, scale = _grid(pts, n / _PER_BIN)
+    index, lo = _grid(pts, n / _PER_BIN)
     gx, gy, ids = index.binned_xy[:, 0], index.binned_xy[:, 1], index.order.astype(np.float64)
     whole = np.array([0, 0, index._n_cols - 1, index.bin_ids[-1] // index._n_cols])
-    side = index.bin_size / scale  # of a bin, in raw units
+    side = 2 * index.bin_size  # of a bin, in raw units
     expected = side * math.sqrt(index.bin_ids.size * k / (math.pi * n))
     reach = np.full(a, _KNN_REACH * expected)
+    hi = np.array([pts[:, 0].max(), pts[:, 1].max()])  # max(axis=0) is slow on (n, 2)
     rows = np.arange(a)
     while rows.size:
         ax, ay = anchors[rows, 0], anchors[rows, 1]
         with np.errstate(over="ignore"):  # a reach past float64 is inf: the whole grid
-            half = reach[rows, None] * (1.0 + 1e-9) + 1e-150
-            nxt = np.maximum(2.0 * reach[rows], side)  # for a row holding fewer than k points
-        box = _boxes(index, lo, scale, anchors[rows], half)
+            # for a row holding fewer than k points: at least its distance to the points' box
+            gap = np.maximum(lo - anchors[rows], anchors[rows] - hi).max(axis=1)
+            nxt = np.maximum(np.maximum(2.0 * reach[rows], side), gap)
+        box = _boxes(index, lo, anchors[rows], _half(reach[rows]))
         done = (box == whole).all(axis=1)
         for sq, a0, b0 in _square_runs(index, box):
             n_runs = np.bincount(sq, minlength=rows.size)
@@ -727,10 +722,7 @@ def knn_group(
                 real, imag = key.real.reshape(-1), key.imag.reshape(-1)
                 for r, slot in _ragged(lens, _PAIR_BATCH // 4):
                     p, c = a0[run[r]] + slot, col[r] + slot
-                    with np.errstate(over="ignore"):
-                        dx = sx[r] - gx[p]
-                        dy = sy[r] - gy[p]
-                        real[c] = dx * dx + dy * dy
+                    real[c] = _d2(sx[r], sy[r], gx[p], gy[p])
                     imag[c] = ids[p]
                 if k < width:
                     key.partition(k - 1, axis=1)

@@ -100,6 +100,11 @@ def test_subset_by_mask_and_indices():
     assert sub.types.tolist() == [0, 2]
     sub2 = cloud.subset(np.array([2, 0]))
     assert sub2.xy[:, 0].tolist() == [2.0, 0.0]
+    assert cloud.subset([-1]).xy.tolist() == [[2.0, 2.0]]
+    assert cloud.subset([]).n_total == 0
+    for bad in (np.array([True, False]), np.array([3]), [1.5]):
+        with pytest.raises(IndexError):
+            cloud.subset(bad)
 
 
 @given(cell_rows)

@@ -355,6 +355,14 @@ def test_merge_distance_is_strict():
     assert merge_boundary_cells([left, right]).n_total == 1
 
 
+def test_merge_far_patch_overflowing_d2_keeps_both():
+    # In one 1e300 px patch, cells 1e200 px apart square past float64; the
+    # seam test sees an inf d2, keeps both cells and warns nothing.
+    p = patch((0.0, 0.0), [(0.0, 0.0, 0), (1e200, 0.0, 0)], size=1e300)
+    out = merge_boundary_cells([p], d_merge=1e160)
+    assert out.xy.tolist() == [[0.0, 0.0], [1e200, 0.0]]
+
+
 def test_merge_boundary_band_is_strict():
     # both cells exactly 24 px from their own edge: not candidates
     left = patch((0.0, 0.0), [(488.0, 100.0, 0)])

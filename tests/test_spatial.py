@@ -109,10 +109,11 @@ def test_index_rejects_nonpositive_bin():
 
 
 def test_index_rejects_bins_beyond_int64():
-    for far in (1e300, 4e12):
+    # 1e10 / 1e-300 overflows float64: that bin is inf, rejected without a warning
+    for far, size in ((1e300, 1.0), (4e12, 1.0), (1e10, 1e-300)):
         cloud = make_cloud([(0.0, 0.0, 0), (far, far, 1)])
         with pytest.raises(GridOverflow, match="int64"):
-            build_index(cloud, 1.0)
+            build_index(cloud, size)
     wide = build_index(make_cloud([(0.0, 0.0, 0), (1e9, 1e9, 1)]), 1.0)
     assert bin_members(wide)[(10**9, 10**9)] == [1]
 
@@ -175,6 +176,17 @@ def test_counts_match_brute_lattice_ties(seed, n):
     idx = build_index(cloud, bin_size=2.5)
     fast = count_in_radii(idx, radii)
     assert np.array_equal(fast.counts, count_reference(cloud.xy, cloud.types, radii))
+
+
+def test_counts_with_overflowing_d2_warn_nothing():
+    # 1.5e154 squares past float64: that d2 is inf, beyond every radius,
+    # and the count raises no overflow warning (warnings fail the suite).
+    cloud = make_cloud([(0.0, 0.0, 0), (1.5e154, 0.0, 1), (5.0, 5.0, 2)])
+    radii = [4e153, 8e153, 1.2e154]
+    fast = count_in_radii(build_index(cloud, bin_size=radii[-1]), radii)
+    with np.errstate(over="ignore"):  # the oracle's d2 overflows too
+        want = count_reference(cloud.xy, cloud.types, radii)
+    assert np.array_equal(fast.counts, want)
 
 
 def test_counts_small_bins_vs_large_bins():
@@ -573,6 +585,18 @@ def test_fps_overflowing_span_matches_brute():
             assert np.array_equal(knn_group(xy, xy, k), want)
 
 
+def test_fps_overflowing_penalty_warns_nothing():
+    # A d2 near 1e308 plus the label penalty 2 * gamma**2 = 1.6e308 is past
+    # float64: the sum is inf, as in the oracle, and the library warns nothing.
+    rng = np.random.Generator(np.random.Philox(31))
+    xy = rng.uniform(0.0, 100.0, size=(40, 2))
+    xy[:20] *= 1e152
+    labels = rng.integers(0, 3, 40).astype(np.uint8)
+    with np.errstate(over="ignore"):
+        want = fps_reference(xy, labels, 40, 9e153)
+    assert np.array_equal(fps(xy, labels, 40, 9e153), want)
+
+
 def test_fps_huge_gamma_matches_brute():
     # 2 * gamma**2 overflows to inf; same-label pairs must pay no penalty.
     rng = np.random.Generator(np.random.Philox(23))
@@ -796,9 +820,9 @@ def test_knn_widens_uncertified_rows(monkeypatch, k):
     passes = []
     boxes = spatial._boxes
 
-    def recording(index, lo, scale, centre, half):
+    def recording(index, lo, centre, half):
         passes.append(centre.shape[0])
-        return boxes(index, lo, scale, centre, half)
+        return boxes(index, lo, centre, half)
 
     monkeypatch.setattr(spatial, "_boxes", recording)
     anchors, pts = widened_cloud()
@@ -906,6 +930,8 @@ def test_far_outlier_costs_little():
     # One point 1e6 px out leaves the grids' bins sized by the 20,000 others,
     # and one 1e12 px out, beyond 2**30 bins, is clipped to the grid's far
     # bins: fps, kNN and mean-NN each run within 3x of their time without it.
+    # One kNN anchor at (1e300, 1e300) reaches the points' box in one step,
+    # not by doubling its reach, and costs no more.
     rng = np.random.Generator(np.random.Philox(71))
     plain = rng.uniform(0.0, 1414.0, size=(20_000, 2))
     types = rng.integers(0, 3, 20_001).astype(np.uint8)
@@ -927,6 +953,13 @@ def test_far_outlier_costs_little():
         )
 
     times = runs(plain)
+    far_anchor = np.array([[1e300, 1e300]])
+    anchors = np.vstack([plain[fps(plain, types[:20_000], 2048, 5.0)], far_anchor])
+    t_anchor = best_of_3(lambda: knn_group(anchors, plain, 19))
+    assert t_anchor < 3 * times[1], f"knn: {t_anchor:.4f} s with the far anchor, {times[1]:.4f} s without"
+    with np.errstate(over="ignore"):  # the oracle's d2 to it are all inf
+        want = knn_reference(far_anchor, plain, 19)
+    assert np.array_equal(knn_group(far_anchor, plain, 19), want)
     for far in ([[1e6, 1e6]], [[1e12, 1e12]]):
         far_times = runs(np.vstack([plain, far]))
         for name, t_plain, t_far in zip(("fps", "knn", "mean-NN"), times, far_times):
