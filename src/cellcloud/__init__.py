@@ -48,6 +48,7 @@ from .spatial import (
 from .nie import DegenerateScale, NieParams, embed, radii_schedule
 from .hsp import (
     BlockWeights,
+    DescriptorOverflow,
     HspConfig,
     HspWeights,
     LevelTrace,

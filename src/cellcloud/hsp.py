@@ -10,10 +10,10 @@ group-attend-aggregate:
    points of largest min-distance and keeping the picks that beat every
    point outside them; each pick lowers only the points in its square of
    half-width sqrt(max min-distance) plus a rounding margin, read by rows
-   of spatial's grid index, so the picks equal the all-points loop exactly,
+   of the level's grid, so the picks equal the all-points loop exactly,
 2. group the 2*N/N_k nearest points around each anchor (an exact kNN
-   that reads a square around each anchor from spatial's grid index,
-   ties broken by the smaller point index),
+   that reads a square around each anchor from the same grid, ties broken
+   by the smaller point index),
 3. score members against the group mean feature and anchor position, and
    mask out low-scoring ones (a semantic-spatial filter),
 4. update the retained members' features with a few rounds of per-channel
@@ -27,14 +27,17 @@ each batched over b groups of k members. Dropped members feed nothing after
 the filter, so the forward pass hands steps 4 and 5 only the retained ones,
 in their kNN order.
 
-Anchors become the next level's points. After the last level the features
-are max-pooled element-wise into the cloud descriptor (512-dim with the
-default config). Weights are inference artifacts: either loaded from a
-``CCWT`` file or drawn from a seeded counter-based generator, so a
-(config, seed) pair pins the descriptor bit-for-bit across platforms.
+Each level builds one grid over its points (spatial's ``_grid``), which its
+mean-NN, fps and kNN share. Anchors become the next level's points. After
+the last level the features are max-pooled element-wise into the cloud
+descriptor (512-dim with the default config). Weights are inference
+artifacts: either loaded from a ``CCWT`` file or drawn from a seeded
+counter-based generator, so a (config, seed) pair pins the descriptor
+bit-for-bit across platforms.
 
 All internal arithmetic runs in float64; weights are stored float32 and
-the final descriptor is returned as float32.
+the final descriptor is returned as float32, or refused
+(:class:`DescriptorOverflow`) where a value lies beyond float32's range.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DimMismatch, EmptyGroup, TooFewPoints, _Container, _write_container
-from .spatial import fps, knn_group, _nn_mean_xy
+from .core import CellCloudError, DimMismatch, EmptyGroup, TooFewPoints, _Container, _write_container
+from .spatial import _d2, _grid, _nn_mean_xy, fps, knn_group
 
 __all__ = [
+    "DescriptorOverflow",
     "HspConfig",
     "BlockWeights",
     "LevelWeights",
@@ -80,6 +84,13 @@ _ATT_BUDGET = 4_000_000
 # A config may size at most this many weights (256 MiB as float32), not
 # counting the encoder columns, which grow with the input width.
 _MAX_WEIGHTS = 1 << 26
+
+
+class DescriptorOverflow(CellCloudError):
+    """A descriptor value past float32, as the features of a far-spread
+    cloud grow with its coordinates."""
+
+    error_code = "descriptor_overflow"
 
 
 @dataclass(frozen=True)
@@ -276,16 +287,18 @@ def similarity_scores(
         raise ValueError("expected feats (b, k, D), coords (b, k, 2) and anchors (b, 2)")
     if k == 0:
         raise EmptyGroup("group has no members")
-    f_ref = feats.mean(axis=1)
-    dx = coords[:, :, 0] - anchors[:, 0][:, None]
-    dy = coords[:, :, 1] - anchors[:, 1][:, None]
-    dist = np.sqrt(dx * dx + dy * dy)
-    scale = dist.mean(axis=1)
-    d_norm = np.divide(
-        dist, scale[:, None], out=np.zeros_like(dist), where=scale[:, None] > 0
-    )
-    dots = (feats * f_ref[:, None, :]).sum(axis=2)
-    return np.exp(-d_norm) * dots / feats.shape[2], dist
+    cx, cy = coords[:, :, 0].copy(), coords[:, :, 1].copy()  # _d2 overwrites them
+    dist = np.sqrt(_d2(cx, cy, anchors[:, :1], anchors[:, 1:]))
+    # On a far-spread cloud the sums below overflow to inf, and inf / inf
+    # is NaN: a NaN score clears no threshold (:func:`filter_mask`).
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ref = feats.mean(axis=1)
+        scale = dist.mean(axis=1)
+        d_norm = np.divide(
+            dist, scale[:, None], out=np.zeros_like(dist), where=scale[:, None] > 0
+        )
+        dots = (feats * f_ref[:, None, :]).sum(axis=2)
+        return np.exp(-d_norm) * dots / feats.shape[2], dist
 
 
 def filter_mask(scores: np.ndarray, dist: np.ndarray, lambda_sim: float) -> np.ndarray:
@@ -400,14 +413,15 @@ def hsp_forward(
         pts = xy.shape[0]
         nk_eff = min(n_k, pts)
         k = min(max(1, (2 * pts) // nk_eff), pts)
+        grid = _grid(xy)  # the level's one grid, for its mean-NN, fps and kNN
         if lvl == 0 and labels is not None:
             if gamma is None:
-                gamma = _nn_mean_xy(xy)
-            anchors = fps(xy, labels, nk_eff, gamma)
+                gamma = _nn_mean_xy(grid)
+            anchors = fps(grid, labels, nk_eff, gamma)
         else:
-            anchors = fps(xy, None, nk_eff, 0.0)
+            anchors = fps(grid, None, nk_eff, 0.0)
         anchor_xy = xy[anchors]
-        groups = knn_group(anchor_xy, xy, k)
+        groups = knn_group(anchor_xy, grid, k)
         d = feats.shape[1]
         new_feats = np.empty((nk_eff, d * config.dim_multiplier), dtype=np.float64)
         err = 0.0
@@ -453,7 +467,11 @@ def hsp_forward(
         feats = new_feats
         labels = None
         n_k = max(1, n_k // config.n_basic)
-    return feats.max(axis=0).astype(np.float32)
+    with np.errstate(over="ignore"):  # a value past float32 is inf, rejected below
+        descriptor = feats.max(axis=0).astype(np.float32)
+    if not np.isfinite(descriptor).all():
+        raise DescriptorOverflow("the descriptor is not finite in float32")
+    return descriptor
 
 
 def combine_appearance(

@@ -13,10 +13,10 @@ query read the 2r+1 runs around each bin (r = 1 when ``bin_size`` is the
 largest query radius: O(N) expected cost for the million-cell count that
 dominates the pipeline); fps, kNN and ingest's pair searches read the
 rows of a square around each point, certified by one margin and one
-argument (:func:`_boxes`). Grids sized by a point count (:func:`_grid`)
-bin by one map that never overflows, take their bin side from the area the
-points occupy and clip points beyond 2**30 bins, so a few far points never
-coarsen them.
+argument (:func:`_boxes`). Every grid sized by a point count is a
+:func:`_grid`, which states its one bin rule. The mean-NN, fps and kNN
+take raw points or a grid over them, so queries over the same points can
+share one grid.
 
 Slide detections arrive in no spatial order, so the neighbour queries do
 not walk the cells in input order: they walk them in bin order, and each
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,12 +63,10 @@ _GRID_LIMIT = 2.0**62
 # squared distances against squared radii.
 _MAX_RADIUS = math.sqrt(np.finfo(np.float64).max)
 
-# fps replays the greedy loop among at most _ROUND points a round, finds
-# them among about _HOT times as many hot points, and bins the cloud into
-# about _CELLS_PER_PICK grid cells per pick.
+# fps replays the greedy loop among at most _ROUND points a round and
+# finds them among about _HOT times as many hot points.
 _ROUND = 64
 _HOT = 8
-_CELLS_PER_PICK = 4
 
 # fps expands its (pick, point) pairs _CACHE_BATCH at a time, and the mean-NN
 # walk at least that many: a batch's float64 temporaries (64 KiB) then stay
@@ -81,9 +79,8 @@ _CACHE_BATCH = 1 << 13
 _SIZE_QUANTILE = 0.01
 _SIZE_SAMPLE = 1 << 16
 
-# The mean-NN and kNN grids hold about _PER_BIN points per bin, and each
-# kNN anchor's first square reaches _KNN_REACH times the expected distance
-# of its k-th neighbour.
+# Points per bin of a :func:`_grid`; each kNN anchor's first square reaches
+# _KNN_REACH times the expected distance of its k-th neighbour.
 _PER_BIN = 2.0
 _KNN_REACH = 1.3
 
@@ -130,26 +127,35 @@ class NeighborCounts:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Uniform grid over a cloud; bin of cell i is (floor(y/b), floor(x/b)),
+    """Uniform grid over points; bin of point i is (floor(y/b), floor(x/b)),
     of its coordinates or, in a :func:`_grid`, of ``xy*0.5 - lo*0.5``.
 
-    Internally the cells are held in CSR-style arrays (``order`` grouped by
+    Internally the points are held in CSR-style arrays (``order`` grouped by
     bin with ``starts`` offsets over the sorted, de-duplicated ``bin_ids``),
-    which is what the vectorised queries consume. ``binned_xy`` and
-    ``binned_types`` hold the cells' coordinates and types in that same bin
-    order, so a query reads a bin's cells from one contiguous run and
-    writes its result back to input row ``order[p]``.
+    which is what the vectorised queries consume. ``binned_xy`` holds the
+    points' coordinates in that same bin order, and ``binned_types`` their
+    types in a counting index (:func:`build_index`), so a query reads a
+    bin's points from one contiguous run and writes its result back to
+    input row ``order[p]``. ``len(index)`` is the number of points.
     """
 
-    source: CellCloud
+    xy: np.ndarray = field(repr=False)  # the points, in input order
     bin_size: float
     bin_ids: np.ndarray = field(repr=False)  # sorted unique packed ids
     starts: np.ndarray = field(repr=False)
-    order: np.ndarray = field(repr=False)  # cell indices grouped by bin
+    order: np.ndarray = field(repr=False)  # point indices grouped by bin
     binned_xy: np.ndarray = field(repr=False)  # xy[order]
-    binned_types: np.ndarray = field(repr=False)  # types[order]
-    rows: np.ndarray = field(repr=False)  # grid rows that hold cells, ascending
+    binned_types: Optional[np.ndarray] = field(repr=False)  # types[order]; None in a _grid
+    rows: np.ndarray = field(repr=False)  # grid rows that hold points, ascending
     _n_cols: int = field(repr=False)  # bin id = row offset * _n_cols + col offset
+    lo: Optional[np.ndarray] = field(repr=False)  # a _grid's map origin; None when counting
+
+    def __len__(self) -> int:
+        return self.xy.shape[0]
+
+
+# Raw points (m x 2), or their grid (:func:`_grid`).
+Points = Union[np.ndarray, SpatialIndex]
 
 
 def _d2(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -183,14 +189,21 @@ def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
 
 def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
     """Assign every cell to its grid bin and group cell indices by bin."""
-    return _index(cloud, bin_size, cloud.xy)
+    return _index(cloud.xy, bin_size, cloud.xy, cloud.types)
 
 
-def _index(cloud: CellCloud, bin_size: float, at: np.ndarray) -> SpatialIndex:
-    """:func:`build_index`, binning each cell by its row of ``at``."""
+def _index(
+    xy: np.ndarray,
+    bin_size: float,
+    at: np.ndarray,
+    types: Optional[np.ndarray] = None,
+    lo: Optional[np.ndarray] = None,
+) -> SpatialIndex:
+    """An index over the points ``xy`` (and their ``types``, if given),
+    binning each by its row of ``at``."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
-    n = cloud.n_total
+    n = xy.shape[0]
     rows, cols = _grid_bins(at, bin_size)
     r0, r1 = (int(rows.min()), int(rows.max())) if n else (0, 0)
     c0, c1 = (int(cols.min()), int(cols.max())) if n else (0, 0)
@@ -207,15 +220,16 @@ def _index(cloud: CellCloud, bin_size: float, at: np.ndarray) -> SpatialIndex:
     rows = bin_ids // n_cols  # ascending, as the ids are
     rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
     return SpatialIndex(
-        source=cloud,
+        xy=xy,
         bin_size=float(bin_size),
         bin_ids=bin_ids,
         starts=starts,
         order=order,
-        binned_xy=np.take(cloud.xy, order, axis=0),  # xy[order], 10x faster
-        binned_types=cloud.types[order],
+        binned_xy=np.take(xy, order, axis=0),  # xy[order], 10x faster
+        binned_types=None if types is None else types[order],
         rows=rows,
         _n_cols=n_cols,
+        lo=lo,
     )
 
 
@@ -286,44 +300,50 @@ def _ring_pairs(
             yield row, a[row] + slot
 
 
-def _grid(xy: np.ndarray, bins: float) -> tuple[SpatialIndex, np.ndarray]:
-    """(index, lo): a grid of about ``bins`` square bins over the area the
-    finite points ``xy`` occupy, binned by ``xy*0.5 - lo*0.5`` with ``lo``
-    their minimum (monotone, never overflowing; :func:`_boxes` maps square
-    edges the same way), holding their raw coordinates in bin order.
+def _grid(points: Points) -> SpatialIndex:
+    """A grid over the points ``points`` (m x 2, m >= 1) of about
+    ``_PER_BIN`` points per square bin, or ``points`` itself when it is
+    such a grid already. ValueError if a point is not finite.
 
-    The area is the box between the ``_SIZE_QUANTILE`` quantiles of x and of
-    y, taken from a strided sample, so a few far points do not coarsen the
-    bins. Where the points then fill under a quarter of the bins they could,
-    as two sections far apart do, the side shrinks once by the square root
-    of the occupied share. Points more than 2**30 bins out are binned as if
-    at 2**30 bins, so the grid is at most 2**30 + 1 bins wide and bin ids
-    stay in int64; clipping is monotone too.
+    Points are binned by ``xy*0.5 - lo*0.5`` with ``lo`` their minimum
+    (monotone, never overflowing; :func:`_boxes` maps square edges the same
+    way). The bin side comes from the area the points occupy: the box
+    between the ``_SIZE_QUANTILE`` quantiles of x and of y, taken from a
+    strided sample, so a few far points do not coarsen the bins. Where the
+    points then fill under a quarter of the bins they could, as two
+    sections far apart do, the side shrinks once by the square root of the
+    occupied share. Points more than 2**30 bins out are binned as if at
+    2**30 bins, so the grid is at most 2**30 + 1 bins wide and bin ids stay
+    in int64; clipping is monotone too.
     """
+    if isinstance(points, SpatialIndex):
+        return points
+    xy = np.ascontiguousarray(points, dtype=np.float64)
+    if not np.isfinite(xy).all():
+        raise ValueError("points must be finite")
     lo = np.array([xy[:, 0].min(), xy[:, 1].min()])  # min(axis=0) is slow on (n, 2)
     rel = xy * 0.5
     rel -= lo * 0.5
     m = rel.shape[0]
-    bins = max(float(bins), 1.0)
+    bins = max(m / _PER_BIN, 1.0)
     sample = rel[:: -(-m // _SIZE_SAMPLE)]
     q = [int(f * (sample.shape[0] - 1)) for f in (_SIZE_QUANTILE, 1.0 - _SIZE_QUANTILE)]
     wx, wy = (float(np.diff(np.partition(sample[:, c], q)[q])[0]) for c in (0, 1))
     size = max(wx, wy) / bins
     if wx and wy:
         size = max(size, math.sqrt(wx / bins) * math.sqrt(wy))
-    cloud = CellCloud(xy=xy.view(), types=np.zeros(m, np.uint8))  # a view: xy stays writable
-    index = _index(cloud, size or 1.0, np.minimum(rel, 2.0**30 * (size or 1.0), out=rel))
+    index = _index(xy, size or 1.0, np.minimum(rel, 2.0**30 * (size or 1.0), out=rel), lo=lo)
     occupied = index.bin_ids.size
     if 4 * occupied < min(bins, m) and size:
         size *= math.sqrt(occupied / bins)
-        index = _index(cloud, size, np.minimum(rel, 2.0**30 * size, out=rel))
-    return index, lo
+        index = _index(xy, size, np.minimum(rel, 2.0**30 * size, out=rel), lo=lo)
+    return index
 
 
-def _boxes(index: SpatialIndex, lo: np.ndarray, centre: np.ndarray, half: np.ndarray) -> np.ndarray:
+def _boxes(index: SpatialIndex, centre: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Grid boxes (c0, r0, c1, r1), clipped to the grid, of the squares
     around ``centre`` (s raw points) of half-widths ``half`` (s x 1, or s x 2
-    per axis) in a :func:`_grid` whose points have minimum ``lo``.
+    per axis) in a :func:`_grid`.
 
     Every exact square search rests on this: the edges c -+ h are rounded,
     mapped, binned and clipped by the same monotone operations as the grid's
@@ -338,7 +358,7 @@ def _boxes(index: SpatialIndex, lo: np.ndarray, centre: np.ndarray, half: np.nda
     with np.errstate(over="ignore"):  # an overflowing edge is +-inf, clipped below
         edge = np.concatenate((centre - half, centre + half), axis=1)
         edge *= 0.5
-        edge -= (lo * 0.5)[[0, 1, 0, 1]]
+        edge -= (index.lo * 0.5)[[0, 1, 0, 1]]
         edge /= index.bin_size
     top = [index._n_cols - 1, index.bin_ids[-1] // index._n_cols] * 2
     np.maximum(np.floor(edge, out=edge), 0, out=edge)
@@ -376,14 +396,14 @@ def _close_pairs(xy: np.ndarray, half: np.ndarray) -> Iterator[tuple[np.ndarray,
     every pair closer than max(half[i], half[j]) on both axes comes exactly
     once, and no pair comes twice. ``half`` holds non-negative half-widths.
 
-    The points go into a :func:`_grid` of about ``_PER_BIN`` points per bin,
-    and each reads its square of half-width ``half`` (:func:`_boxes`,
-    :func:`_square_pairs`), which holds every point that close. A pair is
-    taken from the wider of its two squares, ties going to the smaller index.
+    The points go into a :func:`_grid`, and each reads its square of
+    half-width ``half`` (:func:`_boxes`, :func:`_square_pairs`), which holds
+    every point that close. A pair is taken from the wider of its two
+    squares, ties going to the smaller index.
     """
-    index, lo = _grid(xy, xy.shape[0] / _PER_BIN)
+    index = _grid(xy)
     order, h = index.order, half[index.order]
-    for sq, pos in _square_pairs(index, _boxes(index, lo, index.binned_xy, h[:, None])):
+    for sq, pos in _square_pairs(index, _boxes(index, index.binned_xy, h[:, None])):
         i, j = order[sq], order[pos]
         own = (h[sq] > h[pos]) | ((h[sq] == h[pos]) & (i < j))
         yield np.minimum(i, j)[own], np.maximum(i, j)[own]
@@ -445,7 +465,7 @@ def count_in_radii(
         raise ValueError("radii must be a non-empty 1-D sequence")
     if not (0 < radii_arr[0] and radii_arr[-1] <= _MAX_RADIUS and np.all(np.diff(radii_arr) > 0)):
         raise ValueError(f"radii must be positive, strictly ascending and at most {_MAX_RADIUS!r}")
-    n = index.source.n_total
+    n = len(index)
     r2 = radii_arr * radii_arr
     counts = np.zeros((n, radii_arr.size, N_TYPES), dtype=np.uint32)
 
@@ -453,25 +473,25 @@ def count_in_radii(
     return NeighborCounts(radii=radii_arr, counts=counts)
 
 
-def _nn_mean_xy(xy: np.ndarray, threads: int = 1) -> float:
-    """Mean nearest-neighbor distance of a raw coordinate array (n >= 2).
+def _nn_mean_xy(points: Points, threads: int = 1) -> float:
+    """Mean nearest-neighbor distance of raw points (n >= 2).
 
-    The points go into a :func:`_grid` of about ``_PER_BIN`` points per
-    bin. Each point starts from the squared distance to its successor in
-    bin order (its predecessor, for the last) and takes the minimum over the
-    ring of bins one away (:func:`_ring_pairs`, the self pair left out), on
-    the raw coordinates. Its nearest neighbour is certified when the box of
-    its square of half-width :func:`_half` of sqrt(min d2) lies inside that
+    The points go into a :func:`_grid`, unless they come as one. Each point
+    starts from the squared distance to its successor in bin order (its
+    predecessor, for the last) and takes the minimum over the ring of bins
+    one away (:func:`_ring_pairs`, the self pair left out), on the raw
+    coordinates. Its nearest neighbour is certified when the box of its
+    square of half-width :func:`_half` of sqrt(min d2) lies inside that
     ring, as no point outside the box is nearer (:func:`_boxes`). Only the
     points that are not read their whole square, row by row
     (:func:`_square_pairs`). The walk runs in ``_QUERY_CHUNK`` chunks of bin
     order on at most ``threads`` workers, each writing disjoint rows and
     expanding ``_CACHE_BATCH`` pairs, or half its cells, at a time, and
-    distances are written back to input order before the mean, so the
-    float sum runs in input order whatever the walk or the thread count.
+    distances are written back to input order before the mean, so the float
+    sum runs in input order whatever the walk or the thread count.
     """
-    n = xy.shape[0]
-    index, lo = _grid(xy, n / _PER_BIN)
+    index = _grid(points)
+    n = len(index)
     order = index.order
     gx, gy = index.binned_xy[:, 0], index.binned_xy[:, 1]
     nn = np.empty(n)
@@ -488,7 +508,7 @@ def _nn_mean_xy(xy: np.ndarray, threads: int = 1) -> float:
         best = d2_to(pos, np.where(pos < n - 1, pos + 1, pos - 1))
         for row, cand in _ring_pairs(index, s, e, 1, batch):
             np.minimum.at(best, row, d2_to(s + row, cand))
-        box = _boxes(index, lo, index.binned_xy[s:e], _half(np.sqrt(best)))
+        box = _boxes(index, index.binned_xy[s:e], _half(np.sqrt(best)))
         bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
         ring = np.stack((bin_col, bin_row), axis=1)[q_bin]
         wide = np.flatnonzero(((box[:, :2] < ring - 1) | (box[:, 2:] > ring + 1)).any(axis=1))
@@ -511,7 +531,7 @@ def mean_nn_distance(cloud: CellCloud, threads: int = 1) -> float:
 
 
 def fps(
-    points: np.ndarray,
+    points: Points,
     labels: Optional[np.ndarray],
     n: int,
     gamma: float = 0.0,
@@ -541,30 +561,28 @@ def fps(
     inside its square of half-width :func:`_half` of sqrt(M): a point's
     min_d2 is at most M and the label penalty is non-negative, so only a d2
     below M changes anything, and every point outside the square's box in
-    a :func:`_grid` of about ``_CELLS_PER_PICK`` bins per pick is farther
-    (:func:`_boxes`). The start pick is made at M = +inf. A square's points
-    are read one run per occupied grid row (:func:`_square_pairs`), at most
-    ``_CACHE_BATCH`` (pick, point) pairs at a time, and applied with
+    the points' :func:`_grid` (built here unless they come as one) is
+    farther (:func:`_boxes`). The start pick is made at M = +inf. A square's
+    points are read one run per occupied grid row (:func:`_square_pairs`),
+    at most ``_CACHE_BATCH`` (pick, point) pairs at a time, and applied with
     ``np.minimum.at``: a minimum does not depend on the order of its
     updates. Every d2 is the test oracle's ``dx*dx + dy*dy`` (:func:`_d2`),
     plus the penalty only where the labels differ, so ``min_d2`` is bitwise
     the all-points update after every round, and memory stays O(m).
     """
-    xy = np.ascontiguousarray(points, dtype=np.float64)
-    m = xy.shape[0]
+    m = len(points)
     if not 0 <= n <= m:
         raise ValueError(f"cannot sample {n} anchors from {m} points")
     if not gamma >= 0:
         raise ValueError(f"gamma must be non-negative, got {gamma!r}")
-    if not np.isfinite(xy).all():
-        raise ValueError("points must be finite")
     if labels is not None and np.shape(labels) != (m,):
         raise ValueError(f"labels have shape {np.shape(labels)}, points need ({m},)")
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    index = _grid(points)
+    xy, lo = index.xy, index.lo
     # Unlabelled points share one label and pay no penalty.
     lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
-    index, lo = _grid(xy, _CELLS_PER_PICK * n)
     tie = np.flatnonzero(xy[:, 0] == lo[0])
     tie = tie[xy[tie, 1] == xy[tie, 1].min()]
     start = int(tie[lab[tie].argmin()])  # first occurrence = smallest index
@@ -596,7 +614,7 @@ def fps(
     hot, floor = pos[:0], np.inf
     while True:
         min_d2[pos] = -np.inf
-        box = _boxes(index, lo, index.binned_xy[pos], _half(np.sqrt(at)))
+        box = _boxes(index, index.binned_xy[pos], _half(np.sqrt(at)))
         for pick, p in _square_pairs(index, box, _CACHE_BATCH):
             lower(p, pos[pick])
         if done == n:
@@ -643,51 +661,48 @@ def fps(
         pos = cand[picks]
 
 
-def knn_group(
-    anchor_coords: np.ndarray, point_coords: np.ndarray, k: int
-) -> np.ndarray:
+def knn_group(anchor_coords: np.ndarray, points: Points, k: int) -> np.ndarray:
     """For each anchor, indices of its k nearest points, ties by smaller index.
 
     Rows come back sorted ascending by (distance, index). Points can belong
     to any number of groups.
 
-    The points go into a :func:`_grid` of about ``_PER_BIN`` points per
-    bin. Each anchor reads the cells of its square of half-width
-    :func:`_half` of its reach (:func:`_square_runs`) and ranks them by
-    ``dx*dx + dy*dy`` on the raw coordinates, then by index: as the complex
-    keys d2 + 1j*index, which numpy orders by real part, then imaginary
-    part, partitioned at k with the k smallest sorted. A row is certified
-    when its square covers the whole grid, or when it holds k candidates
-    and the k-th distance is at most its reach: every point outside the
-    square's box then has a computed d2 above the k-th (:func:`_boxes`). A
-    row that is not is read again with its reach set to its k-th distance,
-    which certifies it, or, while it holds fewer than k points, doubled and
-    raised to at least its distance to the points' bounding box. The first
-    reach is ``_KNN_REACH`` times the k-th neighbour distance expected at
-    the density of the grid's occupied bins. Rows are ranked in batches of
-    at most ``_PAIR_BATCH`` float64 key slots (one row alone when it has
-    more candidates), those with most candidates first so that little is
-    padding, and match the O(N^2) scan bit-for-bit without ever forming the
-    anchor-by-point distance matrix.
+    The points go into a :func:`_grid`, unless they come as one. Each anchor
+    reads the cells of its square of half-width :func:`_half` of its reach
+    (:func:`_square_runs`) and ranks them by ``dx*dx + dy*dy`` on the raw
+    coordinates, then by index: as the complex keys d2 + 1j*index, which
+    numpy orders by real part, then imaginary part, partitioned at k with
+    the k smallest sorted. A row is certified when its square covers the
+    whole grid, or when it holds k candidates and the k-th distance is at
+    most its reach: every point outside the square's box then has a computed
+    d2 above the k-th (:func:`_boxes`). A row that is not is read again with
+    its reach set to its k-th distance, which certifies it, or, while it
+    holds fewer than k points, doubled and raised to at least its distance
+    to the points' bounding box. The first reach is ``_KNN_REACH`` times the
+    k-th neighbour distance expected at the density of the grid's occupied
+    bins. Rows are ranked in batches of at most ``_PAIR_BATCH`` float64 key
+    slots (one row alone when it has more candidates), those with most
+    candidates first so that little is padding, and match the O(N^2) scan
+    bit-for-bit without ever forming the anchor-by-point distance matrix.
     """
     anchors = np.ascontiguousarray(anchor_coords, dtype=np.float64).reshape(-1, 2)
-    pts = np.ascontiguousarray(point_coords, dtype=np.float64).reshape(-1, 2)
-    n = pts.shape[0]
+    n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
     a = anchors.shape[0]
     out = np.empty((a, k), dtype=np.int64)
     if a == 0:
         return out
-    if not (np.isfinite(anchors).all() and np.isfinite(pts).all()):
-        raise ValueError("anchor and point coordinates must be finite")
-    index, lo = _grid(pts, n / _PER_BIN)
+    if not np.isfinite(anchors).all():
+        raise ValueError("anchor coordinates must be finite")
+    index = _grid(points)
+    xy, lo = index.xy, index.lo
     gx, gy, ids = index.binned_xy[:, 0], index.binned_xy[:, 1], index.order.astype(np.float64)
     whole = np.array([0, 0, index._n_cols - 1, index.bin_ids[-1] // index._n_cols])
     side = 2 * index.bin_size  # of a bin, in raw units
     expected = side * math.sqrt(index.bin_ids.size * k / (math.pi * n))
     reach = np.full(a, _KNN_REACH * expected)
-    hi = np.array([pts[:, 0].max(), pts[:, 1].max()])  # max(axis=0) is slow on (n, 2)
+    hi = np.array([xy[:, 0].max(), xy[:, 1].max()])  # max(axis=0) is slow on (n, 2)
     rows = np.arange(a)
     while rows.size:
         ax, ay = anchors[rows, 0], anchors[rows, 1]
@@ -695,7 +710,7 @@ def knn_group(
             # for a row holding fewer than k points: at least its distance to the points' box
             gap = np.maximum(lo - anchors[rows], anchors[rows] - hi).max(axis=1)
             nxt = np.maximum(np.maximum(2.0 * reach[rows], side), gap)
-        box = _boxes(index, lo, anchors[rows], _half(reach[rows]))
+        box = _boxes(index, anchors[rows], _half(reach[rows]))
         done = (box == whole).all(axis=1)
         for sq, a0, b0 in _square_runs(index, box):
             n_runs = np.bincount(sq, minlength=rows.size)

@@ -111,6 +111,24 @@ def test_invalid_cloud_is_data_error(capsys, tmp_path):
     assert "error_code=invalid_cloud" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cloud_never_reaches_the_queries(capsys, tmp_path, bad):
+    # A CC5B cloud with a non-finite coordinate is refused as invalid, a
+    # cells CSV with one as malformed, before any mean-NN or grid query.
+    cloud = random_cloud(np.random.Generator(np.random.Philox(2)), 40)
+    xy = cloud.xy.copy()
+    xy[7, 1] = bad
+    write_cloud(tmp_path / "bad.cc5b", make_cloud((x, y, t) for (x, y), t in zip(xy, cloud.types)))
+    (tmp_path / "bad.csv").write_text(f"x,y,type\n1,1,other\n{bad},2,other\n3,3,neoplastic\n")
+    for name, code in (("bad.cc5b", "invalid_cloud"), ("bad.csv", "malformed_row")):
+        for argv in (["nie"], ["forward", "--seed", "1", *SMALL_FWD]):
+            out = tmp_path / "out.ccem"
+            got, _, err = run(capsys, [argv[0], str(tmp_path / name), "-o", str(out), *argv[1:]])
+            assert got == 2 and f"error_code={code}" in err
+            assert not out.exists()
+
+
 def test_duplicate_csv_row_is_parse_error(capsys, tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("x,y,type\n5,5,neoplastic\n5,5,neoplastic\n")
@@ -341,6 +359,26 @@ def test_ingest_patch_dir_matches_library(capsys, tmp_path):
     assert np.array_equal(back.xy, want.xy)
     assert np.array_equal(back.types, want.types)
     assert [tuple(p) for p in back.xy] == [(512.0, 100.0), (100.0, 300.0)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_forward_far_spread_cloud(capsys, tmp_path):
+    # 300 cells on [0, 100)^2, half of them scaled by 1e153: member distances
+    # overflow float64. The default pass warns nothing and writes a finite
+    # descriptor; with every member kept the descriptor passes float32's
+    # range and is refused, with nothing written.
+    rng = np.random.Generator(np.random.Philox(0))
+    cloud = random_cloud(rng, 300, extent=100.0)
+    xy = cloud.xy.copy()
+    xy[150:] *= 1e153
+    write_cloud(tmp_path / "far.cc5b", make_cloud((x, y, t) for (x, y), t in zip(xy, cloud.types)))
+    argv = ["forward", str(tmp_path / "far.cc5b"), "--seed", "7", "--d-mean", "1e152"]
+    code, out, _ = run(capsys, argv + ["-o", str(tmp_path / "d.ccem")])
+    assert code == 0 and out.strip() == "dim=512"
+    assert np.isfinite(read_features(tmp_path / "d.ccem")).all()
+    code, _, err = run(capsys, argv + ["-o", str(tmp_path / "inf.ccem"), "--lambda-sim=-1e9"])
+    assert code == 2 and "error_code=descriptor_overflow" in err
+    assert not (tmp_path / "inf.ccem").exists()
 
 
 def test_ingest_grid_sample(capsys, cloud_file, tmp_path):

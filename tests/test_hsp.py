@@ -2,11 +2,13 @@ import itertools
 import math
 import struct
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cellcloud import hsp, spatial
 from cellcloud.core import DimMismatch, EmptyGroup, TooFewPoints
 from cellcloud.hsp import (
     _MAX_WEIGHTS,
@@ -276,6 +278,28 @@ def test_similarity_hand_oracle():
     assert np.allclose(s[0], expected, rtol=1e-10)
 
 
+def test_similarity_far_spread_group_warns_nothing():
+    # Members 1e160 px out: their squared distances, the distances' mean and
+    # the feature dot products overflow float64, and inf / inf is NaN. The
+    # scores keep the bytes of the plain formula, and nothing warns.
+    rng = np.random.Generator(np.random.Philox(22))
+    feats, coords, anchors = make_group(rng, k=6, dim=8)
+    coords[0, 3:] *= 1e160
+    feats[0, 3:] *= 1e160
+    with np.errstate(all="ignore"):
+        dx, dy = (coords[:, :, c] - anchors[:, c][:, None] for c in (0, 1))
+        dist = np.sqrt(dx * dx + dy * dy)
+        scale = dist.mean(axis=1)
+        d_norm = np.divide(dist, scale[:, None], out=np.zeros_like(dist), where=scale[:, None] > 0)
+        dots = (feats * feats.mean(axis=1)[:, None, :]).sum(axis=2)
+        want = np.exp(-d_norm) * dots / 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_dist = similarity_scores(feats, coords, anchors)
+    assert np.isinf(dist).any() and np.isnan(want).any()
+    assert got.tobytes() == want.tobytes() and got_dist.tobytes() == dist.tobytes()
+
+
 def test_filter_mask_threshold():
     mask = filter_mask(np.array([[0.9, 0.2]]), np.array([[1.0, 1.0]]), 0.5)
     assert np.array_equal(mask, [[True, False]])
@@ -477,6 +501,25 @@ def test_forward_structure_and_trace():
     assert [(t.n_anchors, t.group_size) for t in trace] == [(300, 2), (128, 4), (8, 32)]
     assert [t.retained for t in trace] == [300, 128, 8]
     assert [t.rescued for t in trace] == [300, 128, 8]
+
+
+def test_forward_builds_one_grid_per_level(monkeypatch):
+    # A level's mean-NN, fps and kNN share one grid over the level's points.
+    built = []
+    grid = spatial._grid
+
+    def counting(points, *args):
+        if not isinstance(points, spatial.SpatialIndex):
+            built.append(len(points))
+        return grid(points, *args)
+
+    monkeypatch.setattr(spatial, "_grid", counting)
+    monkeypatch.setattr(hsp, "_grid", counting)
+    cloud, feats = forward_inputs(10, 100)
+    for gamma in (None, 3.0):
+        built.clear()
+        hsp_forward(cloud.xy, feats, cloud.types, small_weights(seed=1), gamma=gamma)
+        assert built == [100, 16]
 
 
 def test_forward_deterministic():

@@ -52,22 +52,23 @@ def test_counts_radii_must_ascend():
 # ---------------------------------------------------------------------------
 
 
-def bin_members(idx):
+def bin_members(idx, cloud):
     """(bin row, bin col) -> cell indices, read off the index's CSR arrays.
 
     Each bin's row and column come from its members' own coordinates, and
     the bin-ordered copies must hold those members' coordinates and types.
     """
+    assert len(idx) == cloud.n_total and np.array_equal(idx.xy, cloud.xy)
     assert idx.starts[0] == 0 and idx.starts[-1] == idx.order.size
     assert np.all(np.diff(idx.bin_ids) > 0)  # sorted, de-duplicated
     assert np.all(np.diff(idx.starts) > 0)  # no empty bin is stored
     out = {}
     for b in range(idx.bin_ids.size):
         members = idx.order[idx.starts[b] : idx.starts[b + 1]].tolist()
-        xy = idx.source.xy[members]
+        xy = cloud.xy[members]
         assert np.array_equal(idx.binned_xy[idx.starts[b] : idx.starts[b + 1]], xy)
         assert np.array_equal(
-            idx.binned_types[idx.starts[b] : idx.starts[b + 1]], idx.source.types[members]
+            idx.binned_types[idx.starts[b] : idx.starts[b + 1]], cloud.types[members]
         )
         (key,) = {(int(r), int(c)) for r, c in np.floor(xy[:, ::-1] / idx.bin_size)}
         out[key] = members
@@ -80,7 +81,7 @@ def test_index_bins_match_direct_binning():
         [(0.0, 0.0, 0), (9.9, 9.9, 1), (10.0, 0.0, 2), (25.0, 14.0, 0), (0.0, 10.0, 1)]
     )
     idx = build_index(cloud, bin_size=10.0)
-    assert bin_members(idx) == {
+    assert bin_members(idx, cloud) == {
         (0, 0): [0, 1],
         (0, 1): [2],
         (1, 0): [4],
@@ -94,7 +95,7 @@ def test_index_partitions_all_cells(seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
     cloud = random_cloud(rng, n, extent=100.0)
     idx = build_index(cloud, bin_size=7.0)
-    bins = bin_members(idx)
+    bins = bin_members(idx, cloud)
     seen = sorted(i for members in bins.values() for i in members)
     assert seen == list(range(n))
     for (r, c), members in bins.items():
@@ -114,8 +115,8 @@ def test_index_rejects_bins_beyond_int64():
         cloud = make_cloud([(0.0, 0.0, 0), (far, far, 1)])
         with pytest.raises(GridOverflow, match="int64"):
             build_index(cloud, size)
-    wide = build_index(make_cloud([(0.0, 0.0, 0), (1e9, 1e9, 1)]), 1.0)
-    assert bin_members(wide)[(10**9, 10**9)] == [1]
+    cloud = make_cloud([(0.0, 0.0, 0), (1e9, 1e9, 1)])
+    assert bin_members(build_index(cloud, 1.0), cloud)[(10**9, 10**9)] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +405,14 @@ def test_mean_nn_needs_two_cells():
         mean_nn_distance(make_cloud([(0, 0, 0)]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mean_nn_rejects_non_finite_points(bad):
+    cloud = make_cloud([(0.0, 0.0, 0), (1.0, bad, 1), (2.0, 2.0, 2)])
+    with pytest.raises(ValueError, match="finite"):
+        mean_nn_distance(cloud)
+
+
 def test_mean_nn_hand_value():
     # nearest distances: 1 (0->1), 1 (1->0), 3 (2->1) -> mean 5/3
     cloud = make_cloud([(0, 0, 0), (1, 0, 0), (4, 0, 0)])
@@ -457,7 +466,7 @@ def test_mean_nn_workers_bounded_by_chunks(monkeypatch, chunk, workers):
 # that clouds of at most 60 points reach every branch of the rounds: one
 # candidate a round, ties left out of a round, hot sets rebuilt, and pair
 # batches cut inside one row of a square.
-FPS_LIMITS = ("_ROUND", "_HOT", "_CELLS_PER_PICK", "_CACHE_BATCH", "_PAIR_BATCH")
+FPS_LIMITS = ("_ROUND", "_HOT", "_PER_BIN", "_CACHE_BATCH", "_PAIR_BATCH")
 fps_limits = st.none() | st.fixed_dictionaries({name: st.integers(1, 3) for name in FPS_LIMITS})
 
 
@@ -820,9 +829,9 @@ def test_knn_widens_uncertified_rows(monkeypatch, k):
     passes = []
     boxes = spatial._boxes
 
-    def recording(index, lo, centre, half):
+    def recording(index, centre, half):
         passes.append(centre.shape[0])
-        return boxes(index, lo, centre, half)
+        return boxes(index, centre, half)
 
     monkeypatch.setattr(spatial, "_boxes", recording)
     anchors, pts = widened_cloud()
@@ -913,17 +922,25 @@ def awkward_clouds():
 
 @pytest.mark.parametrize("case", range(5))
 def test_grids_match_brute_on_awkward_clouds(case):
+    # Each query runs on the raw points and on one prebuilt grid over them,
+    # which the forward pass shares between a level's queries.
     name, xy, types = awkward_clouds()[case]
-    cloud = CellCloud(xy=xy, types=types)
-    assert mean_nn_distance(cloud) == nn_mean_reference(xy), name
+    grid = spatial._grid(xy)
+    want = nn_mean_reference(xy)
+    assert mean_nn_distance(CellCloud(xy=xy, types=types)) == want, name
+    assert spatial._nn_mean_xy(grid) == want, name
     n = 16 if xy.shape[0] > 5000 else 64
     for labels, gamma in ((types, 7.0), (None, 0.0)):
-        got = fps(xy, labels, n, gamma)
-        assert np.array_equal(got, fps_reference(xy, labels, n, gamma)), name
+        want = fps_reference(xy, labels, n, gamma)
+        for points in (xy, grid):
+            got = fps(points, labels, n, gamma)
+            assert np.array_equal(got, want), name
     rng = np.random.Generator(np.random.Philox(case))
     anchors = np.vstack([xy[got], rng.uniform(xy.min(), xy.max(), size=(4, 2))])
     for k in (1, 19, 40):
-        assert np.array_equal(knn_group(anchors, xy, k), knn_reference(anchors, xy, k)), name
+        want = knn_reference(anchors, xy, k)
+        for points in (xy, grid):
+            assert np.array_equal(knn_group(anchors, points, k), want), name
 
 
 def test_far_outlier_costs_little():
