@@ -186,7 +186,8 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
     # Duplicate scan over the finite rows only; NaN never compares equal
     # so non-finite rows cannot form duplicates anyway.
     idx = np.flatnonzero(finite)
-    x = cloud.xy[idx, 0]
+    cx, cy = cloud.xy[:, 0], cloud.xy[:, 1]  # column gathers: xy[idx, 0] is 3x slower
+    x = cx[idx]
     ox = np.argsort(x)  # any sort: only the runs of equal x are read
     sx = x[ox]
     run = np.zeros(idx.size, dtype=bool)  # in x order: x equals a neighbour's
@@ -196,7 +197,7 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
         shared = np.empty_like(run)
         shared[ox] = run
         idx = idx[shared]  # still ascending
-        x, y, t = cloud.xy[idx, 0], cloud.xy[idx, 1], cloud.types[idx]
+        x, y, t = cx[idx], cy[idx], cloud.types[idx]
         order = np.lexsort((t, y, x))  # stable: equal cells keep ascending idx
         sx, sy, st, si = x[order], y[order], t[order], idx[order]
         same = (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1]) & (st[1:] == st[:-1])

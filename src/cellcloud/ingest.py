@@ -365,9 +365,10 @@ def merge_boundary_cells(
         # the band cells, so memory stays O(band + one pair batch).
         label, links, held = np.arange(cand.size), [], 0
         half = np.full(cand.size, d_merge * (1.0 + 1e-12))  # superset; exact filter below
+        x, y = xy[:, 0], xy[:, 1]
         for a, b in _close_pairs(xy[cand], half):
             ia, ib = cand[a], cand[b]
-            d2 = _d2(xy[ia, 0], xy[ia, 1], xy[ib, 0], xy[ib, 1])
+            d2 = _d2(x[ia], y[ia], x[ib], y[ib])
             link = (types[ia] == types[ib]) & (d2 < d_merge * d_merge)
             links.append(np.stack((a[link], b[link])))
             held += links[-1].shape[1]
@@ -383,7 +384,7 @@ def merge_boundary_cells(
         multi = np.flatnonzero(n_members[label] > 1)
         if multi.size:
             comp, members = label[multi], cand[multi]
-            sums = np.column_stack([np.bincount(comp, weights=xy[members, c]) for c in (0, 1)])
+            sums = np.column_stack([np.bincount(comp, weights=v[members]) for v in (x, y)])
             heads, first = np.unique(comp, return_index=True)
             keep[members] = False
             keep[members[first]] = True

@@ -75,7 +75,7 @@ def radii_schedule(d_mean: float, params: NieParams = NieParams()) -> np.ndarray
     return j * r_max / params.n_d
 
 
-def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
+def _embedding(nc: NeighborCounts, types: np.ndarray, threads: int = 1) -> np.ndarray:
     """[local shells || global shells || one-hot type], f32 (n, 2*T*n_d + T).
 
     Shell (annulus) counts are built in float64, type-major, and divided by
@@ -85,7 +85,9 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
     stays +0.0, not NaN.
     Each quotient is rounded to float32 as it is written into the output.
     The shells are built ``spatial._QUERY_CHUNK`` rows at a time, so the
-    float64 scratch stays one block whatever the cloud's size.
+    float64 scratch stays one block per worker whatever the cloud's size;
+    ``threads`` spreads the blocks, which write disjoint rows, so the output
+    is the same for any thread count.
     """
     n, n_d = nc.n_cells, nc.n_radii
     counts = np.swapaxes(nc.counts, 1, 2)  # (n, T, n_d)
@@ -93,7 +95,8 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
     global_max = np.array([[nc.counts[:, -1, t].max(initial=0)] for t in range(N_TYPES)])
     w = N_TYPES * n_d
     out = np.zeros((n, 2 * w + N_TYPES), dtype=np.float32)
-    for s in range(0, n, spatial._QUERY_CHUNK):
+
+    def run(s: int) -> None:
         e = min(s + spatial._QUERY_CHUNK, n)
         part = counts[s:e]
         shells = part.astype(np.float64, order="C")
@@ -102,6 +105,8 @@ def _embedding(nc: NeighborCounts, types: np.ndarray) -> np.ndarray:
             block = out[s:e, k * w : (k + 1) * w].reshape(e - s, N_TYPES, n_d)
             np.divide(shells, np.maximum(denom, 1), out=block, casting="same_kind")
         out[s:e, 2 * w :][np.arange(e - s), types[s:e]] = 1.0
+
+    spatial._each_chunk(run, n, threads)
     return out
 
 
@@ -125,4 +130,4 @@ def embed(
     index = build_index(cloud, bin_size=float(radii[-1]))
     nc = count_in_radii(index, radii, threads=threads)
     del index
-    return _embedding(nc, cloud.types)
+    return _embedding(nc, cloud.types, threads)

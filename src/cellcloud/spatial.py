@@ -200,7 +200,12 @@ def _index(
     lo: Optional[np.ndarray] = None,
 ) -> SpatialIndex:
     """An index over the points ``xy`` (and their ``types``, if given),
-    binning each by its row of ``at``."""
+    binning each by its row of ``at``.
+
+    ``order`` is the stable sort of the packed bin ids by LSD radix: a
+    stable ``argsort`` of each 16 bits the largest id needs, low bits first
+    (at least one pass), which numpy runs as a radix sort on 16-bit keys.
+    Points that share a bin keep their input order."""
     if bin_size <= 0:
         raise ValueError("bin_size must be positive")
     n = xy.shape[0]
@@ -211,8 +216,10 @@ def _index(
     if n_bins >= _GRID_LIMIT:
         raise GridOverflow(f"cloud spans too many bins of size {bin_size!r} for int64 bin ids")
     packed = (rows - r0) * n_cols + (cols - c0)
-    # numpy radix-sorts 16-bit keys, in the same stable order
-    order = np.argsort(packed.astype(np.uint16) if n_bins <= 1 << 16 else packed, kind="stable")
+    order = np.argsort(packed.astype(np.uint16), kind="stable")
+    for shift in range(16, (n_bins - 1).bit_length(), 16):
+        key = (packed >> shift).astype(np.uint16)
+        order = order[np.argsort(key[order], kind="stable")]
     sorted_ids = packed[order]
     first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
     bin_ids = sorted_ids[first]
@@ -234,9 +241,11 @@ def _index(
 
 
 def _ragged(
-    lens: np.ndarray, limit: Optional[int] = None
+    lens: np.ndarray, base: np.ndarray, limit: Optional[int] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Expand rows of ``lens[i]`` items into flat (row, position in row) arrays.
+    """Expand rows of ``lens[i]`` items, the positions ``base[i]``,
+    ``base[i] + 1``, ..., into flat (row, position) arrays: item p of row i
+    comes as (i, base[i] + p).
 
     Consecutive rows are taken together while their items number at most
     ``limit`` (default ``_PAIR_BATCH``); a longer row comes alone. A batch
@@ -249,9 +258,12 @@ def _ragged(
     while s < lens.size:
         e = max(s + 1, int(np.searchsorted(ends, ends[s] - lens[s] + limit, side="right")))
         begin = ends[s:e] - lens[s:e]
-        row = np.repeat(np.arange(s, e), lens[s:e])
-        if row.size:
-            yield row, np.arange(row.size) - np.repeat(begin - begin[0], lens[s:e])
+        size = int(ends[e - 1] - begin[0])
+        if size:
+            # item k of the batch, in row i, is item k - (begin[i] - begin[0]) of row i
+            pos = np.repeat(base[s:e] - (begin - begin[0]), lens[s:e])
+            pos += np.arange(size)
+            yield np.repeat(np.arange(s, e), lens[s:e]), pos
         s = e
 
 
@@ -295,9 +307,7 @@ def _ring_pairs(
     bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
     for dr in range(-ring, ring + 1):
         a, b = _runs(index, bin_row + dr, bin_col - ring, bin_col + ring)
-        a, lens = a[q_bin], (b - a)[q_bin]
-        for row, slot in _ragged(lens, limit):
-            yield row, a[row] + slot
+        yield from _ragged((b - a)[q_bin], a[q_bin], limit)
 
 
 def _grid(points: Points) -> SpatialIndex:
@@ -375,8 +385,8 @@ def _square_runs(
     c0, r0, c1, r1 = box.T
     i0 = index.rows.searchsorted(r0)
     i1 = index.rows.searchsorted(r1, side="right")
-    for sq, k in _ragged(i1 - i0):
-        a, b = _runs(index, index.rows[i0[sq] + k], c0[sq], c1[sq])
+    for sq, k in _ragged(i1 - i0, i0):
+        a, b = _runs(index, index.rows[k], c0[sq], c1[sq])
         yield sq, a, b
 
 
@@ -387,8 +397,8 @@ def _square_pairs(
     of every cell in it (:func:`_square_runs`), at most ``limit`` pairs at a
     time (one run alone when longer); a box's cells come row by row."""
     for sq, a, b in _square_runs(index, box):
-        for seg, slot in _ragged(b - a, limit):
-            yield sq[seg], a[seg] + slot
+        for seg, pos in _ragged(b - a, a, limit):
+            yield sq[seg], pos
 
 
 def _close_pairs(xy: np.ndarray, half: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -427,15 +437,15 @@ def _count_chunk(
     index: SpatialIndex, s: int, e: int, r2: np.ndarray, counts: np.ndarray
 ) -> None:
     """Fill the ``counts`` rows of the cells at bin-order positions [s, e)."""
-    xy, types = index.binned_xy, index.binned_types
+    gx, gy, types = index.binned_xy[:, 0], index.binned_xy[:, 1], index.binned_types
     n_d = r2.size
     ring = int(np.ceil(np.sqrt(r2[-1]) / index.bin_size))
-    qx, qy = xy[s:e, 0], xy[s:e, 1]
+    qx, qy = gx[s:e], gy[s:e]
     m = e - s
     shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
 
     for row, cand in _ring_pairs(index, s, e, ring):
-        d2 = _d2(qx[row], qy[row], xy[cand, 0], xy[cand, 1])
+        d2 = _d2(qx[row], qy[row], gx[cand], gy[cand])
         inside = np.flatnonzero(d2 <= r2[-1])
         shell = np.searchsorted(r2, d2[inside], side="left")
         # a batch's rows ascend, so its counts fill one slice
@@ -584,7 +594,8 @@ def fps(
     # Unlabelled points share one label and pay no penalty.
     lab = np.zeros(m, np.uint8) if labels is None else np.ascontiguousarray(labels)
     tie = np.flatnonzero(xy[:, 0] == lo[0])
-    tie = tie[xy[tie, 1] == xy[tie, 1].min()]
+    tie_y = xy[:, 1][tie]
+    tie = tie[tie_y == tie_y.min()]
     start = int(tie[lab[tie].argmin()])  # first occurrence = smallest index
     penalty = 0.0 if labels is None else 2.0 * gamma * gamma
     order = index.order
@@ -705,7 +716,7 @@ def knn_group(anchor_coords: np.ndarray, points: Points, k: int) -> np.ndarray:
     hi = np.array([xy[:, 0].max(), xy[:, 1].max()])  # max(axis=0) is slow on (n, 2)
     rows = np.arange(a)
     while rows.size:
-        ax, ay = anchors[rows, 0], anchors[rows, 1]
+        ax, ay = anchors[:, 0][rows], anchors[:, 1][rows]
         with np.errstate(over="ignore"):  # a reach past float64 is inf: the whole grid
             # for a row holding fewer than k points: at least its distance to the points' box
             gap = np.maximum(lo - anchors[rows], anchors[rows] - hi).max(axis=1)
@@ -735,8 +746,9 @@ def knn_group(anchor_coords: np.ndarray, points: Points, k: int) -> np.ndarray:
                 sx, sy = np.repeat(ax[sel], nr), np.repeat(ay[sel], nr)
                 key = np.full((sel.size, width), complex(np.inf, np.inf))
                 real, imag = key.real.reshape(-1), key.imag.reshape(-1)
-                for r, slot in _ragged(lens, _PAIR_BATCH // 4):
-                    p, c = a0[run[r]] + slot, col[r] + slot
+                to_pos = a0[run] - col
+                for r, c in _ragged(lens, col, _PAIR_BATCH // 4):
+                    p = c + to_pos[r]
                     real[c] = _d2(sx[r], sy[r], gx[p], gy[p])
                     imag[c] = ids[p]
                 if k < width:

@@ -11,12 +11,15 @@ assignment) are exposed so a mismatch can be localized to the stage that
 caused it. Those helpers are also the O(N^2) oracles that the spatial
 primitives (``mean_nn_distance``, ``fps``, ``knn_group``) must match
 bit-for-bit. ``count_reference``, the oracle of ``count_in_radii``, and
-``nn_mean_reference`` scan every pair too, but in numpy tiles: the tests
-run them at 100k and 20k cells.
+``nn_mean_reference`` scan every pair too, but in numpy tiles (the
+count's on two threads): the tests run them at 100k and 20k cells.
 
-The module imports numpy only, never ``cellcloud``, so that it can be
-loaded by file path next to any checkout.
+The module imports numpy and the standard library only, never
+``cellcloud``, so that it can be loaded by file path next to any checkout.
 """
+
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,6 +54,8 @@ def count_reference(xy, types, radii):
     ``dx*dx + dy*dy <= radii[j]**2``. Pairs are scanned in cache-sized
     tiles of 128 query rows by 1024 columns. Columns are sorted by type, so
     each tile holds one type and its hits per radius are counted directly.
+    Two threads take alternate 128-row blocks, each with its own tiles; they
+    write disjoint rows, and numpy releases the GIL inside each tile.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     types = np.asarray(types)
@@ -61,28 +66,36 @@ def count_reference(xy, types, radii):
     col_y = xy[by_type, 1]
     bounds = np.searchsorted(types[by_type], np.arange(N_TYPES + 1))
     counts = np.zeros((n, r2.size, N_TYPES), dtype=np.int64)
-    # The tiles are reused: a fresh 1 MB temporary costs a page fault per page.
-    dx_tile = np.empty((128, 1024))
-    dy_tile = np.empty((128, 1024))
-    hit_tile = np.empty((128, 1024), dtype=bool)
-    for s in range(0, n, 128):
-        e = min(s + 128, n)
-        qx = xy[s:e, 0][:, None]
-        qy = xy[s:e, 1][:, None]
-        for t in range(N_TYPES):
-            for c in range(bounds[t], bounds[t + 1], 1024):
-                ce = min(c + 1024, bounds[t + 1])
-                dx = dx_tile[: e - s, : ce - c]
-                dy = dy_tile[: e - s, : ce - c]
-                hit = hit_tile[: e - s, : ce - c]
-                np.subtract(qx, col_x[c:ce], out=dx)
-                np.subtract(qy, col_y[c:ce], out=dy)
-                np.multiply(dx, dx, out=dx)
-                np.multiply(dy, dy, out=dy)
-                d2 = np.add(dx, dy, out=dx)  # dx*dx + dy*dy
-                for j, rj2 in enumerate(r2):
-                    np.less_equal(d2, rj2, out=hit)
-                    counts[s:e, j, t] += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+
+    def scan(first):
+        # The tiles are reused: a fresh 1 MB temporary costs a page fault per page.
+        dx_tile = np.empty((128, 1024))
+        dy_tile = np.empty((128, 1024))
+        hit_tile = np.empty((128, 1024), dtype=bool)
+        for s in range(first, n, 256):
+            e = min(s + 128, n)
+            qx = xy[s:e, 0][:, None]
+            qy = xy[s:e, 1][:, None]
+            for t in range(N_TYPES):
+                for c in range(bounds[t], bounds[t + 1], 1024):
+                    ce = min(c + 1024, bounds[t + 1])
+                    dx = dx_tile[: e - s, : ce - c]
+                    dy = dy_tile[: e - s, : ce - c]
+                    hit = hit_tile[: e - s, : ce - c]
+                    np.subtract(qx, col_x[c:ce], out=dx)
+                    np.subtract(qy, col_y[c:ce], out=dy)
+                    np.multiply(dx, dx, out=dx)
+                    np.multiply(dy, dy, out=dy)
+                    d2 = np.add(dx, dy, out=dx)  # dx*dx + dy*dy
+                    for j, rj2 in enumerate(r2):
+                        np.less_equal(d2, rj2, out=hit)
+                        counts[s:e, j, t] += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+
+    # A pool thread starts in an empty context, so each thread runs in its
+    # own copy of the caller's, which holds numpy's errstate.
+    contexts = [contextvars.copy_context() for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(lambda ctx, first: ctx.run(scan, first), contexts, (0, 128)))
     counts[np.arange(n), :, types] -= 1  # self always falls inside every radius
     return counts
 

@@ -272,10 +272,26 @@ def test_embed_default_scale_is_mean_nn_distance():
     assert np.array_equal(embed(cloud), embed(cloud, d_mean=mean_nn_distance(cloud)))
 
 
-def test_embed_threads_equal():
+def test_embed_threads_equal(monkeypatch):
+    # Chunks of 37 cells cut this 2,000-cell cloud into 55, so the mean-NN,
+    # the count and the embedding's blocks all spread over several workers.
+    monkeypatch.setattr(spatial, "_QUERY_CHUNK", 37)
     rng = np.random.Generator(np.random.Philox(12))
-    cloud = random_cloud(rng, 300)
-    assert np.array_equal(embed(cloud), embed(cloud, threads=4))
+    nests = rng.uniform(150.0, 850.0, size=(8, 2))
+    xy = np.vstack(
+        [
+            nests[rng.integers(0, 8, size=1600)] + rng.normal(0.0, 15.0, size=(1600, 2)),
+            rng.uniform(0.0, 1000.0, size=(400, 2)),
+        ]
+    )
+    cloud = CellCloud(xy=xy, types=rng.integers(0, N_TYPES, size=2000).astype(np.uint8))
+    radii = radii_schedule(mean_nn_distance(cloud))
+    index = build_index(cloud, float(radii[-1]))
+    single = (embed(cloud), count_in_radii(index, radii).counts, mean_nn_distance(cloud))
+    for threads in (2, 3):
+        assert embed(cloud, threads=threads).tobytes() == single[0].tobytes()
+        assert np.array_equal(count_in_radii(index, radii, threads=threads).counts, single[1])
+        assert mean_nn_distance(cloud, threads=threads) == single[2]
 
 
 @settings(deadline=None, max_examples=40)

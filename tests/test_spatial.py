@@ -119,6 +119,25 @@ def test_index_rejects_bins_beyond_int64():
     assert bin_members(build_index(cloud, 1.0), cloud)[(10**9, 10**9)] == [1]
 
 
+@pytest.mark.parametrize("side", [1 << 6, 1 << 10, 1 << 20, 1 << 30])
+def test_index_order_is_the_stable_sort_of_bin_ids(side):
+    # side x side bins of size 1: ids of 12, 20, 40 and 60 bits, so the
+    # radix sort makes 1, 2, 3 and 4 passes
+    rng = np.random.Generator(np.random.Philox(side))
+    cells = rng.integers(0, side, size=(300, 2))
+    cells[:2] = [[0, 0], [side - 1, side - 1]]  # the grid's corners
+    cells[2:60, 0] = cells[2, 0]  # one column: ids equal in their low 16 bits
+    pick = rng.integers(0, 300, size=5000)  # every id many times over
+    pick[:2] = [0, 1]
+    rng.shuffle(pick)
+    xy = cells[pick].astype(np.float64)
+    packed = cells[pick, 1] * side + cells[pick, 0]
+    idx = spatial._index(xy, 1.0, xy)
+    assert idx._n_cols == side
+    assert np.array_equal(idx.order, np.argsort(packed, kind="stable"))
+    assert np.array_equal(idx.bin_ids, np.unique(packed))
+
+
 # ---------------------------------------------------------------------------
 # count_in_radii
 # ---------------------------------------------------------------------------
@@ -306,22 +325,27 @@ def test_count_memory_bounded_when_cells_share_a_bin(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@given(st.lists(st.integers(0, 12), max_size=40), st.integers(1, 30))
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(-40, 40)), max_size=40),
+    st.integers(1, 30),
+)
 @example([], 4)
-@example([0, 0, 0], 4)
-@example([0, 2, 0, 1], 4)
+@example([(0, 5), (0, -1), (0, 0)], 4)
+@example([(0, 3), (2, 7), (0, 0), (1, -2)], 4)
 @settings(max_examples=200, deadline=None)
-def test_ragged_batches_bounded_and_complete(lens, limit):
+def test_ragged_batches_bounded_and_complete(rows_in, limit):
+    lens = np.array([n for n, _ in rows_in], dtype=np.int64)
+    base = np.array([b for _, b in rows_in], dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spatial, "_PAIR_BATCH", limit)
-        batches = list(spatial._ragged(np.array(lens, dtype=np.int64)))
+        batches = list(spatial._ragged(lens, base))
     for row, pos in batches:
-        assert row.size > 0
+        assert row.size > 0 and pos.shape == row.shape
         assert row.size <= limit or (row == row[0]).all()
     rows = [int(r) for row, _ in batches for r in row]
-    slots = [int(p) for _, pos in batches for p in pos]
-    assert rows == [i for i, n in enumerate(lens) for _ in range(n)]
-    assert slots == [p for n in lens for p in range(n)]
+    positions = [int(p) for _, pos in batches for p in pos]
+    assert rows == [i for i, (n, _) in enumerate(rows_in) for _ in range(n)]
+    assert positions == [b + p for n, b in rows_in for p in range(n)]
 
 
 # ---------------------------------------------------------------------------
