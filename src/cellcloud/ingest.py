@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .core import CellCloud, CellCloudError, CellType, _csv_rows
-from .spatial import _close_pairs, _d2, _grid_bins
+from .spatial import _GRID_LIMIT, GridOverflow, _close_pairs, _d2
 
 __all__ = [
     "PatchDetections",
@@ -405,7 +405,11 @@ def grid_sample(cloud: CellCloud, grid_size: float = 256.0) -> CellCloud:
         raise ValueError("grid_size must be positive and finite")
     if cloud.n_total == 0:
         return cloud
-    rows, cols = _grid_bins(cloud.xy, grid_size)
+    with np.errstate(over="ignore"):  # a bin past float64 is inf, rejected below
+        bins = np.floor(cloud.xy / grid_size)
+    if not (-_GRID_LIMIT < bins.min() and bins.max() < _GRID_LIMIT):
+        raise GridOverflow(f"grid bins of size {grid_size!r} lie beyond int64 bin ids")
+    cols, rows = bins.astype(np.int64).T
     order = np.lexsort((cloud.types, cols, rows))
     r, c, t = rows[order], cols[order], cloud.types[order]
     xy = np.take(cloud.xy, order, axis=0)  # cloud.xy[order], 5x faster

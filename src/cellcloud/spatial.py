@@ -6,17 +6,18 @@ O(N^2) pair scans evaluate, so the optimized paths agree with them
 bit-for-bit. Those oracles live only in the test suite
 (``tests/hsp_reference.py``).
 
-The one spatial structure is a uniform grid index (:func:`build_index`)
+The one spatial structure is a uniform grid index (:class:`SpatialIndex`)
 that keeps the cells in row-major bin order, so a range of columns in one
-grid row is one run of cells (:func:`_runs`). Counting and the mean-NN
-query read the 2r+1 runs around each bin (r = 1 when ``bin_size`` is the
-largest query radius: O(N) expected cost for the million-cell count that
-dominates the pipeline); fps, kNN and ingest's pair searches read the
-rows of a square around each point, certified by one margin and one
-argument (:func:`_boxes`). Every grid sized by a point count is a
-:func:`_grid`, which states its one bin rule. The mean-NN, fps and kNN
-take raw points or a grid over them, so queries over the same points can
-share one grid.
+grid row is one run of cells (:func:`_runs`). Every index bins its points
+by one map (:func:`_mapped`), and every grid read is certified by one
+margin and one argument (:func:`_boxes`). Counting and the mean-NN read
+a box of bins around each bin (:func:`_ring_pairs`), three a side when
+the count's ``bin_size`` is its largest radius (O(N) expected cost for
+the million-cell count that dominates the pipeline); fps, kNN and ingest's
+pair searches read the rows of a square around each point. Grids other
+than the count's are sized by a point count (:func:`_grid`). The mean-NN,
+fps and kNN take raw points or any index over them, so queries over the
+same points can share one grid.
 
 Slide detections arrive in no spatial order, so the neighbour queries do
 not walk the cells in input order: they walk them in bin order, and each
@@ -127,8 +128,8 @@ class NeighborCounts:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Uniform grid over points; bin of point i is (floor(y/b), floor(x/b)),
-    of its coordinates or, in a :func:`_grid`, of ``xy*0.5 - lo*0.5``.
+    """Uniform grid over points; bin of point i is (floor(y/b), floor(x/b)) of
+    its map ``xy*0.5 - lo*0.5`` (:func:`_mapped`), b = ``bin_size`` = half the raw side.
 
     Internally the points are held in CSR-style arrays (``order`` grouped by
     bin with ``starts`` offsets over the sorted, de-duplicated ``bin_ids``),
@@ -147,14 +148,14 @@ class SpatialIndex:
     binned_xy: np.ndarray = field(repr=False)  # xy[order]
     binned_types: Optional[np.ndarray] = field(repr=False)  # types[order]; None in a _grid
     rows: np.ndarray = field(repr=False)  # grid rows that hold points, ascending
-    _n_cols: int = field(repr=False)  # bin id = row offset * _n_cols + col offset
-    lo: Optional[np.ndarray] = field(repr=False)  # a _grid's map origin; None when counting
+    _n_cols: int = field(repr=False)  # bin id = row * _n_cols + col
+    lo: np.ndarray = field(repr=False)  # the map's origin, the points' minimum
 
     def __len__(self) -> int:
         return self.xy.shape[0]
 
 
-# Raw points (m x 2), or their grid (:func:`_grid`).
+# Raw points (m x 2), or an index over them (:func:`_grid`, :func:`build_index`).
 Points = Union[np.ndarray, SpatialIndex]
 
 
@@ -176,46 +177,46 @@ def _half(r: np.ndarray) -> np.ndarray:
         return r[:, None] * (1.0 + 1e-9) + 1e-150
 
 
-def _grid_bins(xy: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
-    """int64 bins (floor(y / size), floor(x / size)); GridOverflow beyond int64."""
-    with np.errstate(over="ignore"):  # a bin past float64 is inf, rejected below
-        rows = np.floor(xy[:, 1] / size)
-        cols = np.floor(xy[:, 0] / size)
-    for b in (rows, cols):
-        if b.size and not (-_GRID_LIMIT < b.min() and b.max() < _GRID_LIMIT):
-            raise GridOverflow(f"grid bins of size {size!r} lie beyond int64 bin ids")
-    return rows.astype(np.int64), cols.astype(np.int64)
-
-
 def build_index(cloud: CellCloud, bin_size: float) -> SpatialIndex:
-    """Assign every cell to its grid bin and group cell indices by bin."""
-    return _index(cloud.xy, bin_size, cloud.xy, cloud.types)
+    """Assign every cell to its grid bin, of raw side ``bin_size``; group cell indices by bin."""
+    if bin_size <= 0:
+        raise ValueError("bin_size must be positive")
+    lo, rel = _mapped(cloud.xy)
+    return _index(cloud.xy, lo, rel, bin_size * 0.5, bin_size, cloud.types)
 
 
-def _index(
-    xy: np.ndarray,
-    bin_size: float,
-    at: np.ndarray,
-    types: Optional[np.ndarray] = None,
-    lo: Optional[np.ndarray] = None,
-) -> SpatialIndex:
+def _mapped(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, xy*0.5 - lo*0.5), ``lo`` the points' minimum (0 for none; taken per
+    column, as min(axis=0) is slow on (n, 2)): every index's one map, monotone
+    and never overflowing for finite points."""
+    lo = np.array([xy[:, 0].min(), xy[:, 1].min()] if len(xy) else [0.0, 0.0])
+    rel = xy * 0.5
+    rel -= lo * 0.5
+    return lo, rel
+
+
+def _index(xy, lo, rel, size: float, side: float, types=None) -> SpatialIndex:
     """An index over the points ``xy`` (and their ``types``, if given),
-    binning each by its row of ``at``.
+    binned by (floor(rel_y / size), floor(rel_x / size)) of their map
+    ``rel`` about ``lo`` (:func:`_mapped`), or a monotone clip of it. A
+    GridOverflow names the bins by their raw side ``side``.
 
     ``order`` is the stable sort of the packed bin ids by LSD radix: a
     stable ``argsort`` of each 16 bits the largest id needs, low bits first
     (at least one pass), which numpy runs as a radix sort on 16-bit keys.
     Points that share a bin keep their input order."""
-    if bin_size <= 0:
-        raise ValueError("bin_size must be positive")
     n = xy.shape[0]
-    rows, cols = _grid_bins(at, bin_size)
-    r0, r1 = (int(rows.min()), int(rows.max())) if n else (0, 0)
-    c0, c1 = (int(cols.min()), int(cols.max())) if n else (0, 0)
-    n_bins, n_cols = (r1 - r0 + 1) * (c1 - c0 + 1), c1 - c0 + 1
+    # rel >= 0, so bins are too; one past float64 is inf, or nan at size 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bins = np.floor(rel / size)
+    if n and not bins.max() < _GRID_LIMIT:
+        raise GridOverflow(f"grid bins of size {side!r} lie beyond int64 bin ids")
+    cols, rows = bins.astype(np.int64).T
+    n_cols = int(cols.max()) + 1 if n else 1
+    n_bins = (int(rows.max()) + 1 if n else 1) * n_cols
     if n_bins >= _GRID_LIMIT:
-        raise GridOverflow(f"cloud spans too many bins of size {bin_size!r} for int64 bin ids")
-    packed = (rows - r0) * n_cols + (cols - c0)
+        raise GridOverflow(f"cloud spans too many bins of size {side!r} for int64 bin ids")
+    packed = rows * n_cols + cols
     order = np.argsort(packed.astype(np.uint16), kind="stable")
     for shift in range(16, (n_bins - 1).bit_length(), 16):
         key = (packed >> shift).astype(np.uint16)
@@ -228,7 +229,7 @@ def _index(
     rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
     return SpatialIndex(
         xy=xy,
-        bin_size=float(bin_size),
+        bin_size=float(size),
         bin_ids=bin_ids,
         starts=starts,
         order=order,
@@ -293,47 +294,45 @@ def _chunk_bins(index: SpatialIndex, s: int, e: int) -> tuple[np.ndarray, ...]:
 
 
 def _ring_pairs(
-    index: SpatialIndex, s: int, e: int, ring: int, limit: Optional[int] = None
+    index: SpatialIndex, s: int, e: int, box: np.ndarray, limit: Optional[int] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Batches (row, cand) of the bin-order positions s + row and cand of
-    each cell in [s, e) and every cell, itself included, of the bins up to
-    ``ring`` away on each axis, at most ``limit`` pairs at a time (one
-    row's alone when longer); a batch's rows ascend.
+    each cell in [s, e) and every cell, itself included, in its bin's box
+    ``box[i] = (c0, r0, c1, r1)``, i over the chunk's bins (:func:`_chunk_bins`),
+    at most ``limit`` pairs at a time (one row's alone when longer); a
+    batch's rows ascend.
 
-    The cells [s, e) fill the consecutive bins [b0, b1); each bin reads the
-    2 * ring + 1 grid rows around it as one run each (:func:`_runs`), once
-    for all its cells, and the runs are expanded through ``_ragged``.
+    For each row offset that some box reaches, each bin reads one run
+    (:func:`_runs`), empty outside its box, and ``_ragged`` expands it.
     """
-    bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
-    for dr in range(-ring, ring + 1):
-        a, b = _runs(index, bin_row + dr, bin_col - ring, bin_col + ring)
+    bin_row, _, q_bin = _chunk_bins(index, s, e)
+    c0, r0, c1, r1 = box.T
+    for dr in range(int((r0 - bin_row).min()), int((r1 - bin_row).max()) + 1):
+        a, b = _runs(index, bin_row + dr, c0, c1)
+        b = np.where((r0 <= bin_row + dr) & (bin_row + dr <= r1), b, a)
         yield from _ragged((b - a)[q_bin], a[q_bin], limit)
 
 
 def _grid(points: Points) -> SpatialIndex:
     """A grid over the points ``points`` (m x 2, m >= 1) of about
-    ``_PER_BIN`` points per square bin, or ``points`` itself when it is
-    such a grid already. ValueError if a point is not finite.
+    ``_PER_BIN`` points per square bin, or ``points`` itself when it is an
+    index already. ValueError if a point is not finite.
 
-    Points are binned by ``xy*0.5 - lo*0.5`` with ``lo`` their minimum
-    (monotone, never overflowing; :func:`_boxes` maps square edges the same
-    way). The bin side comes from the area the points occupy: the box
-    between the ``_SIZE_QUANTILE`` quantiles of x and of y, taken from a
-    strided sample, so a few far points do not coarsen the bins. Where the
-    points then fill under a quarter of the bins they could, as two
-    sections far apart do, the side shrinks once by the square root of the
-    occupied share. Points more than 2**30 bins out are binned as if at
-    2**30 bins, so the grid is at most 2**30 + 1 bins wide and bin ids stay
-    in int64; clipping is monotone too.
+    Points are binned by their map (:func:`_mapped`). The bin side comes
+    from the area the points occupy: the box between the ``_SIZE_QUANTILE``
+    quantiles of x and of y, taken from a strided sample, so a few far
+    points do not coarsen the bins. Where the points then fill under a
+    quarter of the bins they could, as two sections far apart do, the side
+    shrinks once by the square root of the occupied share. Points more than
+    2**30 bins out are binned as if at 2**30 bins, so the grid is at most
+    2**30 + 1 bins wide and bin ids stay in int64; clipping is monotone too.
     """
     if isinstance(points, SpatialIndex):
         return points
     xy = np.ascontiguousarray(points, dtype=np.float64)
     if not np.isfinite(xy).all():
         raise ValueError("points must be finite")
-    lo = np.array([xy[:, 0].min(), xy[:, 1].min()])  # min(axis=0) is slow on (n, 2)
-    rel = xy * 0.5
-    rel -= lo * 0.5
+    lo, rel = _mapped(xy)
     m = rel.shape[0]
     bins = max(m / _PER_BIN, 1.0)
     sample = rel[:: -(-m // _SIZE_SAMPLE)]
@@ -342,18 +341,19 @@ def _grid(points: Points) -> SpatialIndex:
     size = max(wx, wy) / bins
     if wx and wy:
         size = max(size, math.sqrt(wx / bins) * math.sqrt(wy))
-    index = _index(xy, size or 1.0, np.minimum(rel, 2.0**30 * (size or 1.0), out=rel), lo=lo)
+    first = size or 1.0
+    index = _index(xy, lo, np.minimum(rel, 2.0**30 * first, out=rel), first, 2.0 * first)
     occupied = index.bin_ids.size
     if 4 * occupied < min(bins, m) and size:
         size *= math.sqrt(occupied / bins)
-        index = _index(xy, size, np.minimum(rel, 2.0**30 * size, out=rel), lo=lo)
+        index = _index(xy, lo, np.minimum(rel, 2.0**30 * size, out=rel), size, 2.0 * size)
     return index
 
 
 def _boxes(index: SpatialIndex, centre: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Grid boxes (c0, r0, c1, r1), clipped to the grid, of the squares
     around ``centre`` (s raw points) of half-widths ``half`` (s x 1, or s x 2
-    per axis) in a :func:`_grid`.
+    per axis) in the index.
 
     Every exact square search rests on this: the edges c -+ h are rounded,
     mapped, binned and clipped by the same monotone operations as the grid's
@@ -439,12 +439,16 @@ def _count_chunk(
     """Fill the ``counts`` rows of the cells at bin-order positions [s, e)."""
     gx, gy, types = index.binned_xy[:, 0], index.binned_xy[:, 1], index.binned_types
     n_d = r2.size
-    ring = int(np.ceil(np.sqrt(r2[-1]) / index.bin_size))
     qx, qy = gx[s:e], gy[s:e]
     m = e - s
     shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
+    # each bin's box spans the r_max squares at its lowest and highest cell coordinates
+    first = np.flatnonzero(np.diff(_chunk_bins(index, s, e)[2], prepend=-1))
+    low, high = (f.reduceat(index.binned_xy[s:e], first) for f in (np.minimum, np.maximum))
+    half = _half(np.sqrt(r2[-1:]))
+    box = np.hstack((_boxes(index, low, half)[:, :2], _boxes(index, high, half)[:, 2:]))
 
-    for row, cand in _ring_pairs(index, s, e, ring):
+    for row, cand in _ring_pairs(index, s, e, box):
         d2 = _d2(qx[row], qy[row], gx[cand], gy[cand])
         inside = np.flatnonzero(d2 <= r2[-1])
         shell = np.searchsorted(r2, d2[inside], side="left")
@@ -465,10 +469,12 @@ def count_in_radii(
     """Exact cumulative neighbor counts per (cell, radius, type).
 
     Boundary rule is inclusive (d <= r) and the cell itself is excluded.
-    Queries run in chunks of ``_QUERY_CHUNK`` cells taken in the index's bin
-    order, and each chunk writes its counts back to its cells' input rows.
-    ``threads`` only spreads the chunks over workers; each writes disjoint
-    rows, so results are identical for any thread count.
+    Each bin reads the bins of its cells' squares of the largest radius
+    (:func:`_boxes`), so counts are exact at any ``bin_size``. Queries run
+    in chunks of ``_QUERY_CHUNK`` cells taken in the index's bin order, and
+    each chunk writes its counts back to its cells' input rows. ``threads``
+    only spreads the chunks over workers; each writes disjoint rows, so
+    results are identical for any thread count.
     """
     radii_arr = np.ascontiguousarray(radii, dtype=np.float64)
     if radii_arr.ndim != 1 or radii_arr.size == 0:
@@ -486,13 +492,13 @@ def count_in_radii(
 def _nn_mean_xy(points: Points, threads: int = 1) -> float:
     """Mean nearest-neighbor distance of raw points (n >= 2).
 
-    The points go into a :func:`_grid`, unless they come as one. Each point
-    starts from the squared distance to its successor in bin order (its
-    predecessor, for the last) and takes the minimum over the ring of bins
-    one away (:func:`_ring_pairs`, the self pair left out), on the raw
-    coordinates. Its nearest neighbour is certified when the box of its
-    square of half-width :func:`_half` of sqrt(min d2) lies inside that
-    ring, as no point outside the box is nearer (:func:`_boxes`). Only the
+    The points go into a :func:`_grid`, unless they come as an index. Each
+    point starts from the squared distance to its successor in bin order
+    (its predecessor, for the last) and takes the minimum over the bins one
+    away from its own (:func:`_ring_pairs`, the self pair left out), on the
+    raw coordinates. Its nearest neighbour is certified when the box of its
+    square of half-width :func:`_half` of sqrt(min d2) lies inside those
+    bins, as no point outside the box is nearer (:func:`_boxes`). Only the
     points that are not read their whole square, row by row
     (:func:`_square_pairs`). The walk runs in ``_QUERY_CHUNK`` chunks of bin
     order on at most ``threads`` workers, each writing disjoint rows and
@@ -516,12 +522,12 @@ def _nn_mean_xy(points: Points, threads: int = 1) -> float:
         batch = max(_CACHE_BATCH, (e - s) // 2)  # pairs; fewer, longer calls on big chunks
         pos = np.arange(s, e)
         best = d2_to(pos, np.where(pos < n - 1, pos + 1, pos - 1))
-        for row, cand in _ring_pairs(index, s, e, 1, batch):
-            np.minimum.at(best, row, d2_to(s + row, cand))
-        box = _boxes(index, index.binned_xy[s:e], _half(np.sqrt(best)))
         bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
-        ring = np.stack((bin_col, bin_row), axis=1)[q_bin]
-        wide = np.flatnonzero(((box[:, :2] < ring - 1) | (box[:, 2:] > ring + 1)).any(axis=1))
+        ring = np.stack((bin_col - 1, bin_row - 1, bin_col + 1, bin_row + 1), axis=1)
+        for row, cand in _ring_pairs(index, s, e, ring, batch):
+            np.minimum.at(best, row, d2_to(s + row, cand))
+        box, own = _boxes(index, index.binned_xy[s:e], _half(np.sqrt(best))), ring[q_bin]
+        wide = np.flatnonzero(((box[:, :2] < own[:, :2]) | (box[:, 2:] > own[:, 2:])).any(axis=1))
         for sq, cand in _square_pairs(index, box[wide], batch):
             np.minimum.at(best, wide[sq], d2_to(s + wide[sq], cand))
         nn[order[s:e]] = np.sqrt(best)
@@ -571,7 +577,7 @@ def fps(
     inside its square of half-width :func:`_half` of sqrt(M): a point's
     min_d2 is at most M and the label penalty is non-negative, so only a d2
     below M changes anything, and every point outside the square's box in
-    the points' :func:`_grid` (built here unless they come as one) is
+    the points' :func:`_grid` (built here unless they come as an index) is
     farther (:func:`_boxes`). The start pick is made at M = +inf. A square's
     points are read one run per occupied grid row (:func:`_square_pairs`),
     at most ``_CACHE_BATCH`` (pick, point) pairs at a time, and applied with
@@ -678,8 +684,8 @@ def knn_group(anchor_coords: np.ndarray, points: Points, k: int) -> np.ndarray:
     Rows come back sorted ascending by (distance, index). Points can belong
     to any number of groups.
 
-    The points go into a :func:`_grid`, unless they come as one. Each anchor
-    reads the cells of its square of half-width :func:`_half` of its reach
+    The points go into a :func:`_grid`, unless they come as an index. Each
+    anchor reads the cells of its square of half-width :func:`_half` of its reach
     (:func:`_square_runs`) and ranks them by ``dx*dx + dy*dy`` on the raw
     coordinates, then by index: as the complex keys d2 + 1j*index, which
     numpy orders by real part, then imaginary part, partitioned at k with

@@ -33,9 +33,10 @@ from cellcloud.core import (
 from cellcloud import spatial
 from cellcloud.hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
-from cellcloud.nie import embed
+from cellcloud.nie import embed, radii_schedule
 
 from conftest import make_cloud, random_cloud, write_cells_csv
+from hsp_reference import count_reference
 
 SMALL_FWD = [
     "--levels", "2", "--anchors", "16", "--n-basic", "4", "--encode-dim", "16",
@@ -427,6 +428,22 @@ def test_nie_matches_library(capsys, cloud_file, tmp_path):
     assert code == 0
     assert "rows=120 dim=21" in stdout
     assert np.array_equal(read_features(out), embed(cloud))
+
+
+def test_nie_counts_a_pair_at_a_computed_distance_of_exactly_r_max(capsys, tmp_path):
+    # At --d-mean 0.25 r_max is 1, and 2 - 0.99999999999999989 rounds to 1:
+    # each cell has its one neighbour in the outermost shell.
+    src = tmp_path / "edge.csv"
+    src.write_text("x,y,type\n0.99999999999999989,0,neoplastic\n2,0,neoplastic\n")
+    out = tmp_path / "e.ccem"
+    code, _, _ = run(capsys, ["nie", str(src), "-o", str(out), "--d-mean", "0.25"])
+    assert code == 0
+    emb = read_features(out)
+    n_d = 3
+    assert emb[:, n_d - 1].tolist() == [1.0, 1.0]  # neoplastic's outer local shell
+    xy = np.array([[0.99999999999999989, 0.0], [2.0, 0.0]])
+    want = count_reference(xy, np.zeros(2, np.uint8), radii_schedule(0.25))
+    assert want[:, :, 0].tolist() == [[0, 0, 1], [0, 0, 1]]
 
 
 def test_nie_too_few_cells(capsys, tmp_path):

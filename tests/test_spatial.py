@@ -52,13 +52,17 @@ def test_counts_radii_must_ascend():
 # ---------------------------------------------------------------------------
 
 
-def bin_members(idx, cloud):
+def bin_members(idx, cloud, bin_size):
     """(bin row, bin col) -> cell indices, read off the index's CSR arrays.
 
-    Each bin's row and column come from its members' own coordinates, and
-    the bin-ordered copies must hold those members' coordinates and types.
+    Each bin's row and column come from its members' own coordinates by the
+    one map, floor((xy*0.5 - lo*0.5) / (bin_size*0.5)) with lo the cloud's
+    minimum, and the bin-ordered copies must hold those members'
+    coordinates and types.
     """
+    lo = np.array([cloud.xy[:, 0].min(), cloud.xy[:, 1].min()])
     assert len(idx) == cloud.n_total and np.array_equal(idx.xy, cloud.xy)
+    assert np.array_equal(idx.lo, lo) and idx.bin_size == bin_size * 0.5
     assert idx.starts[0] == 0 and idx.starts[-1] == idx.order.size
     assert np.all(np.diff(idx.bin_ids) > 0)  # sorted, de-duplicated
     assert np.all(np.diff(idx.starts) > 0)  # no empty bin is stored
@@ -70,23 +74,27 @@ def bin_members(idx, cloud):
         assert np.array_equal(
             idx.binned_types[idx.starts[b] : idx.starts[b + 1]], cloud.types[members]
         )
-        (key,) = {(int(r), int(c)) for r, c in np.floor(xy[:, ::-1] / idx.bin_size)}
+        mapped = (xy * 0.5 - lo * 0.5) / (bin_size * 0.5)
+        (key,) = {(int(r), int(c)) for r, c in np.floor(mapped[:, ::-1])}
         out[key] = members
     assert len(out) == idx.bin_ids.size  # one stored bin per grid bin
     return out
 
 
 def test_index_bins_match_direct_binning():
+    # Bins count from the cloud's lowest coordinates, so a shifted cloud
+    # keeps its bins.
     cloud = make_cloud(
         [(0.0, 0.0, 0), (9.9, 9.9, 1), (10.0, 0.0, 2), (25.0, 14.0, 0), (0.0, 10.0, 1)]
     )
-    idx = build_index(cloud, bin_size=10.0)
-    assert bin_members(idx, cloud) == {
-        (0, 0): [0, 1],
-        (0, 1): [2],
-        (1, 0): [4],
-        (1, 2): [3],
-    }
+    for shift in ((0.0, 0.0), (3.0, -7.0)):
+        moved = CellCloud(xy=cloud.xy + shift, types=cloud.types)
+        assert bin_members(build_index(moved, bin_size=10.0), moved, 10.0) == {
+            (0, 0): [0, 1],
+            (0, 1): [2],
+            (1, 0): [4],
+            (1, 2): [3],
+        }
 
 
 @given(seeds, st.integers(1, 80))
@@ -95,13 +103,14 @@ def test_index_partitions_all_cells(seed, n):
     rng = np.random.Generator(np.random.Philox(seed))
     cloud = random_cloud(rng, n, extent=100.0)
     idx = build_index(cloud, bin_size=7.0)
-    bins = bin_members(idx, cloud)
+    bins = bin_members(idx, cloud, 7.0)
     seen = sorted(i for members in bins.values() for i in members)
     assert seen == list(range(n))
+    lo = cloud.xy.min(axis=0)
     for (r, c), members in bins.items():
         for i in members:
-            assert int(np.floor(cloud.xy[i, 1] / 7.0)) == r
-            assert int(np.floor(cloud.xy[i, 0] / 7.0)) == c
+            assert int(np.floor((cloud.xy[i, 1] * 0.5 - lo[1] * 0.5) / 3.5)) == r
+            assert int(np.floor((cloud.xy[i, 0] * 0.5 - lo[0] * 0.5) / 3.5)) == c
 
 
 def test_index_rejects_nonpositive_bin():
@@ -110,19 +119,28 @@ def test_index_rejects_nonpositive_bin():
 
 
 def test_index_rejects_bins_beyond_int64():
-    # 1e10 / 1e-300 overflows float64: that bin is inf, rejected without a warning
+    # 1e10 / 1e-300 overflows float64: that bin is inf, rejected without a
+    # warning. The error names the caller's bin size, not half of it.
     for far, size in ((1e300, 1.0), (4e12, 1.0), (1e10, 1e-300)):
         cloud = make_cloud([(0.0, 0.0, 0), (far, far, 1)])
-        with pytest.raises(GridOverflow, match="int64"):
+        with pytest.raises(GridOverflow, match="int64") as err:
             build_index(cloud, size)
+        assert f"of size {size!r} " in str(err.value)
     cloud = make_cloud([(0.0, 0.0, 0), (1e9, 1e9, 1)])
-    assert bin_members(build_index(cloud, 1.0), cloud)[(10**9, 10**9)] == [1]
+    assert bin_members(build_index(cloud, 1.0), cloud, 1.0)[(10**9, 10**9)] == [1]
+
+
+def test_index_and_counts_of_an_empty_cloud():
+    cloud = CellCloud(xy=np.empty((0, 2)), types=np.empty(0, np.uint8))
+    index = build_index(cloud, 1.0)
+    assert len(index) == 0 and index.bin_ids.size == 0
+    assert count_in_radii(index, [1.0, 2.0]).counts.shape == (0, 2, 3)
 
 
 @pytest.mark.parametrize("side", [1 << 6, 1 << 10, 1 << 20, 1 << 30])
 def test_index_order_is_the_stable_sort_of_bin_ids(side):
-    # side x side bins of size 1: ids of 12, 20, 40 and 60 bits, so the
-    # radix sort makes 1, 2, 3 and 4 passes
+    # side x side bins of raw size 1 from the corner (0, 0): ids of 12, 20,
+    # 40 and 60 bits, so the radix sort makes 1, 2, 3 and 4 passes
     rng = np.random.Generator(np.random.Philox(side))
     cells = rng.integers(0, side, size=(300, 2))
     cells[:2] = [[0, 0], [side - 1, side - 1]]  # the grid's corners
@@ -132,7 +150,7 @@ def test_index_order_is_the_stable_sort_of_bin_ids(side):
     rng.shuffle(pick)
     xy = cells[pick].astype(np.float64)
     packed = cells[pick, 1] * side + cells[pick, 0]
-    idx = spatial._index(xy, 1.0, xy)
+    idx = build_index(CellCloud(xy=xy, types=np.zeros(xy.shape[0], np.uint8)), 1.0)
     assert idx._n_cols == side
     assert np.array_equal(idx.order, np.argsort(packed, kind="stable"))
     assert np.array_equal(idx.bin_ids, np.unique(packed))
@@ -174,6 +192,49 @@ def test_counts_duplicate_positions():
     assert nc.counts[0, 0].tolist() == [1, 1, 0]
     assert nc.counts[1, 0].tolist() == [1, 1, 0]
     assert nc.counts[2, 0].tolist() == [2, 0, 0]
+
+
+def test_counts_pair_at_a_computed_distance_of_exactly_r():
+    # 2 - 0.99999999999999989 is 1 + 2**-53, which rounds to 1 = r: the
+    # oracle counts the pair, though the cells sit two bins of side r apart.
+    cloud = make_cloud([(0.99999999999999989, 0.0, 0), (2.0, 0.0, 0)])
+    nc = count_in_radii(build_index(cloud, 1.0), [1.0])
+    assert np.array_equal(nc.counts, count_reference(cloud.xy, cloud.types, [1.0]))
+    assert nc.counts[:, 0, 0].tolist() == [1, 1]
+
+
+def near(x, n=3):
+    """The floats within n spacings of x."""
+    below = above = x
+    out = [x]
+    for _ in range(n):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 2.0**40])
+@pytest.mark.parametrize("per_r", [1, 3])
+def test_counts_exact_at_bin_edges(offset, per_r):
+    # Every pair of floats a few spacings either side of a bin edge and r
+    # further on whose computed distance is exactly r, on a row and a column
+    # through the lowest cell at ``offset``. Edges lie at multiples of the
+    # bin size (r or r/3) from 0 and from ``offset``. r is the power of two
+    # above the offset, so a cell just below r and its partner lie in
+    # different binades and their distance can round down to r.
+    r = 2.0 ** (math.floor(math.log2(max(offset, 1.0))) + 1)
+    size = r / per_r
+    xs = [offset]
+    for edge in {k * size for k in range(1, 7)} | {offset + k * size for k in range(1, 4)}:
+        for p in near(edge):
+            partners = [q for q in near(p + r) if abs(q - p) == r]
+            xs += partners + [p] * bool(partners)
+    line = np.column_stack([xs, np.full(len(xs), offset)])
+    xy = np.vstack([line, line[:, ::-1]])
+    cloud = CellCloud(xy=xy, types=(np.arange(len(xy)) % 3).astype(np.uint8))
+    radii = [r / 2, r]
+    nc = count_in_radii(build_index(cloud, size), radii)
+    assert np.array_equal(nc.counts, count_reference(cloud.xy, cloud.types, radii))
 
 
 @given(seeds, st.integers(2, 150), st.integers(1, 4))
@@ -356,20 +417,24 @@ def test_ragged_batches_bounded_and_complete(rows_in, limit):
 @given(
     st.integers(1, 6),
     st.integers(1, 6),
-    st.integers(1, 3),
+    st.one_of(st.none(), st.tuples(*[st.integers(0, 2)] * 4)),
+    st.booleans(),
     st.integers(-3, 3),
     st.sampled_from([None, 1, 4, 16]),
     st.data(),
 )
-@example(n_rows=1, n_cols=5, ring=1, offset=0, batch=None, data=None)
-@example(n_rows=5, n_cols=1, ring=2, offset=-3, batch=None, data=None)
-@example(n_rows=3, n_cols=4, ring=1, offset=2, batch=1, data=None)
+@example(n_rows=1, n_cols=5, reach=(1, 1, 1, 1), clip=False, offset=0, batch=None, data=None)
+@example(n_rows=5, n_cols=1, reach=(2, 2, 2, 2), clip=False, offset=-3, batch=None, data=None)
+@example(n_rows=3, n_cols=4, reach=(0, 1, 1, 0), clip=True, offset=2, batch=1, data=None)
 @settings(max_examples=200, deadline=None)
-def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, ring, offset, batch, data):
-    # Cells on a small grid of bins of side 2, the first and last of its rows
-    # and columns always occupied; each bin-order cell in [s, e) must meet
-    # every cell within ``ring`` bins on each axis exactly once. A row run
-    # that is not clipped to the grid's columns wraps into the next row.
+def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, reach, clip, offset, batch, data):
+    # Cells on a small grid of bins of raw side 2, the first and last of its
+    # rows and columns always occupied. Each bin of the chunk [s, e) reads
+    # a box reaching 0 to 2 bins out on each side, ``reach`` = (left, down,
+    # right, up) for all bins or drawn per bin, so 1 to 5 bins wide, clipped
+    # to the grid or not. Each bin-order cell in [s, e) must meet every cell
+    # in its bin's box exactly once. A row run that is not clipped to the
+    # grid's columns wraps into the next row.
     if data is None:  # an explicit example: every bin of the grid holds a cell
         bins = [(r, c) for r in range(n_rows) for c in range(n_cols)] * 2
         s, e = 0, len(bins)
@@ -379,19 +444,32 @@ def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, ring, offset, batc
         )
         s = data.draw(st.integers(0, len(bins) - 1))
         e = data.draw(st.integers(s + 1, len(bins)))
-    rc = np.array(bins) + offset
+    rc = np.array(bins)
     frac = np.linspace(0.0, 0.999, len(bins))
-    xy = np.column_stack((rc[:, 1] + frac, rc[:, 0] + frac)) * 2.0
+    xy = np.column_stack((rc[:, 1] + offset + frac, rc[:, 0] + offset + frac)) * 2.0
     index = build_index(CellCloud(xy=xy, types=np.zeros(len(bins), np.uint8)), 2.0)
+    bin_row, bin_col, q_bin = spatial._chunk_bins(index, s, e)
+    if reach is None:
+        sides = st.tuples(*[st.integers(0, 2)] * 4)
+        out = np.array(data.draw(st.lists(sides, min_size=bin_row.size, max_size=bin_row.size)))
+    else:
+        out = np.tile(reach, (bin_row.size, 1))
+    box = np.column_stack((bin_col, bin_row, bin_col, bin_row)) + out * [-1, -1, 1, 1]
+    if clip:
+        box = np.clip(box, 0, [n_cols - 1, n_rows - 1] * 2)
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(spatial, "_PAIR_BATCH", batch)
         got = Counter()
-        for row, cand in spatial._ring_pairs(index, s, e, ring):
+        for row, cand in spatial._ring_pairs(index, s, e, box):
             assert (np.diff(row) >= 0).all()
             got.update(zip(index.order[s + row].tolist(), index.order[cand].tolist()))
-    near = (np.abs(rc[:, None] - rc[None, :]) <= ring).all(axis=2)
-    want = Counter((int(i), int(j)) for i in index.order[s:e] for j in np.flatnonzero(near[i]))
+    want = Counter()
+    for p in range(s, e):
+        c0, r0, c1, r1 = box[q_bin[p - s]]
+        i = index.order[p]
+        inside = (c0 <= rc[:, 1]) & (rc[:, 1] <= c1) & (r0 <= rc[:, 0]) & (rc[:, 0] <= r1)
+        want.update((int(i), int(j)) for j in np.flatnonzero(inside))
     assert got == want
 
 
@@ -965,6 +1043,27 @@ def test_grids_match_brute_on_awkward_clouds(case):
         want = knn_reference(anchors, xy, k)
         for points in (xy, grid):
             assert np.array_equal(knn_group(anchors, points, k), want), name
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda points, cloud: fps(points, cloud.types, 40, 3.0),
+        lambda points, cloud: fps(points, None, 40),
+        lambda points, cloud: knn_group(cloud.xy[::25] + 0.5, points, 7),
+        lambda points, cloud: spatial._nn_mean_xy(points),
+    ],
+    ids=["fps_labelled", "fps", "knn", "nn_mean"],
+)
+def test_queries_on_a_counting_index_match_raw_points(query):
+    # A counting index bins by the one map that every grid does, so the
+    # mean-NN, fps and kNN answer the same on it, at any bin size, as on
+    # the raw points.
+    rng = np.random.Generator(np.random.Philox(79))
+    for cloud in (random_cloud(rng, 500, extent=100.0), lattice_cloud(rng, 300, pitch=12)):
+        want = query(cloud.xy, cloud)
+        for bin_size in (0.5, 6.0, 1e3):
+            assert np.array_equal(query(build_index(cloud, bin_size), cloud), want)
 
 
 def test_far_outlier_costs_little():
