@@ -17,9 +17,11 @@ group-attend-aggregate:
 3. score members against the group mean feature and anchor position, and
    mask out low-scoring ones (a semantic-spatial filter),
 4. update the retained members' features with a few rounds of per-channel
-   vector attention among themselves,
+   vector attention among themselves; a group of one member takes its
+   value plus position lift, v + pos, as the softmax weight 1.0 of its
+   one logit gives it, bit for bit,
 5. project each retained member to twice the width and average them into
-   the group feature.
+   the group feature (a lone member's projection is that feature).
 
 Steps 3 and 4 are the group stage: the public functions
 :func:`similarity_scores`, :func:`filter_mask` and :func:`vector_attention`,
@@ -36,7 +38,8 @@ counter-based generator, so a (config, seed) pair pins the descriptor
 bit-for-bit across platforms.
 
 All internal arithmetic runs in float64; weights are stored float32 and
-the final descriptor is returned as float32, or refused
+widened exactly in each product that reads them, with no float64 copy
+held, and the final descriptor is returned as float32, or refused
 (:class:`DescriptorOverflow`) where a value lies beyond float32's range.
 """
 
@@ -328,15 +331,24 @@ def vector_attention(
     Returns the updated features and the largest per-channel deviation of
     the attention-weight sums from 1 (over retained members), which the
     structural checks consume.
+
+    With one member per group (k = 1) the update is ``v + pos`` and the
+    deviation 0.0, computed by the same products as the general case and
+    bit-equal to it wherever its logit is finite: a softmax over one finite
+    logit is exactly 1.0, ``1.0 * x`` is ``x`` and a sum of one term is
+    that term. The query, key and perceptron weights are then not read, and
+    a logit that would overflow no longer turns the update into NaN.
     """
     if not mask.any(axis=1).all():
         raise EmptyGroup("vector attention requires at least one retained member per group")
-    q = feats @ blk.w_q.T + blk.b_q
-    kk = feats @ blk.w_k.T + blk.b_k
     v = feats @ blk.w_v.T + blk.b_v
     rel = coords[:, :, None, :] - coords[:, None, :, :]
     pos = rel @ blk.w_pos.T + blk.b_pos
     del rel
+    if feats.shape[1] == 1:  # the softmax of one logit is 1.0 and its sum one term
+        return v + pos[:, :, 0], 0.0
+    q = feats @ blk.w_q.T + blk.b_q
+    kk = feats @ blk.w_k.T + blk.b_k
     x = q[:, :, None, :] - kk[:, None, :, :] + pos
     del q, kk
     x = np.maximum(x @ blk.w_att1.T + blk.b_att1, 0.0)
@@ -405,11 +417,10 @@ def hsp_forward(
     if labels is not None and labels.shape != (n,):
         raise DimMismatch(f"types have shape {labels.shape}, the points need ({n},)")
     config = weights.config
-    w64 = weights.astype(np.float64)
-    feats = feats_in @ w64.encoder_w.T
-    feats += w64.encoder_b
+    feats = feats_in @ weights.encoder_w.T
+    feats += weights.encoder_b
     n_k = config.initial_anchors
-    for lvl, lw in enumerate(w64.levels):
+    for lvl, lw in enumerate(weights.levels):
         pts = xy.shape[0]
         nk_eff = min(n_k, pts)
         k = min(max(1, (2 * pts) // nk_eff), pts)
@@ -449,8 +460,11 @@ def hsp_forward(
                 cur, blk_err = vector_attention(cur, mc, mask, blk)
                 err = max(err, blk_err)
             proj = cur @ lw.w_agg.T + lw.b_agg
-            wgt = mask[:, :, None].astype(np.float64)
-            new_feats[s:e] = (proj * wgt).sum(axis=1) / kept[:, None]
+            if mask.shape[1] == 1:  # the masked mean of one member is that member
+                new_feats[s:e] = proj[:, 0]
+            else:
+                wgt = mask[:, :, None].astype(np.float64)
+                new_feats[s:e] = (proj * wgt).sum(axis=1) / kept[:, None]
         if trace is not None:
             trace.append(
                 LevelTrace(
@@ -527,10 +541,12 @@ def load_weights(path: Union[str, Path]) -> HspWeights:
             dim_multiplier=mult,
         )
         flat: list[np.ndarray] = []
-        for shape in _tensor_shapes(cfg, input_dim):
+        for i, shape in enumerate(_tensor_shapes(cfg, input_dim)):
             (rank,) = box.unpack("<I")
             dims = box.unpack(f"<{rank}I")
             if dims != shape:
                 raise ValueError(f"{path}: tensor shape {dims} does not match {shape}")
             flat.append(box.array("<f4", math.prod(shape)).reshape(shape).copy())
+            if not np.isfinite(flat[-1]).all():
+                raise ValueError(f"{path}: tensor {i} of {n_tensors} is not finite")
     return _assemble(cfg, flat)

@@ -280,32 +280,32 @@ def _runs(index: SpatialIndex, row, c_lo, c_hi) -> tuple[np.ndarray, np.ndarray]
 
 
 def _chunk_bins(index: SpatialIndex, s: int, e: int) -> tuple[np.ndarray, ...]:
-    """(bin_row, bin_col, q_bin) of the cells at bin-order positions [s, e):
-    the grid row and column of the consecutive bins they fill, and each
-    cell's bin among those."""
+    """(bin_row, bin_col, q_bin, first) of the cells at bin-order positions
+    [s, e): the grid row and column of the consecutive bins they fill, each
+    cell's bin among those, and the offset from s where each bin's cells
+    begin."""
     starts = index.starts
     b0 = int(np.searchsorted(starts, s, side="right")) - 1
     b1 = int(np.searchsorted(starts, e, side="left"))
     bin_row, bin_col = np.divmod(index.bin_ids[b0:b1], index._n_cols)
-    q_bin = np.repeat(
-        np.arange(b1 - b0), np.minimum(starts[b0 + 1 : b1 + 1], e) - np.maximum(starts[b0:b1], s)
-    )
-    return bin_row, bin_col, q_bin
+    first = np.maximum(starts[b0:b1], s) - s
+    q_bin = np.repeat(np.arange(b1 - b0), np.diff(first, append=e - s))
+    return bin_row, bin_col, q_bin, first
 
 
 def _ring_pairs(
-    index: SpatialIndex, s: int, e: int, box: np.ndarray, limit: Optional[int] = None
+    index: SpatialIndex, bin_row, q_bin, box: np.ndarray, limit: Optional[int] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Batches (row, cand) of the bin-order positions s + row and cand of
-    each cell in [s, e) and every cell, itself included, in its bin's box
-    ``box[i] = (c0, r0, c1, r1)``, i over the chunk's bins (:func:`_chunk_bins`),
-    at most ``limit`` pairs at a time (one row's alone when longer); a
-    batch's rows ascend.
+    each cell in a chunk [s, e) and every cell, itself included, in its
+    bin's box ``box[i] = (c0, r0, c1, r1)``, i over the chunk's bins, whose
+    grid rows ``bin_row`` and cells' bins ``q_bin`` :func:`_chunk_bins`
+    gives, at most ``limit`` pairs at a time (one row's alone when longer);
+    a batch's rows ascend.
 
     For each row offset that some box reaches, each bin reads one run
     (:func:`_runs`), empty outside its box, and ``_ragged`` expands it.
     """
-    bin_row, _, q_bin = _chunk_bins(index, s, e)
     c0, r0, c1, r1 = box.T
     for dr in range(int((r0 - bin_row).min()), int((r1 - bin_row).max()) + 1):
         a, b = _runs(index, bin_row + dr, c0, c1)
@@ -443,12 +443,12 @@ def _count_chunk(
     m = e - s
     shell_counts = np.zeros(m * n_d * N_TYPES, dtype=np.int64)
     # each bin's box spans the r_max squares at its lowest and highest cell coordinates
-    first = np.flatnonzero(np.diff(_chunk_bins(index, s, e)[2], prepend=-1))
+    bin_row, _, q_bin, first = _chunk_bins(index, s, e)
     low, high = (f.reduceat(index.binned_xy[s:e], first) for f in (np.minimum, np.maximum))
     half = _half(np.sqrt(r2[-1:]))
     box = np.hstack((_boxes(index, low, half)[:, :2], _boxes(index, high, half)[:, 2:]))
 
-    for row, cand in _ring_pairs(index, s, e, box):
+    for row, cand in _ring_pairs(index, bin_row, q_bin, box):
         d2 = _d2(qx[row], qy[row], gx[cand], gy[cand])
         inside = np.flatnonzero(d2 <= r2[-1])
         shell = np.searchsorted(r2, d2[inside], side="left")
@@ -522,9 +522,9 @@ def _nn_mean_xy(points: Points, threads: int = 1) -> float:
         batch = max(_CACHE_BATCH, (e - s) // 2)  # pairs; fewer, longer calls on big chunks
         pos = np.arange(s, e)
         best = d2_to(pos, np.where(pos < n - 1, pos + 1, pos - 1))
-        bin_row, bin_col, q_bin = _chunk_bins(index, s, e)
+        bin_row, bin_col, q_bin, _ = _chunk_bins(index, s, e)
         ring = np.stack((bin_col - 1, bin_row - 1, bin_col + 1, bin_row + 1), axis=1)
-        for row, cand in _ring_pairs(index, s, e, ring, batch):
+        for row, cand in _ring_pairs(index, bin_row, q_bin, ring, batch):
             np.minimum.at(best, row, d2_to(s + row, cand))
         box, own = _boxes(index, index.binned_xy[s:e], _half(np.sqrt(best))), ring[q_bin]
         wide = np.flatnonzero(((box[:, :2] < own[:, :2]) | (box[:, 2:] > own[:, 2:])).any(axis=1))

@@ -31,7 +31,9 @@ from cellcloud.core import (
     write_features,
 )
 from cellcloud import spatial
-from cellcloud.hsp import HspConfig, combine_appearance, hsp_forward, init_weights, load_weights
+from cellcloud.hsp import (
+    HspConfig, combine_appearance, hsp_forward, init_weights, load_weights, save_weights,
+)
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
 from cellcloud.nie import embed, radii_schedule
 
@@ -744,6 +746,29 @@ def test_forward_weight_file_round_trip(capsys, cloud_file, tmp_path):
     )
     assert code == 0
     assert first.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_forward_refuses_non_finite_weights(capsys, cloud_file, tmp_path, bad):
+    # A non-finite level-1 w_q (tensor 2 in file order) is refused as io on
+    # load, before the pass, even where the default lambda_sim leaves every
+    # group one member and so never reads w_q.
+    path, _ = cloud_file
+    wfile = tmp_path / "w.ccwt"
+    code, _, _ = run(
+        capsys,
+        ["forward", str(path), "--seed", "3", *SMALL_FWD,
+         "--save-weights", str(wfile), "-o", str(tmp_path / "a.ccem")],
+    )
+    assert code == 0
+    weights = load_weights(wfile)
+    weights.levels[0].blocks[0].w_q[1, 3] = bad
+    save_weights(wfile, weights)
+    out = tmp_path / "b.ccem"
+    code, _, err = run(capsys, ["forward", str(path), "--weights", str(wfile), "-o", str(out)])
+    assert code == 2 and "error_code=io" in err
+    assert str(wfile) in err and "tensor 2 of" in err
+    assert not out.exists()
 
 
 def test_forward_weights_and_seed_are_exclusive(capsys, cloud_file, tmp_path):

@@ -43,7 +43,8 @@ def small_weights(seed=0, input_dim=21):
 
 
 def small_block(i=0):
-    """A level-1 attention block in float64, as the forward pass runs it."""
+    """A level-1 attention block widened to float64, which gives the bytes
+    of its float32 original (every product widens it exactly)."""
     return small_weights().astype(np.float64).levels[0].blocks[i]
 
 
@@ -336,7 +337,48 @@ def test_attention_singleton_group():
     f = np.linspace(-1.0, 1.0, 16)
     out, _ = vector_attention(f[None, None], np.array([[[7.0, 1.0]]]), np.array([[True]]), blk)
     expected = blk.w_v @ f + blk.b_v + blk.b_pos
-    assert np.allclose(out[0, 0], expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(out[0, 0], expected)
+
+
+def _attention_general(feats, coords, mask, blk):
+    """:func:`vector_attention`'s general formula, with no one-member form."""
+    q = feats @ blk.w_q.T + blk.b_q
+    kk = feats @ blk.w_k.T + blk.b_k
+    v = feats @ blk.w_v.T + blk.b_v
+    pos = (coords[:, :, None, :] - coords[:, None, :, :]) @ blk.w_pos.T + blk.b_pos
+    x = q[:, :, None, :] - kk[:, None, :, :] + pos
+    x = np.maximum(x @ blk.w_att1.T + blk.b_att1, 0.0)
+    logits = x @ blk.w_att2.T + blk.b_att2
+    logits = np.where(mask[:, None, :, None], logits, -np.inf)
+    logits -= logits.max(axis=2, keepdims=True)
+    np.exp(logits, out=logits)
+    delta = logits / logits.sum(axis=2, keepdims=True)
+    out = (delta * (v[:, None, :, :] + pos)).sum(axis=2)
+    sums = delta.sum(axis=2)[mask]
+    err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
+    return np.where(mask[:, :, None], out, feats), err
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_single_member_closed_form_is_exact(dtype):
+    # A one-member group takes v + pos: the softmax over its one finite
+    # logit is exactly 1.0 and its value sum has one term. That must give
+    # the general formula's bytes, for float32 blocks as the forward pass
+    # hands them and for float64 ones, at features and coordinates near
+    # 1e150 (logits near 1e150 stay finite) and at -0.0 entries.
+    rng = np.random.Generator(np.random.Philox(31))
+    blk = small_weights().astype(dtype).levels[0].blocks[1]
+    feats = rng.normal(size=(40, 1, 16))
+    feats[5:10] *= 1e150
+    feats[3, 0, 4] = feats[11, 0, :] = -0.0
+    coords = rng.uniform(-1e3, 1e3, size=(40, 1, 2))
+    coords[7:9] *= 1e150
+    coords[2, 0, 1] = -0.0
+    mask = np.ones((40, 1), dtype=bool)
+    got, err = vector_attention(feats, coords, mask, blk)
+    want, want_err = _attention_general(feats, coords, mask, blk)
+    assert np.isfinite(want).all() and np.abs(want).max() > 1e149
+    assert got.tobytes() == want.tobytes() and err == want_err == 0.0
 
 
 def test_attention_masked_members_pass_through():
@@ -584,6 +626,37 @@ def test_reference_helpers_agree():
 
     anchors = xy[fps(xy, None, 16, 0.0)]
     assert np.array_equal(knn_group(anchors, xy, 8), knn_reference(anchors, xy, 8))
+
+
+@pytest.mark.parametrize("lambda_sim", [0.5, 0.02, -1e9])
+@pytest.mark.parametrize("config,n", [(SMALL, 200), (HspConfig(), 600)], ids=["small", "default"])
+def test_forward_float32_weights_equal_their_float64_copy(config, n, lambda_sim):
+    # The pass widens each float32 weight in its product and holds no float64
+    # copy; a float64 copy handed in must give the same bytes.
+    cloud, feats = forward_inputs(40, n)
+    w = init_weights(replace(config, lambda_sim=lambda_sim), feats.shape[1], 8)
+    got = hsp_forward(cloud.xy, feats, cloud.types, w)
+    assert got.tobytes() == hsp_forward(cloud.xy, feats, cloud.types, w.astype(np.float64)).tobytes()
+
+
+def test_forward_one_member_groups_read_no_attention_logit_weights():
+    # At the default lambda_sim every group here keeps one member, whose
+    # update is v + pos: NaN query, key and perceptron weights change no byte.
+    cloud, feats = forward_inputs(41, 300)
+    w = init_weights(HspConfig(), feats.shape[1], 9)
+    logit_weights = ("w_q", "w_k", "w_att1", "w_att2")
+    levels = tuple(
+        replace(lw, blocks=tuple(
+            replace(blk, **{f: np.full_like(getattr(blk, f), np.nan) for f in logit_weights})
+            for blk in lw.blocks
+        ))
+        for lw in w.levels
+    )
+    trace = []
+    want = hsp_forward(cloud.xy, feats, cloud.types, w, trace=trace)
+    assert all(t.retained == t.n_anchors for t in trace)
+    got = hsp_forward(cloud.xy, feats, cloud.types, replace(w, levels=levels))
+    assert got.tobytes() == want.tobytes()
 
 
 def _some_group_partly_kept(t):

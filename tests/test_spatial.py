@@ -448,7 +448,9 @@ def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, reach, clip, offse
     frac = np.linspace(0.0, 0.999, len(bins))
     xy = np.column_stack((rc[:, 1] + offset + frac, rc[:, 0] + offset + frac)) * 2.0
     index = build_index(CellCloud(xy=xy, types=np.zeros(len(bins), np.uint8)), 2.0)
-    bin_row, bin_col, q_bin = spatial._chunk_bins(index, s, e)
+    bin_row, bin_col, q_bin, first = spatial._chunk_bins(index, s, e)
+    # ``first``: where each bin's cells begin, as offsets from s
+    assert np.array_equal(first, np.flatnonzero(np.diff(q_bin, prepend=-1)))
     if reach is None:
         sides = st.tuples(*[st.integers(0, 2)] * 4)
         out = np.array(data.draw(st.lists(sides, min_size=bin_row.size, max_size=bin_row.size)))
@@ -461,7 +463,7 @@ def test_ring_pairs_yield_each_ring_pair_once(n_rows, n_cols, reach, clip, offse
         if batch is not None:
             mp.setattr(spatial, "_PAIR_BATCH", batch)
         got = Counter()
-        for row, cand in spatial._ring_pairs(index, s, e, box):
+        for row, cand in spatial._ring_pairs(index, bin_row, q_bin, box):
             assert (np.diff(row) >= 0).all()
             got.update(zip(index.order[s + row].tolist(), index.order[cand].tolist()))
     want = Counter()
