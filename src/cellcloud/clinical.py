@@ -91,9 +91,6 @@ class AlphaWeights:
             if not (np.isfinite(v) and v >= 0):
                 raise ValueError("alpha components must be finite and >= 0")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3], dtype=np.float64)
-
 
 _EQUAL = AlphaWeights(0.33, 0.33, 0.33)
 _INFLAMMATORY = AlphaWeights(0.25, 0.50, 0.25)
@@ -283,36 +280,42 @@ class KmPoint(NamedTuple):
     at_risk: int
 
 
+def _risk_tables(*cohorts: SurvivalCohort) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The pooled distinct event times of ``cohorts``, ascending, and each
+    cohort's (at_risk, deaths) counts at those times.
+
+    A subject is at risk at t while its time is >= t, so one who dies or is
+    censored at t still counts there: at a tied time, deaths come before
+    censorings.
+    """
+    at = np.unique(np.concatenate([c.times[c.events] for c in cohorts]))
+    tables = []
+    for c in cohorts:
+        times = np.sort(c.times)
+        died = np.sort(c.times[c.events])
+        deaths = np.searchsorted(died, at, "right") - np.searchsorted(died, at)
+        tables.append((times.size - np.searchsorted(times, at), deaths))
+    return at, tables
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., left to right (``np.sum`` adds pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 def km_curve(cohort: SurvivalCohort) -> list[KmPoint]:
     """Kaplan-Meier product-limit curve, one point per distinct event time.
 
-    The curve starts at (0, 1, n). Censored subjects leave the risk set
-    after their time; at tied times deaths are processed against the full
-    risk set (deaths before censorings).
+    The curve starts at (0, 1, n); the risk set and the tie rule are
+    :func:`_risk_tables`'.
     """
     n = len(cohort)
     if n == 0:
         raise EmptyCohort("cannot estimate a survival curve from zero patients")
-    order = np.argsort(cohort.times, kind="stable")
-    times = cohort.times[order]
-    events = cohort.events[order]
-    out = [KmPoint(0.0, 1.0, n)]
-    surv = 1.0
-    at_risk = n
-    i = 0
-    while i < n:
-        t = times[i]
-        j = i
-        deaths = 0
-        while j < n and times[j] == t:
-            deaths += int(events[j])
-            j += 1
-        if deaths:
-            surv *= 1.0 - deaths / at_risk
-            out.append(KmPoint(float(t), surv, at_risk))
-        at_risk -= j - i
-        i = j
-    return out
+    at, [(at_risk, deaths)] = _risk_tables(cohort)
+    # counts below 2**53 divide as Python's int / int does; cumprod multiplies in sequence
+    surv = np.cumprod(1.0 - deaths / at_risk)
+    return [KmPoint(0.0, 1.0, n), *map(KmPoint, at.tolist(), surv.tolist(), at_risk.tolist())]
 
 
 def logrank(a: SurvivalCohort, b: SurvivalCohort) -> float:
@@ -320,30 +323,20 @@ def logrank(a: SurvivalCohort, b: SurvivalCohort) -> float:
 
     Observed-minus-expected events are accumulated for the first group
     over the pooled distinct event times with the usual hypergeometric
-    variance. The p-value is the chi-square(1) tail probability, computed
-    through the exact identity sf(x) = erfc(sqrt(x/2)).
+    variance; the risk set and the tie rule are :func:`_risk_tables`'.
+    The p-value is the chi-square(1) tail probability, computed through
+    the exact identity sf(x) = erfc(sqrt(x/2)).
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptyCohort("log-rank requires two non-empty cohorts")
-    times = np.concatenate([a.times, b.times])
-    events = np.concatenate([a.events, b.events])
-    group = np.concatenate([np.zeros(len(a), bool), np.ones(len(b), bool)])
-    if not events.any():
+    at, [(n1, d1), (n2, d2)] = _risk_tables(a, b)
+    if at.size == 0:
         raise NoEvents("log-rank requires at least one event")
-    event_times = np.unique(times[events])
-    o_minus_e = 0.0
-    variance = 0.0
-    for t in event_times:
-        at_risk = times >= t
-        n1 = int(np.count_nonzero(at_risk & ~group))
-        n2 = int(np.count_nonzero(at_risk & group))
-        n = n1 + n2
-        died = events & (times == t)
-        d = int(np.count_nonzero(died))
-        d1 = int(np.count_nonzero(died & ~group))
-        o_minus_e += d1 - d * n1 / n
-        if n > 1:
-            variance += d * (n1 / n) * (n2 / n) * (n - d) / (n - 1)
+    n = n1 + n2
+    d = d1 + d2
+    o_minus_e = _sum_in_order(d1 - d * n1 / n)
+    many = n > 1  # one subject at risk adds no variance, and n - 1 would divide by 0
+    variance = _sum_in_order((d * (n1 / n) * (n2 / n) * (n - d))[many] / (n - 1)[many])
     if variance == 0.0:
         raise NoEvents("log-rank statistic has zero variance")
     chi2 = o_minus_e * o_minus_e / variance
@@ -379,9 +372,13 @@ def c_index(cohort: SurvivalCohort) -> float:
 
 def median_split(cohort: SurvivalCohort) -> tuple[SurvivalCohort, SurvivalCohort]:
     """Split into (above-median, at-or-below-median) score groups."""
-    if len(cohort) == 0:
+    n = len(cohort)
+    if n == 0:
         raise EmptyCohort("cannot split an empty cohort")
-    med = float(np.median(cohort.scores))
+    ordered = np.sort(cohort.scores)
+    lo, hi = float(ordered[(n - 1) // 2]), float(ordered[n // 2])
+    # np.median's (lo + hi) / 2, halved before adding where the sum overflows
+    med = (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
     high = cohort.scores > med
     return cohort.subset(high), cohort.subset(~high)
 

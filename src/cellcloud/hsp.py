@@ -194,10 +194,6 @@ class HspWeights:
             yield lw.w_agg
             yield lw.b_agg
 
-    def astype(self, dtype) -> "HspWeights":
-        flat = [t.astype(dtype) for t in self.tensors()]
-        return _assemble(self.config, flat)
-
 
 def _weight_count(config: HspConfig, limit: int) -> int:
     """Weights in ``config``'s tensors for a zero-width input, exact up to

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cellcloud
 from cellcloud.cli import _build_parser, main
@@ -309,7 +314,8 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_readme_lists_every_error_code():
+def readme_error_table():
+    """README's error table: each ``error_code`` token with its exit status."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     lines = iter(readme.read_text(encoding="utf-8").splitlines())
     for line in lines:
@@ -322,6 +328,11 @@ def test_readme_lists_every_error_code():
             break
         token, exit_status = (cell.strip() for cell in line.split("|")[1:3])
         table[token.strip("`")] = int(exit_status)
+    return table
+
+
+def test_readme_lists_every_error_code():
+    table = readme_error_table()
     codes = {c.error_code for c in [CellCloudError, *_subclasses(CellCloudError)]}
     assert set(table) == codes | {"usage", "io"}
     assert {t for t, status in table.items() if status == 1} == {"usage"}
@@ -1043,6 +1054,69 @@ def test_cindex_no_comparable_pairs(capsys, tmp_path):
     code, _, err = run(capsys, ["cindex", str(path)])
     assert code == 2
     assert "error_code=no_comparable_pairs" in err
+
+
+# Cohort CSV fields: mostly valid tokens, and in a dirty cohort also the
+# ones the reader must refuse. A valid score may be any finite float, from
+# subnormals up to 1.8e308, though most lie near 0; integer times tie.
+_LONG_FIELD = "9" * (csv.field_size_limit() + 1)
+_IDS = st.text(st.characters(codec="utf-8"), max_size=6)
+_SCORES = (st.floats(-5.0, 5.0) | st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+_TIMES = st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr) | st.integers(1, 5).map(str)
+_EVENTS = st.sampled_from(["0", "1"])
+_BAD_SCORES = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e999", _LONG_FIELD])
+_BAD_TIMES = st.sampled_from(["0", "-0.0", "-2.5", "nan", "inf", "1e-999", "two", _LONG_FIELD])
+_BAD_EVENTS = st.sampled_from(["2", "-1", "yes", "", "1.0", "true", " 1", _LONG_FIELD])
+
+
+@st.composite
+def cohort_csv_text(draw):
+    dirty = draw(st.booleans())
+    fields = [_IDS, _SCORES, _TIMES, _EVENTS]
+    if dirty:
+        fields = [f | bad for f, bad in zip(fields, [st.just(_LONG_FIELD), _BAD_SCORES, _BAD_TIMES, _BAD_EVENTS])]
+    row = st.tuples(*fields).map(list)
+    if dirty:
+        row = row | st.lists(_SCORES, max_size=5)  # a row with the wrong field count
+    rows = draw(st.lists(row | st.just([]), max_size=20))  # [] writes a blank line
+    flavour = "mixed" if dirty else draw(
+        st.sampled_from(["mixed", "mixed", "equal scores", "huge scores", "no events"])
+    )
+    if flavour == "equal scores":
+        rows = [r and [r[0], "1.5", *r[2:]] for r in rows]
+    elif flavour == "huge scores":  # any two of them overflow a float64 sum
+        rows = [r and [r[0], repr(draw(st.floats(1e308, 1.7976931348623157e308))), *r[2:]] for r in rows]
+    elif flavour == "no events":
+        rows = [r and [*r[:3], "0"] for r in rows]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(["patient_id", "score", "time", "event"])
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# The autouse chdir fixture only moves the manifests a command writes
+# without -o; every example writes its own files into a fresh directory.
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cohort_csv_text(), st.sampled_from(["median"] * 3 + ["nan"]) | st.floats(-3.0, 3.0).map(repr))
+# two middle scores whose sum overflows float64: the split neither warns nor
+# empties the high group
+@example("patient_id,score,time,event\n,8.988465674311579e+307,1.0,0\n,8.98846567431158e+307,1.0,0\n", "median")
+def test_cohort_commands_end_in_a_coded_exit(text, split):
+    codes = readme_error_table()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cohort.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        for argv in (["km", path, "-o", os.path.join(tmp, "km"), "--split", split], ["cindex", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in (0, 1, 2) and "Traceback" not in err
+            if code:
+                token = err.splitlines()[0].removeprefix("error_code=")
+                assert err.startswith("error_code=") and codes.get(token) == code, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cellcloud.clinical import (
@@ -98,6 +99,65 @@ def logrank_oracle(a, b):
     return float(stats.chi2.sf(chi2, df=1))
 
 
+def km_loop(cohort):
+    """``km_curve`` as it was written before the risk table: a loop over tie
+    groups that decrements a running risk count. Its output bits are the
+    ones ``km_curve`` keeps."""
+    n = len(cohort)
+    if n == 0:
+        raise EmptyCohort("cannot estimate a survival curve from zero patients")
+    order = np.argsort(cohort.times, kind="stable")
+    times = cohort.times[order]
+    events = cohort.events[order]
+    out = [KmPoint(0.0, 1.0, n)]
+    surv = 1.0
+    at_risk = n
+    i = 0
+    while i < n:
+        t = times[i]
+        j = i
+        deaths = 0
+        while j < n and times[j] == t:
+            deaths += int(events[j])
+            j += 1
+        if deaths:
+            surv *= 1.0 - deaths / at_risk
+            out.append(KmPoint(float(t), surv, at_risk))
+        at_risk -= j - i
+        i = j
+    return out
+
+
+def logrank_loop(a, b):
+    """``logrank`` as it was written before the risk table: full-array masks
+    per event time and Python ``+=`` sums. Its p-value bits are the ones
+    ``logrank`` keeps."""
+    if len(a) == 0 or len(b) == 0:
+        raise EmptyCohort("log-rank requires two non-empty cohorts")
+    times = np.concatenate([a.times, b.times])
+    events = np.concatenate([a.events, b.events])
+    group = np.concatenate([np.zeros(len(a), bool), np.ones(len(b), bool)])
+    if not events.any():
+        raise NoEvents("log-rank requires at least one event")
+    o_minus_e = 0.0
+    variance = 0.0
+    for t in np.unique(times[events]):
+        at_risk = times >= t
+        n1 = int(np.count_nonzero(at_risk & ~group))
+        n2 = int(np.count_nonzero(at_risk & group))
+        n = n1 + n2
+        died = events & (times == t)
+        d = int(np.count_nonzero(died))
+        d1 = int(np.count_nonzero(died & ~group))
+        o_minus_e += d1 - d * n1 / n
+        if n > 1:
+            variance += d * (n1 / n) * (n2 / n) * (n - d) / (n - 1)
+    if variance == 0.0:
+        raise NoEvents("log-rank statistic has zero variance")
+    chi2 = o_minus_e * o_minus_e / variance
+    return math.erfc(math.sqrt(chi2 / 2.0))
+
+
 def c_index_oracle(cohort):
     conc = tied = comp = 0
     n = len(cohort)
@@ -138,8 +198,8 @@ def test_alpha_presets():
         "kirc-prose",
         "paad-prose",
     }
-    assert ALPHA_PRESETS["equal"].as_array().tolist() == [0.33, 0.33, 0.33]
-    assert ALPHA_PRESETS["ratio"].as_array().tolist() == [0.0, 0.0, 1.0]
+    assert ALPHA_PRESETS["equal"] == AlphaWeights(0.33, 0.33, 0.33)
+    assert ALPHA_PRESETS["ratio"] == AlphaWeights(0.0, 0.0, 1.0)
     assert ALPHA_PRESETS["paad-listed"] == ALPHA_PRESETS["paad-prose"]
 
 
@@ -390,6 +450,52 @@ def test_logrank_empty_group():
         logrank(make_cohort([], []), make_cohort([1.0], [True]))
 
 
+@st.composite
+def survival_groups(draw):
+    """Two groups of 1-300 patients in all, with continuous or integer times
+    (integer times tie deaths with censorings). Either group may have one
+    patient and the second may be empty. Each group's events are none, one,
+    all, or a random share; ``shared`` puts everyone at one time, all dying,
+    which gives zero variance."""
+    rng = np.random.Generator(np.random.Philox(draw(seeds)))
+    n_a = draw(st.integers(1, 150))
+    n_b = 0 if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 150))
+    integer = draw(st.booleans())
+    shared = draw(st.integers(0, 9)) == 0
+    groups = []
+    for n in (n_a, n_b):
+        if shared:
+            times, events = np.full(n, 2.0), np.ones(n, bool)
+        else:
+            times = rng.integers(1, 8, n).astype(float) if integer else rng.exponential(5.0, n) + 0.01
+            kind = draw(st.sampled_from(["none", "one", "all", "share"]))
+            if kind == "share":
+                events = rng.uniform(size=n) < draw(st.floats(0.0, 1.0))
+            else:
+                events = np.zeros(n, bool)
+                events[: {"none": 0, "one": 1, "all": n}[kind]] = True
+                rng.shuffle(events)
+        groups.append(make_cohort(times, events))
+    return groups
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyCohort, NoEvents) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(survival_groups())
+def test_km_and_logrank_keep_the_loop_bits(groups):
+    a, b = groups
+    for g in groups:
+        assert outcome(km_curve, g) == outcome(km_loop, g)
+    assert outcome(logrank, a, b) == outcome(logrank_loop, a, b)
+    assert outcome(logrank, b, a) == outcome(logrank_loop, b, a)
+
+
 # ---------------------------------------------------------------------------
 # concordance index
 # ---------------------------------------------------------------------------
@@ -478,6 +584,25 @@ def test_median_split_all_equal_scores():
     cohort = make_cohort([1.0, 2.0], [True, True], scores=[7.0, 7.0])
     high, low = median_split(cohort)
     assert len(high) == 0 and len(low) == 2
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+@example([1.0, 8.988465674311579e307, 8.98846567431158e307, 1.7e308])  # the sum overflows
+@example([-1.7e308, -1.6e308])
+@example([5e-324, 5e-324, 1e-323])  # subnormals: halving first would round
+def test_median_split_at_the_rounded_median_without_overflow(scores):
+    # The split point is the two middle scores' midpoint, rounded once: what
+    # np.median gives wherever their sum stays finite, and beyond that too.
+    ordered = sorted(scores)
+    n = len(scores)
+    med = float((Fraction(ordered[(n - 1) // 2]) + Fraction(ordered[n // 2])) / 2)
+    high, low = median_split(make_cohort(np.ones(n), np.ones(n, bool), scores=scores))
+    assert high.scores.tolist() == [s for s in scores if s > med]
+    assert low.scores.tolist() == [s for s in scores if not s > med]
+    with np.errstate(over="ignore"):
+        numpy_med = np.median(scores)
+    assert numpy_med == med or not np.isfinite(numpy_med)
 
 
 def test_median_split_empty():

@@ -42,10 +42,15 @@ def small_weights(seed=0, input_dim=21):
     return init_weights(SMALL, input_dim, seed)
 
 
+def widened(weights, dtype=np.float64):
+    """A copy of ``weights`` in ``dtype``. A float64 copy of float32 weights
+    gives the bytes of its original (every product widens it exactly)."""
+    return hsp._assemble(weights.config, [t.astype(dtype) for t in weights.tensors()])
+
+
 def small_block(i=0):
-    """A level-1 attention block widened to float64, which gives the bytes
-    of its float32 original (every product widens it exactly)."""
-    return small_weights().astype(np.float64).levels[0].blocks[i]
+    """A level-1 attention block widened to float64."""
+    return widened(small_weights()).levels[0].blocks[i]
 
 
 def make_group(rng, k=6, dim=8):
@@ -367,7 +372,7 @@ def test_attention_single_member_closed_form_is_exact(dtype):
     # hands them and for float64 ones, at features and coordinates near
     # 1e150 (logits near 1e150 stay finite) and at -0.0 entries.
     rng = np.random.Generator(np.random.Philox(31))
-    blk = small_weights().astype(dtype).levels[0].blocks[1]
+    blk = widened(small_weights(), dtype).levels[0].blocks[1]
     feats = rng.normal(size=(40, 1, 16))
     feats[5:10] *= 1e150
     feats[3, 0, 4] = feats[11, 0, :] = -0.0
@@ -440,7 +445,7 @@ def test_group_stage_independent_of_batch_size(k, dim):
     feats[:4] *= 0.1  # these groups score a hundredth of the rest
     coords = rng.uniform(0.0, 50.0, size=(b, k, 2))
     anchors = coords[:, 0] + rng.normal(0.0, 1.0, size=(b, 2))
-    weights = init_weights(HspConfig(), 8, seed=dim).astype(np.float64)
+    weights = widened(init_weights(HspConfig(), 8, seed=dim))
     blocks = weights.levels[int(np.log2(dim // 64))].blocks
 
     # a threshold that masks members and leaves the damped groups to the rescue
@@ -516,7 +521,7 @@ def test_forward_structure_and_trace():
     # Recount level 1 at a threshold that splits groups, from the public
     # group-stage functions on the encoded features.
     lam = 0.06
-    w64 = w.astype(np.float64)
+    w64 = widened(w)
     enc = feats @ w64.encoder_w.T + w64.encoder_b
     anchors = cloud.xy[fps(cloud.xy, cloud.types, 16, _nn_mean_xy(cloud.xy))]
     groups = knn_group(anchors, cloud.xy, 12)
@@ -636,7 +641,7 @@ def test_forward_float32_weights_equal_their_float64_copy(config, n, lambda_sim)
     cloud, feats = forward_inputs(40, n)
     w = init_weights(replace(config, lambda_sim=lambda_sim), feats.shape[1], 8)
     got = hsp_forward(cloud.xy, feats, cloud.types, w)
-    assert got.tobytes() == hsp_forward(cloud.xy, feats, cloud.types, w.astype(np.float64)).tobytes()
+    assert got.tobytes() == hsp_forward(cloud.xy, feats, cloud.types, widened(w)).tobytes()
 
 
 def test_forward_one_member_groups_read_no_attention_logit_weights():
