@@ -11,6 +11,7 @@ error, 2 data error; errors additionally print a machine-parseable
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -246,10 +247,10 @@ def _score_command(args, scorer):
         for path, score in rows:
             print(f"{path},{score!r}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("input,score\n")
-            for path, score in rows:
-                fh.write(f"{path},{score!r}\n")
+        with open(args.output, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["input", "score"])
+            w.writerows((path, repr(score)) for path, score in rows)
     return args.inputs, [args.output]
 
 
@@ -272,11 +273,12 @@ def _cmd_km(args):
     else:
         mask = cohort.scores > float(args.split)
         high, low = cohort.subset(mask), cohort.subset(~mask)
+    high_curve, low_curve = km_curve(high), km_curve(low)
+    p = logrank(high, low)
     high_path = f"{args.output}_high.csv"
     low_path = f"{args.output}_low.csv"
-    write_km_csv(high_path, km_curve(high))
-    write_km_csv(low_path, km_curve(low))
-    p = logrank(high, low)
+    write_km_csv(high_path, high_curve)
+    write_km_csv(low_path, low_curve)
     print(f"n_high={len(high)} n_low={len(low)}")
     print(f"logrank_p={p!r}")
     return [args.cohort], [high_path, low_path]
@@ -379,11 +381,13 @@ def _parser_for(env_threads: str) -> _Parser:
     add_common(p)
     p.set_defaults(func=_cmd_ingest)
 
+    radii = NieParams()
     p = sub.add_parser("nie", help="neighborhood density embedding, write CCEM")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="output CCEM path")
-    p.add_argument("--lambda-r", type=float, default=4.0, help="radius scale (default 4)")
-    p.add_argument("--nd", type=int, default=3, help="radius count (default 3)")
+    p.add_argument("--lambda-r", type=float, default=radii.lambda_r,
+                   help=f"radius scale (default {radii.lambda_r})")
+    p.add_argument("--nd", type=int, default=radii.n_d, help=f"radius count (default {radii.n_d})")
     p.add_argument("--d-mean", type=_POSITIVE, default=None,
                    help="override mean nearest-neighbor distance (default: per-cloud)")
     p.add_argument("--threads", type=_AT_LEAST_1, default=env_threads,
@@ -409,8 +413,10 @@ def _parser_for(env_threads: str) -> _Parser:
     p.add_argument("--encode-dim", type=int, help=f"encoder width D0 (default {hsp.encode_dim})")
     p.add_argument("--dim-multiplier", type=int,
                    help=f"width growth per level (default {hsp.dim_multiplier})")
-    p.add_argument("--lambda-r", type=float, default=4.0, help="embedding radius scale (default 4)")
-    p.add_argument("--nd", type=int, default=3, help="embedding radius count (default 3)")
+    p.add_argument("--lambda-r", type=float, default=radii.lambda_r,
+                   help=f"embedding radius scale (default {radii.lambda_r})")
+    p.add_argument("--nd", type=int, default=radii.n_d,
+                   help=f"embedding radius count (default {radii.n_d})")
     p.add_argument("--d-mean", type=_POSITIVE, default=None, help="override embedding d_mean")
     p.add_argument("--appearance", help="optional appearance CCEM to blend in")
     p.add_argument("--beta", type=_FINITE, default=0.5,
@@ -433,10 +439,14 @@ def _parser_for(env_threads: str) -> _Parser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--alpha", default="equal",
                    help=f"preset {sorted(ALPHA_PRESETS)} or a1,a2,a3 (default equal)")
-    p.add_argument("--n-box", type=int, default=20, help="number of boxes (default 20)")
-    p.add_argument("--ratio", default="0.6,1.0",
-                   help="per-axis box side ratio range low,high (default 0.6,1.0)")
-    p.add_argument("--seed", type=_AT_LEAST_0, default=0, help="box sampling seed (default 0)")
+    boxes = BoxSpec()
+    ratio = f"{boxes.ratio_low},{boxes.ratio_high}"
+    p.add_argument("--n-box", type=int, default=boxes.n_box,
+                   help=f"number of boxes (default {boxes.n_box})")
+    p.add_argument("--ratio", default=ratio,
+                   help=f"per-axis box side ratio range low,high (default {ratio})")
+    p.add_argument("--seed", type=_AT_LEAST_0, default=boxes.seed,
+                   help=f"box sampling seed (default {boxes.seed})")
     p.add_argument("-o", "--output", help="optional CSV score table")
     add_common(p)
     p.set_defaults(func=_cmd_mcps)

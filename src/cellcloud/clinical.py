@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import CellCloud, CellCloudError, CellType, EmptyCloud, _csv_rows
+from .core import CellCloud, CellCloudError, CellType, EmptyCloud, _csv_rows, _LineError
 
 __all__ = [
     "AlphaWeights",
@@ -72,7 +72,7 @@ class NoComparablePairs(CellCloudError):
     error_code = "no_comparable_pairs"
 
 
-class MalformedCohort(CellCloudError, ValueError):
+class MalformedCohort(_LineError, ValueError):
     """A cohort CSV that does not parse; the message names the file and line."""
 
     error_code = "malformed_cohort"
@@ -623,19 +623,17 @@ def read_cohort_csv(path: Union[str, Path]) -> SurvivalCohort:
     scores: list[float] = []
     times: list[float] = []
     events: list[bool] = []
-    rows = _csv_rows(path, _COHORT_HEADER, lambda n, m: MalformedCohort(f"{path}: line {n}: {m}"))
-    for line_no, row in rows:
-        where = f"{path}: line {line_no}"
+    for line_no, row in _csv_rows(path, _COHORT_HEADER, MalformedCohort):
         if len(row) != 4 or row[3].strip() not in ("0", "1"):
-            raise MalformedCohort(f"{where}: malformed cohort row {row!r}")
+            raise MalformedCohort(line_no, f"malformed cohort row {row!r}", path)
         try:
             score, time = float(row[1]), float(row[2])
         except ValueError as exc:
-            raise MalformedCohort(f"{where}: {exc}") from None
+            raise MalformedCohort(line_no, str(exc), path) from None
         if not math.isfinite(score):
-            raise MalformedCohort(f"{where}: score must be finite, got {row[1]!r}")
+            raise MalformedCohort(line_no, f"score must be finite, got {row[1]!r}", path)
         if not 0 < time < math.inf:
-            raise MalformedCohort(f"{where}: time must be finite and positive, got {row[2]!r}")
+            raise MalformedCohort(line_no, f"time must be finite and positive, got {row[2]!r}", path)
         ids.append(row[0])
         scores.append(score)
         times.append(time)

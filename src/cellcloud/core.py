@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -80,6 +80,14 @@ class DimMismatch(CellCloudError):
 
 class EmptyGroup(CellCloudError):
     error_code = "empty_group"
+
+
+class _LineError(CellCloudError):
+    """An error at one line of a CSV; the message names the file when given."""
+
+    def __init__(self, line_no: int, message: str, path: Union[str, Path, None] = None):
+        self.line_no = line_no
+        super().__init__(("" if path is None else f"{path}: ") + f"line {line_no}: {message}")
 
 
 class CellType(IntEnum):
@@ -207,23 +215,24 @@ def validate_cloud(cloud: CellCloud) -> list[str]:
 
 
 def _csv_rows(
-    path: Union[str, Path], header: list[str], error: Callable[[int, str], Exception]
+    path: Union[str, Path], header: list[str], error: type[_LineError]
 ) -> Iterator[tuple[int, list[str]]]:
     """(number of its last line, fields) of each non-blank row of a UTF-8
-    CSV below its header, which must be ``header`` once stripped and
-    lower-cased. A wrong header, or a row ``csv`` cannot read (e.g. a field
-    over ``csv.field_size_limit()``), raises ``error(line number, message)``."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    CSV, byte-order mark or not, below its header, which must be ``header``
+    once stripped and lower-cased. A wrong header, or a row ``csv`` cannot
+    read (e.g. a field over ``csv.field_size_limit()``), raises
+    ``error(line number, message, path)``."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             head = next(reader, None)
             if head is None or [h.strip().lower() for h in head] != header:
-                raise error(1, "header must be " + ",".join(header))
+                raise error(1, "header must be " + ",".join(header), path)
             for row in reader:
                 if row and (len(row) > 1 or row[0].strip()):  # blank lines are skipped
                     yield reader.line_num, row
         except csv.Error as exc:
-            raise error(reader.line_num, str(exc)) from None
+            raise error(reader.line_num, str(exc), path) from None
 
 
 # ---------------------------------------------------------------------------

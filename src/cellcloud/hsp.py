@@ -75,8 +75,12 @@ __all__ = [
 
 _CCWT_MAGIC = b"CCWT"
 _CCWT_VERSION = 1
-# levels, initial_anchors, n_basic, updates_per_level, encode_dim,
-# dim_multiplier, lambda_sim, input dim, tensor count
+# The header holds these HspConfig fields in this order, then the input
+# dim and the tensor count: each a u32 but lambda_sim, a float64.
+_CCWT_FIELDS = (
+    "levels", "initial_anchors", "n_basic", "updates_per_level", "encode_dim",
+    "dim_multiplier", "lambda_sim",
+)
 _CCWT_HEADER = "<IIIIIIdII"
 
 # Group batches are sized so one (batch, k, k, D) scratch tensor stays near
@@ -332,8 +336,8 @@ def vector_attention(
     deviation 0.0, computed by the same products as the general case and
     bit-equal to it wherever its logit is finite: a softmax over one finite
     logit is exactly 1.0, ``1.0 * x`` is ``x`` and a sum of one term is
-    that term. The query, key and perceptron weights are then not read, and
-    a logit that would overflow no longer turns the update into NaN.
+    that term. The query, key and perceptron weights are then not read, so
+    a logit that would overflow does not turn the update into NaN.
     """
     if not mask.any(axis=1).all():
         raise EmptyGroup("vector attention requires at least one retained member per group")
@@ -502,12 +506,9 @@ def combine_appearance(
 
 def save_weights(path: Union[str, Path], weights: HspWeights) -> None:
     """Write a ``CCWT`` weight file (config header + canonical tensor list)."""
-    cfg = weights.config
     tensors = [np.ascontiguousarray(t, dtype="<f4") for t in weights.tensors()]
-    header = struct.pack(
-        _CCWT_HEADER, cfg.levels, cfg.initial_anchors, cfg.n_basic, cfg.updates_per_level,
-        cfg.encode_dim, cfg.dim_multiplier, cfg.lambda_sim, weights.input_dim, len(tensors),
-    )
+    held = (getattr(weights.config, name) for name in _CCWT_FIELDS)
+    header = struct.pack(_CCWT_HEADER, *held, weights.input_dim, len(tensors))
     records = []
     for arr in tensors:
         records += [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), memoryview(arr)]
@@ -516,26 +517,17 @@ def save_weights(path: Union[str, Path], weights: HspWeights) -> None:
 
 def load_weights(path: Union[str, Path]) -> HspWeights:
     with _Container(path, _CCWT_MAGIC, _CCWT_VERSION, "CCWT weight file") as box:
-        levels, anchors, n_basic, updates, enc_dim, mult, lambda_sim, input_dim, n_tensors = (
-            box.unpack(_CCWT_HEADER)
-        )
+        *values, input_dim, n_tensors = box.unpack(_CCWT_HEADER)
+        held = dict(zip(_CCWT_FIELDS, values))
         # Bound the header before anything is sized by it: the config fixes
         # the tensor count, and every tensor record (rank, dims, float32
         # data) takes at least 12 bytes.
-        expect = 2 + levels * (_BLOCK_TENSORS * updates + 2)
+        expect = 2 + held["levels"] * (_BLOCK_TENSORS * held["updates_per_level"] + 2)
         if n_tensors != expect:
             raise ValueError(f"{path}: expected {expect} tensors, file has {n_tensors}")
         if 12 * n_tensors > box.remaining:
             raise ValueError(f"{path}: truncated CCWT payload ({n_tensors} tensors)")
-        cfg = HspConfig(
-            levels=levels,
-            initial_anchors=anchors,
-            n_basic=n_basic,
-            lambda_sim=lambda_sim,
-            updates_per_level=updates,
-            encode_dim=enc_dim,
-            dim_multiplier=mult,
-        )
+        cfg = HspConfig(**held)
         flat: list[np.ndarray] = []
         for i, shape in enumerate(_tensor_shapes(cfg, input_dim)):
             (rank,) = box.unpack("<I")

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CellCloud, CellCloudError, CellType, _csv_rows
+from .core import CellCloud, CellCloudError, CellType, _csv_rows, _LineError
 from .spatial import _GRID_LIMIT, GridOverflow, _close_pairs, _d2
 
 __all__ = [
@@ -35,14 +35,6 @@ __all__ = [
 ]
 
 _PATCH_NAME = re.compile(r"^patch_(-?\d+)_(-?\d+)\.csv$")
-
-
-class _LineError(CellCloudError):
-    """An error at one line of a cells CSV; the message names the file when given."""
-
-    def __init__(self, line_no: int, message: str, path: Union[str, Path, None] = None):
-        self.line_no = line_no
-        super().__init__(("" if path is None else f"{path}: ") + f"line {line_no}: {message}")
 
 
 class MalformedRow(_LineError):
@@ -115,7 +107,7 @@ class PatchDetections:
 
 def _body_rows(path: Union[str, Path]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of the rows below a cells CSV's header."""
-    return _csv_rows(path, ["x", "y", "type"], lambda n, msg: MalformedRow(n, msg, path))
+    return _csv_rows(path, ["x", "y", "type"], MalformedRow)
 
 
 def _parse_lines(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ from cellcloud.hsp import (
     HspConfig, combine_appearance, hsp_forward, init_weights, load_weights, save_weights,
 )
 from cellcloud.ingest import grid_sample, load_patch_dir, merge_boundary_cells
-from cellcloud.nie import embed, radii_schedule
+from cellcloud.nie import NieParams, embed, radii_schedule
 
 from conftest import make_cloud, random_cloud, write_cells_csv
 from hsp_reference import count_reference
@@ -158,6 +158,16 @@ def test_help_documents_defaults(capsys):
         out = " ".join(capsys.readouterr().out.split())
         for needle in needles:
             assert needle in out
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = _build_parser()
+    for argv in (["nie", "in", "-o", "out"], ["forward", "in", "-o", "out", "--seed", "0"]):
+        args = parser.parse_args(argv)
+        assert NieParams(lambda_r=args.lambda_r, n_d=args.nd) == NieParams()
+    args = parser.parse_args(["mcps", "in"])
+    low, high = (float(v) for v in args.ratio.split(","))
+    assert BoxSpec(args.n_box, low, high, args.seed) == BoxSpec()
 
 
 def test_version_flag(capsys):
@@ -926,6 +936,19 @@ def test_cps_multiple_inputs_and_table(capsys, cloud_file, tmp_path):
     assert table.read_text() == f"input,score\n{path},{want!r}\n{path},{want!r}\n"
 
 
+def test_score_table_quotes_paths(capsys, cloud_file, tmp_path):
+    path, cloud = cloud_file
+    odd = tmp_path / 'a,b "c".cc5b'
+    odd.write_bytes(path.read_bytes())
+    table = tmp_path / "scores.csv"
+    code, _, _ = run(capsys, ["cps", str(odd), str(path), "-o", str(table)])
+    assert code == 0
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    want = repr(cps(cloud, ALPHA_PRESETS["equal"]))
+    assert rows == [["input", "score"], [str(odd), want], [str(path), want]]
+
+
 def test_cps_bad_alpha_usage(capsys, cloud_file):
     path, _ = cloud_file
     for alpha in ("nope", "1,2", "a,b,c", "-1,0,0"):
@@ -1014,6 +1037,35 @@ def test_km_no_events_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["km", str(path), "-o", str(tmp_path / "km")])
     assert code == 2
     assert "error_code=no_events" in err
+
+
+@pytest.mark.parametrize(
+    "scores, events, split, error_code",
+    [
+        ([1.0, 2.0], [False, False], "median", "no_events"),
+        ([1.0, 2.0], [True, True], "0.5", "empty_cohort"),
+    ],
+)
+def test_failed_km_writes_no_curve(capsys, tmp_path, scores, events, split, error_code):
+    cohort = SurvivalCohort(
+        scores=np.array(scores), times=np.array([3.0, 4.0]), events=np.array(events),
+    )
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(path, cohort)
+    code, _, err = run(capsys, ["km", str(path), "--split", split, "-o", str(tmp_path / "km")])
+    assert (code, err.splitlines()[0]) == (2, f"error_code={error_code}")
+    assert list(tmp_path.glob("km_*.csv")) == []
+
+
+@pytest.mark.parametrize("argv", [["cindex"], ["km", "-o", "km"]])
+def test_cohort_csv_with_a_byte_order_mark_reads_as_without(capsys, cohort_file, tmp_path, argv):
+    path, _ = cohort_file
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    command, *flags = argv
+    got = run(capsys, [command, str(marked), *flags])
+    assert got == run(capsys, [command, str(path), *flags])
+    assert got[0] == 0
 
 
 def test_cindex_matches_library(capsys, cohort_file):

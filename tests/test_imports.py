@@ -1,6 +1,6 @@
 """Every top-level import in the package is used by the module that makes it,
 every private module-level name is read somewhere in the package, and the
-package re-exports every name its modules declare public.
+package re-exports every name its modules declare public and no other.
 
 No linter ships with the test dependencies, so this is the one check of it.
 An import counts as used when the module reads it anywhere (annotations
@@ -54,6 +54,23 @@ def test_package_reexports_module_all(path):
     names = getattr(module, "__all__", [])
     assert [n for n in names if not hasattr(module, n)] == []
     assert [n for n in names if getattr(cellcloud, n, None) is not getattr(module, n)] == []
+
+
+def test_package_binds_only_module_all():
+    # The modules' __all__ are the one list of public names: __init__.py
+    # star-imports them and binds no other public name.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
+    assert imports and all([a.name for a in n.names] == ["*"] for n in imports)
+    declared = set()
+    for path in MODULES:
+        declared |= set(getattr(importlib.import_module(f"cellcloud.{path.stem}"), "__all__", []))
+    extra = [
+        name for name, value in vars(cellcloud).items()
+        if not name.startswith("_") and name not in declared
+        and getattr(value, "__name__", None) != f"cellcloud.{name}"
+    ]
+    assert extra == []
 
 
 def _module_level_names(tree: ast.Module) -> dict[str, int]:

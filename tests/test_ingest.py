@@ -285,6 +285,21 @@ def test_load_patch_dir_names_and_order(tmp_path):
     assert patches[0].xy.tolist() == [[2.0, 2.0]]
 
 
+def test_csv_with_a_byte_order_mark_parses_as_without(tmp_path):
+    # spreadsheet exports often start with one
+    text = "x,y,type\n1,1,other\n\n2.5,3,neoplastic\n"
+    plain = parse_cells_csv(write_csv(tmp_path / "plain.csv", text))
+    marked = parse_cells_csv(write_csv(tmp_path / "marked.csv", "\ufeff" + text))
+    assert marked.xy.tolist() == plain.xy.tolist()
+    assert marked.types.tolist() == plain.types.tolist()
+    write_csv(tmp_path / "patch_0_0.csv", "\ufeff" + text)
+    (patch,) = load_patch_dir(tmp_path)
+    assert patch.xy.tolist() == plain.xy.tolist()
+    write_csv(tmp_path / "patch_0_0.csv", "\ufeff" + text + "600,1,other\n")
+    with pytest.raises(OutOfPatch, match=r"patch_0_0.csv: line 5: patch-local"):
+        load_patch_dir(tmp_path)
+
+
 def test_load_patch_dir_refuses_origins_float64_rounds(tmp_path):
     # Two 512 px patches 1 px apart whose origins both round to 1e20: taken
     # as disjoint, their cells merged into one at x = 1e20, not 1e20 + 5.
